@@ -36,7 +36,7 @@ cfg = ExperimentConfig(
     L_list=(0, 1, 2),
     max_iters=200,
 )
-report = run_sweep(cfg, force_serial=True)
+report = run_sweep(cfg)
 print(f"{len(report.rows)} cells, {len(report.failures)} failures")
 
 print("\n  k  L   mean final MSE   mean PCA MSE")

@@ -14,8 +14,6 @@ from .codec import (
     StorageBudget,
     compression_bound,
     convert_domain,
-    kron_reconstruct,
-    kron_reduce,
     load_model,
     reconstruct,
     reconstruction_mse,

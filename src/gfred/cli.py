@@ -89,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out-csv", required=True)
     p_sweep.add_argument("--out-svg", default=None)
-    p_sweep.add_argument("--serial", action="store_true")
     p_sweep.add_argument("--dataset-path", default=None)
     p_sweep.add_argument("--dataset-format", choices=["idx", "csv"], default=None)
     p_sweep.add_argument("--classes-to-pick", type=int, default=None)
@@ -188,7 +187,7 @@ def _cmd_sweep(args) -> int:
     ):
         overrides["similarity"] = _similarity_from_args(args, cfg.similarity)
     cfg = harness.with_overrides(cfg, **overrides)
-    report = harness.run_sweep(cfg, force_serial=args.serial)
+    report = harness.run_sweep(cfg)
     harness.emit_csv(report, args.out_csv)
     print(f"rows: {len(report.rows)} -> {args.out_csv}")
     if args.out_svg:

@@ -1,10 +1,9 @@
 """Encoding, decoding, storage accounting, and the model file format.
 
 The fast paths work per frequency in the spectral domain. The literal
-vertex-domain filter bank (powers of the adjacency interleaved with
-per-node taps, written as dense Kronecker products) is also provided;
-it is exponentially more expensive and exists so the fast paths can be
-checked against the defining operation on small graphs.
+vertex-domain filter banks they are checked against (dense Kronecker
+products of adjacency powers and per-node taps) live with the tests in
+``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -102,13 +101,17 @@ def _check_fingerprint(model: FilterModel, spectrum: GraphSpectrum):
         raise FingerprintMismatch("model was trained on a different graph spectrum")
 
 
-def _cache_for(model: FilterModel, ds: CenteredDataset, spectrum, cache):
-    if cache is None:
-        return build_cache(ds.centered, spectrum, model.order)
+def _check_cache(model: FilterModel, cache: SpectralCache):
     if cache.order != model.order:
         raise DimensionMismatch(f"cache order {cache.order} != model order {model.order}")
     if cache.fingerprint != model.spectrum_fingerprint:
         raise FingerprintMismatch("cache was built for a different spectrum")
+
+
+def _cache_for(model: FilterModel, ds: CenteredDataset, spectrum, cache):
+    if cache is None:
+        return build_cache(ds.centered, spectrum, model.order)
+    _check_cache(model, cache)
     return cache
 
 
@@ -142,10 +145,7 @@ def reconstruct(
     else:
         reduced_spec = reduced.values
     if cache is not None:
-        if cache.order != model.order:
-            raise DimensionMismatch(f"cache order {cache.order} != model order {model.order}")
-        if cache.fingerprint != model.spectrum_fingerprint:
-            raise FingerprintMismatch("cache was built for a different spectrum")
+        _check_cache(model, cache)
         pows = cache.eig_pows
     else:
         pows = eig_power_table(spectrum.eigvals, model.order)
@@ -187,59 +187,6 @@ def reducing_taps(model: FilterModel, cache: SpectralCache) -> np.ndarray:
     for ell in range(model.order + 1):
         out[ell] = model.coeffs @ (cache.eig_pows[:, ell][:, None] * cache.gft_data.T)
     return out
-
-
-def kron_reduce(adjacency, taps, xbar) -> np.ndarray:
-    """Vertex-domain reducing filter bank, evaluated literally.
-
-    Builds ``sum_l (S^l kron I_k)(I_n kron taps[l])`` as dense matrices and
-    applies it to the column-stacked data. Test oracle only; cost grows as
-    (nk)(n dim) per order.
-    """
-    S = np.asarray(adjacency, dtype=np.float64)
-    xbar = np.asarray(xbar, dtype=np.float64)
-    taps = np.asarray(taps, dtype=np.float64)
-    n = S.shape[0]
-    k = taps.shape[1]
-    if taps.shape[2] != xbar.shape[0] or xbar.shape[1] != n:
-        raise DimensionMismatch(
-            f"taps {taps.shape} / data {xbar.shape} / graph n={n} do not line up"
-        )
-    stacked = xbar.flatten(order="F")
-    out = np.zeros(n * k)
-    eye_k = np.eye(k)
-    eye_n = np.eye(n)
-    for ell in range(taps.shape[0]):
-        mixer = np.kron(np.linalg.matrix_power(S, ell), eye_k)
-        per_node = np.kron(eye_n, taps[ell])
-        out += mixer @ (per_node @ stacked)
-    return out.reshape((k, n), order="F")
-
-
-def kron_reconstruct(adjacency, taps, reduced_values) -> np.ndarray:
-    """Vertex-domain reconstruction filter bank, evaluated literally.
-
-    Mirror image of :func:`kron_reduce` with dim x k taps; returns centered
-    reconstructions (no mean added). Test oracle only.
-    """
-    S = np.asarray(adjacency, dtype=np.float64)
-    values = np.asarray(reduced_values, dtype=np.float64)
-    taps = np.asarray(taps, dtype=np.float64)
-    n = S.shape[0]
-    dim = taps.shape[1]
-    if taps.shape[2] != values.shape[0] or values.shape[1] != n:
-        raise DimensionMismatch(
-            f"taps {taps.shape} / reduced {values.shape} / graph n={n} do not line up"
-        )
-    stacked = values.flatten(order="F")
-    out = np.zeros(n * dim)
-    eye_d = np.eye(dim)
-    eye_n = np.eye(n)
-    for ell in range(taps.shape[0]):
-        mixer = np.kron(np.linalg.matrix_power(S, ell), eye_d)
-        per_node = np.kron(eye_n, taps[ell])
-        out += mixer @ (per_node @ stacked)
-    return out.reshape((dim, n), order="F")
 
 
 # --- model file format -----------------------------------------------------
@@ -316,6 +263,8 @@ def load_model(path) -> ModelFile:
         header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptFile(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CorruptFile(f"{path}: header is not a JSON object")
     if header.get("version") != _VERSION:
         raise VersionMismatch(f"{path}: unsupported version {header.get('version')!r}")
     try:
@@ -325,6 +274,12 @@ def load_model(path) -> ModelFile:
         stored_scalars = header["stored_scalars"]
     except (KeyError, ValueError) as exc:
         raise CorruptFile(f"{path}: incomplete header: {exc}") from exc
+    fields = {"n": n, "D": dim, "k": k, "L": order, "checksum": checksum}
+    # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+    if any(type(v) is not int for v in fields.values()) or min(n, dim, k) < 1 or order < 0:
+        raise CorruptFile(
+            f"{path}: header needs integer n, D, k >= 1, L >= 0 and checksum, got {fields}"
+        )
     budget = StorageBudget.from_dims(n, dim, k, order)
     if stored_scalars != budget.stored_scalars:
         raise CorruptFile(

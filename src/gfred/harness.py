@@ -3,8 +3,9 @@
 A sweep draws per-trial subsets of a labeled image collection, builds a
 similarity graph per subset, trains filter pairs over a grid of
 (components, order) cells, and reports training MSE against the PCA
-baseline. Trials are independent; rows are merged by (trial, k, L) key so
-serial and parallel execution produce the same table.
+baseline. Trials run one after another and rows are sorted by
+(trial, k, L). Each order L >= 1 cell is one fit warm-started from the
+order below it, so the grid is monotone in L.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import math
 import os
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -35,8 +35,6 @@ from .spectral import build_cache, center
 
 _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
-
-THREADS_ENV = "GFRED_THREADS"
 
 
 class DataFormat(Enum):
@@ -246,19 +244,6 @@ def sample_subset(images, labels, cfg: ExperimentConfig, trial_index: int) -> np
 # --- sweep ------------------------------------------------------------------
 
 
-def _worker_count(force_serial: bool, trials: int) -> int:
-    if force_serial:
-        return 1
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{THREADS_ENV}={raw!r} is not an integer") from exc
-    return max(1, min(cap, trials))
-
-
 def _load_dataset(cfg: ExperimentConfig):
     if cfg.dataset_format is DataFormat.IDX:
         return load_idx(cfg.dataset_path)
@@ -290,24 +275,20 @@ def _run_trial(cfg: ExperimentConfig, images, labels, trial: int, clock):
                 SweepFailure(trial=trial, k=k, L=L, message=message) for L in orders
             )
             continue
-        previous = None  # (order, model) of the best run at the last order
+        previous = None  # (order, model) of the last order that fit
         for L in orders:
             started = clock()
             try:
+                # an order-L bank contains the order below with its higher
+                # taps at zero, so reseeding from it keeps the grid monotone in L
+                start = None if previous is None else extend_order(
+                    previous[1], caches[previous[0]], caches[L]
+                )
                 result = fit(
                     ds, spectrum, k, L,
-                    epsilon=cfg.epsilon, max_iters=cfg.max_iters, cache=caches[L],
+                    epsilon=cfg.epsilon, max_iters=cfg.max_iters,
+                    start=start, cache=caches[L],
                 )
-                if previous is not None:
-                    # reseeding from the lower order keeps the grid monotone in L
-                    warm_start = extend_order(previous[1], caches[previous[0]], caches[L])
-                    warm = fit(
-                        ds, spectrum, k, L,
-                        epsilon=cfg.epsilon, max_iters=cfg.max_iters,
-                        start=warm_start, cache=caches[L],
-                    )
-                    if warm.objective_trace[-1] < result.objective_trace[-1]:
-                        result = warm
                 elapsed_ms = (clock() - started) * 1e3
                 rows.append(
                     SweepRow(
@@ -330,9 +311,9 @@ def run_sweep(cfg: ExperimentConfig, *, timer=None, force_serial: bool = False) 
 
     ``timer`` is the clock used for the wall-time column (default
     ``time.perf_counter``); injecting a constant makes the emitted CSV a
-    pure function of the config. Parallelism over trials is capped by the
-    GFRED_THREADS environment variable and disabled by ``force_serial``;
-    either way rows are merged in (trial, k, L) order.
+    pure function of the config. Trials run serially; ``force_serial`` is
+    accepted and ignored, for callers written when trials could run on a
+    thread pool.
     """
     clock = timer if timer is not None else time.perf_counter
     images, labels = _load_dataset(cfg)
@@ -345,21 +326,12 @@ def run_sweep(cfg: ExperimentConfig, *, timer=None, force_serial: bool = False) 
         raise ConfigError(
             f"knn={cfg.similarity.knn} needs at most {subset_n - 1} for subsets of {subset_n}"
         )
-    workers = _worker_count(force_serial, cfg.trials)
-    per_trial = lambda t: _run_trial(cfg, images, labels, t, clock)
-    if workers == 1:
-        outcomes = [per_trial(t) for t in range(cfg.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(per_trial, range(cfg.trials)))
-    rows = sorted(
-        (row for trial_rows, _ in outcomes for row in trial_rows),
-        key=lambda r: (r.trial, r.k, r.L),
-    )
-    failures = sorted(
-        (f for _, trial_failures in outcomes for f in trial_failures),
-        key=lambda f: (f.trial, f.k, f.L),
-    )
+    rows: list[SweepRow] = []
+    failures: list[SweepFailure] = []
+    for trial in range(cfg.trials):  # each trial yields its cells in (k, L) order
+        trial_rows, trial_failures = _run_trial(cfg, images, labels, trial, clock)
+        rows.extend(trial_rows)
+        failures.extend(trial_failures)
     aggregates = []
     for (k, L) in sorted({(r.k, r.L) for r in rows}):
         finals = [r.final_mse for r in rows if r.k == k and r.L == L]

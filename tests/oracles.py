@@ -8,6 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from gfred.errors import DimensionMismatch
 from gfred.graph import GraphSpectrum, Kernel, SimilarityConfig, build_graph
 from gfred.optimizer import objective
 from gfred.spectral import CenteredDataset, SpectralCache, build_cache, center
@@ -91,3 +92,56 @@ def random_filters(rng, cache, k, scale=0.4):
     taps = rng.normal(size=(cache.order + 1, cache.dim, k)) * scale
     coeffs = rng.normal(size=(k, cache.n)) * scale
     return taps, coeffs
+
+
+def kron_reduce(adjacency, taps, xbar) -> np.ndarray:
+    """Vertex-domain reducing filter bank, evaluated literally.
+
+    Builds ``sum_l (S^l kron I_k)(I_n kron taps[l])`` as dense matrices and
+    applies it to the column-stacked data. Test oracle only; cost grows as
+    (nk)(n dim) per order.
+    """
+    S = np.asarray(adjacency, dtype=np.float64)
+    xbar = np.asarray(xbar, dtype=np.float64)
+    taps = np.asarray(taps, dtype=np.float64)
+    n = S.shape[0]
+    k = taps.shape[1]
+    if taps.shape[2] != xbar.shape[0] or xbar.shape[1] != n:
+        raise DimensionMismatch(
+            f"taps {taps.shape} / data {xbar.shape} / graph n={n} do not line up"
+        )
+    stacked = xbar.flatten(order="F")
+    out = np.zeros(n * k)
+    eye_k = np.eye(k)
+    eye_n = np.eye(n)
+    for ell in range(taps.shape[0]):
+        mixer = np.kron(np.linalg.matrix_power(S, ell), eye_k)
+        per_node = np.kron(eye_n, taps[ell])
+        out += mixer @ (per_node @ stacked)
+    return out.reshape((k, n), order="F")
+
+
+def kron_reconstruct(adjacency, taps, reduced_values) -> np.ndarray:
+    """Vertex-domain reconstruction filter bank, evaluated literally.
+
+    Mirror image of :func:`kron_reduce` with dim x k taps; returns centered
+    reconstructions (no mean added). Test oracle only.
+    """
+    S = np.asarray(adjacency, dtype=np.float64)
+    values = np.asarray(reduced_values, dtype=np.float64)
+    taps = np.asarray(taps, dtype=np.float64)
+    n = S.shape[0]
+    dim = taps.shape[1]
+    if taps.shape[2] != values.shape[0] or values.shape[1] != n:
+        raise DimensionMismatch(
+            f"taps {taps.shape} / reduced {values.shape} / graph n={n} do not line up"
+        )
+    stacked = values.flatten(order="F")
+    out = np.zeros(n * dim)
+    eye_d = np.eye(dim)
+    eye_n = np.eye(n)
+    for ell in range(taps.shape[0]):
+        mixer = np.kron(np.linalg.matrix_power(S, ell), eye_d)
+        per_node = np.kron(eye_n, taps[ell])
+        out += mixer @ (per_node @ stacked)
+    return out.reshape((dim, n), order="F")

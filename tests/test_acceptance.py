@@ -16,8 +16,6 @@ from gfred.codec import (
     ReducedData,
     StorageBudget,
     compression_bound,
-    kron_reconstruct,
-    kron_reduce,
     load_model,
     reconstruct,
     reconstruction_mse,
@@ -49,6 +47,8 @@ from gfred.pca import pca_fit, pca_mse
 from oracles import (
     fd_grad_coeffs,
     fd_grad_taps,
+    kron_reconstruct,
+    kron_reduce,
     random_filters,
     random_instance,
     scan_best_step,
@@ -261,7 +261,7 @@ def test_higher_orders_improve_on_the_baseline(capsys, tmp_path):
             k_list=(5, 10, 20),
             L_list=(0, 1, 2),
         )
-        report = run_sweep(cfg, force_serial=True)
+        report = run_sweep(cfg)
         assert not report.failures, report.failures[:3]
         means = {(a.k, a.L): a.mean_final_mse for a in report.aggregates}
         baselines = {a.k: a.mean_pca_mse for a in report.aggregates if a.L == 0}
@@ -298,8 +298,8 @@ def test_deterministic_outputs(capsys, tmp_path):
             max_iters=80,
         )
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(run_sweep(cfg, timer=lambda: 0.0, force_serial=True), out_a)
-        emit_csv(run_sweep(cfg, timer=lambda: 0.0, force_serial=True), out_b)
+        emit_csv(run_sweep(cfg, timer=lambda: 0.0), out_a)
+        emit_csv(run_sweep(cfg, timer=lambda: 0.0), out_b)
         assert out_a.read_bytes() == out_b.read_bytes()
         assert len(out_a.read_text().splitlines()) == 1 + 2 * 2 * 2
 

@@ -142,7 +142,7 @@ class TestSweepCommand:
         out_svg = tmp_path / "chart.svg"
         code = main(
             ["sweep", "--config", str(cfg), "--out-csv", str(out_csv),
-             "--out-svg", str(out_svg), "--serial"]
+             "--out-svg", str(out_svg)]
         )
         assert code == 0
         assert "rows: 8" in capsys.readouterr().out
@@ -156,7 +156,7 @@ class TestSweepCommand:
         out_csv = tmp_path / "rows.csv"
         code = main(
             ["sweep", "--config", str(cfg), "--out-csv", str(out_csv),
-             "--serial", "--trials", "1", "--k-list", "2", "--l-list", "0"]
+             "--trials", "1", "--k-list", "2", "--l-list", "0"]
         )
         assert code == 0
         capsys.readouterr()

@@ -16,8 +16,6 @@ from gfred.codec import (
     StorageBudget,
     compression_bound,
     convert_domain,
-    kron_reconstruct,
-    kron_reduce,
     load_model,
     reconstruct,
     reconstruction_mse,
@@ -34,7 +32,7 @@ from gfred.errors import (
 from gfred.optimizer import FilterModel, fit, init_filters, objective
 from gfred.spectral import build_cache, gft, igft
 
-from oracles import random_filters, random_instance
+from oracles import kron_reconstruct, kron_reduce, random_filters, random_instance
 
 
 def make_model(inst, taps, coeffs) -> FilterModel:
@@ -389,3 +387,21 @@ class TestCorruption:
         self.rewrite_header(path, tmp_path / "dom.gfm", domain="nowhere")
         with pytest.raises(CorruptFile):
             load_model(tmp_path / "dom.gfm")
+
+    @pytest.mark.parametrize(
+        "header",
+        [[1, 2], {"n": "3"}, {"n": -3}],
+        ids=["not-an-object", "string-dimension", "negative-dimension"],
+    )
+    def test_malformed_header(self, tmp_path, header):
+        _, _, _, path = saved_fixture(tmp_path)
+        out = tmp_path / "malformed.gfm"
+        if isinstance(header, dict):
+            self.rewrite_header(path, out, **header)
+        else:
+            blob = path.read_bytes()
+            (hlen,) = struct.unpack("<I", blob[4:8])
+            hb = json.dumps(header).encode("utf-8")
+            out.write_bytes(blob[:4] + struct.pack("<I", len(hb)) + hb + blob[8 + hlen :])
+        with pytest.raises(CorruptFile):
+            load_model(out)

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from gfred import harness
 from gfred.errors import (
     BadMagic,
     ConfigError,
@@ -17,7 +18,6 @@ from gfred.errors import (
 )
 from gfred.graph import Kernel, SimilarityConfig, Symmetrization
 from gfred.harness import (
-    THREADS_ENV,
     DataFormat,
     ExperimentConfig,
     SweepReport,
@@ -34,6 +34,7 @@ from gfred.harness import (
     synth_digits,
     with_overrides,
 )
+from gfred.optimizer import fit
 from gfred.rng import CounterRng, splitmix64
 
 
@@ -338,7 +339,7 @@ class TestRunSweep:
         data = tmp_path / "d.csv"
         write_labeled_csv(data)
         cfg = sweep_config(data)
-        report = run_sweep(cfg, timer=lambda: 0.0, force_serial=True)
+        report = run_sweep(cfg, timer=lambda: 0.0)
         assert isinstance(report, SweepReport)
         assert not report.failures
         assert len(report.rows) == 2 * 2 * 2  # trials x k x L
@@ -356,7 +357,7 @@ class TestRunSweep:
         data = tmp_path / "d.csv"
         write_labeled_csv(data)
         cfg = sweep_config(data, L_list=(0, 1, 2), k_list=(2,), trials=2)
-        report = run_sweep(cfg, force_serial=True)
+        report = run_sweep(cfg)
         for trial in range(2):
             finals = [r.final_mse for r in report.rows if r.trial == trial and r.k == 2]
             assert len(finals) == 3
@@ -366,7 +367,7 @@ class TestRunSweep:
     def test_aggregates_match_rows(self, tmp_path):
         data = tmp_path / "d.csv"
         write_labeled_csv(data)
-        report = run_sweep(sweep_config(data), timer=lambda: 0.0, force_serial=True)
+        report = run_sweep(sweep_config(data), timer=lambda: 0.0)
         for agg in report.aggregates:
             finals = [r.final_mse for r in report.rows if (r.k, r.L) == (agg.k, agg.L)]
             assert agg.trials == len(finals) == 2
@@ -390,7 +391,7 @@ class TestRunSweep:
         data = tmp_path / "z.csv"
         write_labeled_csv(data, zero_column=True)
         cfg = sweep_config(data, classes_to_pick=2, images_per_class=8, trials=2)
-        report = run_sweep(cfg, timer=lambda: 0.0, force_serial=True)
+        report = run_sweep(cfg, timer=lambda: 0.0)
         assert report.rows == ()
         assert len(report.failures) == 2 * 2 * 2
         assert all("ZeroColumn" in f.message for f in report.failures)
@@ -402,32 +403,30 @@ class TestRunSweep:
         )
         assert b"polyline" not in (tmp_path / "empty.svg").read_bytes()
 
-    def test_parallel_equals_serial(self, tmp_path, monkeypatch):
+    def test_one_fit_per_cell_warm_above_order_zero(self, tmp_path, monkeypatch):
         data = tmp_path / "d.csv"
         write_labeled_csv(data)
-        cfg = sweep_config(data)
-        serial = run_sweep(cfg, timer=lambda: 0.0, force_serial=True)
-        monkeypatch.setenv(THREADS_ENV, "2")
-        parallel = run_sweep(cfg, timer=lambda: 0.0)
-        a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        emit_csv(serial, a)
-        emit_csv(parallel, b)
-        assert a.read_bytes() == b.read_bytes()
+        calls = []
 
-    def test_threads_env_must_be_integer(self, tmp_path, monkeypatch):
-        data = tmp_path / "d.csv"
-        write_labeled_csv(data)
-        monkeypatch.setenv(THREADS_ENV, "many")
-        with pytest.raises(ConfigError):
-            run_sweep(sweep_config(data))
+        def counting_fit(ds, spectrum, k, order, **kwargs):
+            calls.append((order, kwargs.get("start")))
+            return fit(ds, spectrum, k, order, **kwargs)
+
+        monkeypatch.setattr(harness, "fit", counting_fit)
+        cfg = sweep_config(data, L_list=(0, 1, 2), k_list=(2,), trials=2)
+        report = run_sweep(cfg, timer=lambda: 0.0)
+        assert not report.failures
+        assert len(calls) == 2 * 1 * 3  # trials x k x L
+        for order, start in calls:
+            assert (start is not None) == (order >= 1)
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         data = tmp_path / "d.csv"
         write_labeled_csv(data)
         cfg = sweep_config(data)
         a, b = tmp_path / "one.csv", tmp_path / "two.csv"
-        emit_csv(run_sweep(cfg, timer=lambda: 0.0, force_serial=True), a)
-        emit_csv(run_sweep(cfg, timer=lambda: 0.0, force_serial=True), b)
+        emit_csv(run_sweep(cfg, timer=lambda: 0.0), a)
+        emit_csv(run_sweep(cfg, timer=lambda: 0.0), b)
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -436,7 +435,7 @@ class TestEmitters:
     def build_report(self, tmp_path):
         data = tmp_path / "d.csv"
         write_labeled_csv(data)
-        return run_sweep(sweep_config(data), timer=lambda: 0.0, force_serial=True)
+        return run_sweep(sweep_config(data), timer=lambda: 0.0)
 
     def test_csv_is_parseable_and_exact(self, tmp_path):
         report = self.build_report(tmp_path)
