@@ -265,8 +265,10 @@ def load_model(path) -> ModelFile:
         raise CorruptFile(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise CorruptFile(f"{path}: header is not a JSON object")
-    if header.get("version") != _VERSION:
-        raise VersionMismatch(f"{path}: unsupported version {header.get('version')!r}")
+    # type() rather than ==: JSON true loads as bool, and True == 1
+    version = header.get("version")
+    if type(version) is not int or version != _VERSION:
+        raise VersionMismatch(f"{path}: unsupported version {version!r}")
     try:
         n, dim, k, order = header["n"], header["D"], header["k"], header["L"]
         checksum = header["checksum"]

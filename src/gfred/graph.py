@@ -11,7 +11,7 @@ eigenvector scaled so that its largest-magnitude entry is nonnegative.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -43,8 +43,9 @@ class SimilarityConfig:
     ``alpha`` is the Gaussian width and participates only when
     ``kernel = GAUSSIAN``. ``knn`` counts neighbors marked per row, checked
     against n - 1 once the data size is known. ``normalize_spectrum``
-    divides the sparsified matrix by its largest-magnitude eigenvalue so
-    that eigenvalue powers stay bounded for high filter orders.
+    makes :func:`build_graph` divide the adjacency and its eigenvalues by
+    the largest eigenvalue magnitude, so that eigenvalue powers stay
+    bounded for high filter orders.
     """
 
     kernel: Kernel = Kernel.COSINE
@@ -122,9 +123,8 @@ def knn_sparsify(sim, cfg: SimilarityConfig) -> np.ndarray:
     Every row marks its ``cfg.knn`` largest off-diagonal entries (ties go to
     the lower column index). Union symmetrization keeps an entry marked by
     either endpoint, mutual keeps it only when both endpoints marked it.
-    Kept entries retain their original values. With
-    ``cfg.normalize_spectrum`` the result is divided by its
-    largest-magnitude eigenvalue.
+    Kept entries retain their original values; ``cfg.normalize_spectrum``
+    is applied later, by :func:`build_graph`.
     """
     sim = np.asarray(sim, dtype=np.float64)
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
@@ -144,12 +144,7 @@ def knn_sparsify(sim, cfg: SimilarityConfig) -> np.ndarray:
         keep = marked | marked.T
     else:
         keep = marked & marked.T
-    out = np.where(keep, sim, 0.0)
-    if cfg.normalize_spectrum:
-        radius = float(np.max(np.abs(np.linalg.eigvalsh(out))))
-        if radius > 0.0:
-            out = out / radius
-    return out
+    return np.where(keep, sim, 0.0)
 
 
 def canonical_signs(vectors: np.ndarray) -> np.ndarray:
@@ -189,5 +184,15 @@ def eigendecompose(adjacency) -> GraphSpectrum:
 
 
 def build_graph(X, cfg: SimilarityConfig) -> GraphSpectrum:
-    """similarity_dense -> knn_sparsify -> eigendecompose, in one call."""
-    return eigendecompose(knn_sparsify(similarity_dense(X, cfg), cfg))
+    """similarity_dense -> knn_sparsify -> eigendecompose, in one call.
+
+    With ``cfg.normalize_spectrum`` the adjacency and eigenvalues are then
+    divided by the spectral radius, taken from the one eigendecomposition;
+    the eigenvectors do not change. A zero radius leaves them as they are.
+    """
+    spectrum = eigendecompose(knn_sparsify(similarity_dense(X, cfg), cfg))
+    radius = max(abs(float(spectrum.eigvals[0])), abs(float(spectrum.eigvals[-1])))
+    if not cfg.normalize_spectrum or radius == 0.0:
+        return spectrum
+    return replace(spectrum, adjacency=spectrum.adjacency / radius,
+                   eigvals=spectrum.eigvals / radius)

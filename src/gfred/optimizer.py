@@ -9,11 +9,21 @@ training cost is the mean squared spectral-domain residual.
 
 Each iteration takes the exact gradient with respect to the tap stack,
 moves to the minimizer of the cost along that ray (the restriction is an
-exact quadratic in the step, so the minimizer is a ratio of three
-contractions), then recomputes the coefficient gradient at the fresh taps
-and does the same along the coefficient ray. Both half-updates therefore
-never increase the cost. Iteration stops when the summed Frobenius norm
-of the two updates drops below ``epsilon`` or after ``max_iters`` sweeps.
+exact quadratic in the step, so the minimizer is
+``-<resid, moved> / <moved, moved>``, with ``moved`` the ray's filtered
+output), then takes the coefficient gradient at the fresh taps and does
+the same along the coefficient ray. Both half-updates therefore never
+increase the cost. Iteration stops when the summed Frobenius norm of the
+two updates drops below ``epsilon`` or after ``max_iters`` sweeps.
+
+:func:`fit` carries the reduced vectors and the residual from step to
+step: a step of size c along a ray adds ``c * moved`` to the residual,
+and each trace entry is the carried residual's mean squared norm. An
+iteration thus costs three :func:`~gfred.spectral.apply_response` calls
+(the two rays' filtered outputs and the coefficient gradient's back
+projection) and two n x n kernel products. The public gradient, step and
+objective functions compute the same formulas from a bare (taps, coeffs)
+pair, after checking its shapes.
 
 Nonpositive optimal steps are clamped to zero (the stopping test then
 sees a zero update), and a direction whose filtered energy is below
@@ -62,7 +72,10 @@ class FitResult:
     converged: bool
 
 
-def _check_shapes(cache: SpectralCache, taps, coeffs):
+def _checked(cache: SpectralCache, taps, coeffs):
+    """The pair as float arrays, after checking it fits the cache."""
+    taps = np.asarray(taps, dtype=np.float64)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
     if taps.ndim != 3 or taps.shape[0] != cache.order + 1 or taps.shape[1] != cache.dim:
         raise DimensionMismatch(
             f"tap stack {taps.shape} does not fit order {cache.order}, dim {cache.dim}"
@@ -71,21 +84,43 @@ def _check_shapes(cache: SpectralCache, taps, coeffs):
         raise DimensionMismatch(
             f"coefficients {coeffs.shape} do not fit k={taps.shape[2]}, n={cache.n}"
         )
+    return taps, coeffs
 
 
-def _predict(cache: SpectralCache, taps, coeffs):
-    reduced = coeffs @ cache.kernel
-    return reduced, apply_response(taps, cache.eig_pows, reduced)
+def _residual(cache: SpectralCache, taps, reduced) -> np.ndarray:
+    return cache.gft_data - apply_response(taps, cache.eig_pows, reduced)
+
+
+def _cost(cache: SpectralCache, resid) -> float:
+    return float(np.sum(resid * resid)) / cache.n
+
+
+def _tap_gradient(cache: SpectralCache, reduced, resid) -> np.ndarray:
+    out = np.empty((cache.order + 1, cache.dim, reduced.shape[0]))
+    for ell in range(cache.order + 1):
+        out[ell] = (resid * cache.eig_pows[:, ell]) @ reduced.T
+    out *= -2.0 / cache.n
+    return out
+
+
+def _coeff_gradient(cache: SpectralCache, taps, resid) -> np.ndarray:
+    back = apply_response(taps.transpose(0, 2, 1), cache.eig_pows, resid)
+    return (-2.0 / cache.n) * (back @ cache.kernel)
+
+
+def _line_step(cache: SpectralCache, resid, moved) -> float:
+    """Exact minimizer of the cost along a ray whose filtered output moves
+    the prediction by ``-c * moved``."""
+    quad = float(np.sum(moved * moved)) / cache.n
+    if not quad > _ENERGY_FLOOR:
+        raise DegenerateDirection(f"filtered direction energy {quad:.3e} is numerically zero")
+    return -(float(np.sum(resid * moved)) / cache.n) / quad
 
 
 def objective(cache: SpectralCache, taps, coeffs) -> float:
     """Mean squared spectral-domain reconstruction error."""
-    taps = np.asarray(taps, dtype=np.float64)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    _check_shapes(cache, taps, coeffs)
-    _, predicted = _predict(cache, taps, coeffs)
-    resid = cache.gft_data - predicted
-    return float(np.sum(resid * resid)) / cache.n
+    taps, coeffs = _checked(cache, taps, coeffs)
+    return _cost(cache, _residual(cache, taps, coeffs @ cache.kernel))
 
 
 def grad_taps(cache: SpectralCache, taps, coeffs) -> np.ndarray:
@@ -94,16 +129,9 @@ def grad_taps(cache: SpectralCache, taps, coeffs) -> np.ndarray:
     Order-l slice: ``-2/n * sum_i lam_i^l resid_i reduced_i'``, accumulated
     as one matrix product per order.
     """
-    taps = np.asarray(taps, dtype=np.float64)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    _check_shapes(cache, taps, coeffs)
-    reduced, predicted = _predict(cache, taps, coeffs)
-    resid = cache.gft_data - predicted
-    out = np.empty_like(taps)
-    for ell in range(taps.shape[0]):
-        out[ell] = (resid * cache.eig_pows[:, ell]) @ reduced.T
-    out *= -2.0 / cache.n
-    return out
+    taps, coeffs = _checked(cache, taps, coeffs)
+    reduced = coeffs @ cache.kernel
+    return _tap_gradient(cache, reduced, _residual(cache, taps, reduced))
 
 
 def grad_coeffs(cache: SpectralCache, taps, coeffs) -> np.ndarray:
@@ -112,15 +140,8 @@ def grad_coeffs(cache: SpectralCache, taps, coeffs) -> np.ndarray:
     ``-2/n * (sum_l taps[l]' (resid * lam^l)) @ kernel``; the driver calls
     this at the already-updated tap stack.
     """
-    taps = np.asarray(taps, dtype=np.float64)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    _check_shapes(cache, taps, coeffs)
-    reduced, predicted = _predict(cache, taps, coeffs)
-    resid = cache.gft_data - predicted
-    back = taps[0].T @ resid
-    for ell in range(1, taps.shape[0]):
-        back += taps[ell].T @ (resid * cache.eig_pows[:, ell])
-    return (-2.0 / cache.n) * (back @ cache.kernel)
+    taps, coeffs = _checked(cache, taps, coeffs)
+    return _coeff_gradient(cache, taps, _residual(cache, taps, coeffs @ cache.kernel))
 
 
 def step_size_taps(cache: SpectralCache, taps, coeffs, direction) -> float:
@@ -132,40 +153,25 @@ def step_size_taps(cache: SpectralCache, taps, coeffs, direction) -> float:
     over nodes). Raises DegenerateDirection when the quadratic term is
     numerically zero.
     """
-    taps = np.asarray(taps, dtype=np.float64)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
+    taps, coeffs = _checked(cache, taps, coeffs)
     direction = np.asarray(direction, dtype=np.float64)
-    _check_shapes(cache, taps, coeffs)
     if direction.shape != taps.shape:
         raise DimensionMismatch(f"direction {direction.shape} does not match taps {taps.shape}")
-    reduced, predicted = _predict(cache, taps, coeffs)
+    reduced = coeffs @ cache.kernel
     moved = apply_response(direction, cache.eig_pows, reduced)
-    quad = float(np.sum(moved * moved)) / cache.n
-    if not quad > _ENERGY_FLOOR:
-        raise DegenerateDirection(f"filtered direction energy {quad:.3e} is numerically zero")
-    lin_data = float(np.sum(cache.gft_data * moved)) / cache.n
-    lin_model = float(np.sum(predicted * moved)) / cache.n
-    return (lin_model - lin_data) / quad
+    return _line_step(cache, _residual(cache, taps, reduced), moved)
 
 
 def step_size_coeffs(cache: SpectralCache, taps, coeffs, direction) -> float:
     """Exact minimizer of the cost along ``coeffs - c * direction``."""
-    taps = np.asarray(taps, dtype=np.float64)
-    coeffs = np.asarray(coeffs, dtype=np.float64)
+    taps, coeffs = _checked(cache, taps, coeffs)
     direction = np.asarray(direction, dtype=np.float64)
-    _check_shapes(cache, taps, coeffs)
     if direction.shape != coeffs.shape:
         raise DimensionMismatch(
             f"direction {direction.shape} does not match coefficients {coeffs.shape}"
         )
-    _, predicted = _predict(cache, taps, coeffs)
     moved = apply_response(taps, cache.eig_pows, direction @ cache.kernel)
-    quad = float(np.sum(moved * moved)) / cache.n
-    if not quad > _ENERGY_FLOOR:
-        raise DegenerateDirection(f"filtered direction energy {quad:.3e} is numerically zero")
-    lin_data = float(np.sum(cache.gft_data * moved)) / cache.n
-    lin_model = float(np.sum(predicted * moved)) / cache.n
-    return (lin_model - lin_data) / quad
+    return _line_step(cache, _residual(cache, taps, coeffs @ cache.kernel), moved)
 
 
 def init_filters(ds: CenteredDataset, cache: SpectralCache, k: int):
@@ -195,11 +201,10 @@ def init_filters(ds: CenteredDataset, cache: SpectralCache, k: int):
     return taps, coeffs
 
 
-def _clamped_step(step_fn, cache, taps, coeffs, direction) -> float:
-    if not np.any(direction):
-        return 0.0
+def _clamped_step(cache, resid, moved) -> float:
+    # a zero direction has zero filtered energy and lands in the except
     try:
-        step = step_fn(cache, taps, coeffs, direction)
+        step = _line_step(cache, resid, moved)
     except DegenerateDirection:
         return 0.0
     # nonpositive optimal step means no descent along this ray; stand still
@@ -240,25 +245,37 @@ def fit(
         coeffs = np.array(start[1], dtype=np.float64, copy=True)
         if taps.ndim != 3 or taps.shape[2] != k:
             raise DimensionMismatch(f"start taps {taps.shape} do not match k={k}")
-        _check_shapes(cache, taps, coeffs)
+        _checked(cache, taps, coeffs)
     if epsilon is None:
         epsilon = 1e-6 * (float(np.linalg.norm(taps)) + float(np.linalg.norm(coeffs)))
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
 
-    trace = [objective(cache, taps, coeffs)]
+    reduced = coeffs @ cache.kernel
+    resid = _residual(cache, taps, reduced)
+    trace = [_cost(cache, resid)]
     iterations = 0
     converged = False
     for _ in range(max_iters):
-        direction_t = grad_taps(cache, taps, coeffs)
-        step_t = _clamped_step(step_size_taps, cache, taps, coeffs, direction_t)
-        taps_next = taps - step_t * direction_t if step_t else taps
-        trace.append(objective(cache, taps_next, coeffs))
+        direction_t = _tap_gradient(cache, reduced, resid)
+        moved_t = apply_response(direction_t, cache.eig_pows, reduced)
+        step_t = _clamped_step(cache, resid, moved_t)
+        taps_next = taps
+        if step_t:
+            taps_next = taps - step_t * direction_t
+            resid += step_t * moved_t
+        trace.append(_cost(cache, resid))
 
-        direction_c = grad_coeffs(cache, taps_next, coeffs)
-        step_c = _clamped_step(step_size_coeffs, cache, taps_next, coeffs, direction_c)
-        coeffs_next = coeffs - step_c * direction_c if step_c else coeffs
-        trace.append(objective(cache, taps_next, coeffs_next))
+        direction_c = _coeff_gradient(cache, taps_next, resid)
+        shift = direction_c @ cache.kernel
+        moved_c = apply_response(taps_next, cache.eig_pows, shift)
+        step_c = _clamped_step(cache, resid, moved_c)
+        coeffs_next = coeffs
+        if step_c:
+            coeffs_next = coeffs - step_c * direction_c
+            reduced -= step_c * shift
+            resid += step_c * moved_c
+        trace.append(_cost(cache, resid))
 
         delta = float(np.linalg.norm(taps_next - taps)) + float(
             np.linalg.norm(coeffs_next - coeffs)
@@ -289,8 +306,11 @@ def fit(
 
 def stationarity_residual(model: FilterModel, cache: SpectralCache) -> float:
     """Summed Frobenius norms of both gradients at the model's iterate."""
-    g_taps = grad_taps(cache, model.recon_taps, model.coeffs)
-    g_coeffs = grad_coeffs(cache, model.recon_taps, model.coeffs)
+    taps, coeffs = _checked(cache, model.recon_taps, model.coeffs)
+    reduced = coeffs @ cache.kernel
+    resid = _residual(cache, taps, reduced)
+    g_taps = _tap_gradient(cache, reduced, resid)
+    g_coeffs = _coeff_gradient(cache, taps, resid)
     return float(np.linalg.norm(g_taps)) + float(np.linalg.norm(g_coeffs))
 
 

@@ -124,20 +124,6 @@ def build_cache(xbar, spectrum: GraphSpectrum, order: int) -> SpectralCache:
     )
 
 
-def spectral_response(taps, lam: float) -> np.ndarray:
-    """Frequency response ``sum_l lam^l taps[l]`` of a tap stack at one
-    eigenvalue, with 0^0 = 1 so the order-0 term always passes through."""
-    taps = np.asarray(taps, dtype=np.float64)
-    if taps.ndim != 3:
-        raise DimensionMismatch(f"expected a (order+1, rows, cols) tap stack, got {taps.shape}")
-    out = taps[0].copy()
-    power = 1.0
-    for ell in range(1, taps.shape[0]):
-        power *= lam
-        out += power * taps[ell]
-    return out
-
-
 def apply_response(taps, eig_pows, vectors) -> np.ndarray:
     """Apply per-frequency responses to per-frequency columns.
 

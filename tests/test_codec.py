@@ -370,9 +370,10 @@ class TestCorruption:
         hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
         out.write_bytes(blob[:4] + struct.pack("<I", len(hb)) + hb + blob[8 + hlen :])
 
-    def test_unsupported_version(self, tmp_path):
+    @pytest.mark.parametrize("version", [2, True])
+    def test_unsupported_version(self, tmp_path, version):
         _, _, _, path = saved_fixture(tmp_path)
-        self.rewrite_header(path, tmp_path / "v2.gfm", version=2)
+        self.rewrite_header(path, tmp_path / "v2.gfm", version=version)
         with pytest.raises(VersionMismatch):
             load_model(tmp_path / "v2.gfm")
 

@@ -156,9 +156,9 @@ class TestKnnSparsify:
 
     def test_normalize_spectrum_unit_radius(self):
         rng = np.random.default_rng(6)
-        sim = similarity_dense(rng.normal(size=(4, 10)), SimilarityConfig(knn=1))
-        out = knn_sparsify(sim, SimilarityConfig(knn=3, normalize_spectrum=True))
-        radius = np.max(np.abs(np.linalg.eigvalsh(out)))
+        cfg = SimilarityConfig(knn=3, normalize_spectrum=True)
+        spectrum = build_graph(rng.normal(size=(4, 10)), cfg)
+        radius = np.max(np.abs(np.linalg.eigvalsh(spectrum.adjacency)))
         assert radius == pytest.approx(1.0, abs=1e-10)
 
 

@@ -4,6 +4,7 @@ monotone descent, starting-point quality, and the warm-start reseeding."""
 import numpy as np
 import pytest
 
+from gfred import optimizer
 from gfred.errors import (
     DimensionMismatch,
     NonFiniteValue,
@@ -22,7 +23,7 @@ from gfred.optimizer import (
     step_size_taps,
 )
 from gfred.pca import pca_fit, pca_mse
-from gfred.spectral import build_cache, center
+from gfred.spectral import apply_response, build_cache, center
 
 from oracles import (
     fd_grad_coeffs,
@@ -318,6 +319,33 @@ class TestFit:
         assert model.coeffs.shape == (3, 7)
         assert np.array_equal(model.mean, inst.ds.mean)
         assert model.spectrum_fingerprint == inst.spectrum.fingerprint()
+
+    def test_three_responses_per_iteration(self, monkeypatch):
+        # one apply_response for the start, then per iteration the tap ray,
+        # the coefficient gradient and the coefficient ray: the loop carries
+        # its residual instead of recomputing the model output
+        rng = np.random.default_rng(84)
+        inst = random_instance(rng, n=8, dim=4, order=2)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return apply_response(*args)
+
+        monkeypatch.setattr(optimizer, "apply_response", counting)
+        result = fit(inst.ds, inst.spectrum, k=2, order=2, max_iters=5, cache=inst.cache)
+        assert result.iterations > 0
+        assert len(calls) == 1 + 3 * result.iterations
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_carried_trace_matches_fresh_objective(self, order):
+        rng = np.random.default_rng(85)
+        inst = random_instance(rng, n=40, dim=12, order=order)
+        result = fit(inst.ds, inst.spectrum, k=3, order=order, max_iters=500, epsilon=1e-300)
+        assert result.iterations == 500
+        model = result.model
+        fresh = objective(inst.cache, model.recon_taps, model.coeffs)
+        assert result.objective_trace[-1] == pytest.approx(fresh, rel=1e-12, abs=0.0)
 
 
 class TestInvariances:

@@ -13,10 +13,9 @@ from gfred.spectral import (
     eig_power_table,
     gft,
     igft,
-    spectral_response,
 )
 
-from oracles import random_instance, stacked_kernel
+from oracles import random_instance, spectral_response, stacked_kernel
 
 
 def two_path_spectrum() -> GraphSpectrum:
