@@ -43,7 +43,7 @@ for order in (0, 1, 2):
         start = extend_order(result.model, caches[order], build_cache(ds.centered, spectrum, order + 1))
 
 best = results[2].model
-reduced = reduce(best, ds, spectrum, cache=caches[2])
+reduced = reduce(best, ds, spectrum)
 print(f"reduced representation: {reduced.values.shape[0]} x {reduced.values.shape[1]}")
 
 # the whole state (model, spectrum, reduced data) fits one file

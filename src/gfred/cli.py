@@ -128,7 +128,7 @@ def _cmd_fit(args) -> int:
         ds, spectrum, args.k, args.l,
         epsilon=args.epsilon, max_iters=args.max_iters, cache=cache,
     )
-    reduced = codec.reduce(result.model, ds, spectrum, cache)
+    reduced = codec.reduce(result.model, ds, spectrum)
     codec.save_model(result.model, spectrum, reduced, args.model_out)
     baseline = pca_mse(ds, pca_fit(ds, args.k))
     print(f"iterations: {result.iterations}")

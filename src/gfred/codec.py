@@ -1,9 +1,13 @@
 """Encoding, decoding, storage accounting, and the model file format.
 
-The fast paths work per frequency in the spectral domain. The literal
-vertex-domain filter banks they are checked against (dense Kronecker
-products of adjacency powers and per-node taps) live with the tests in
-``tests/oracles.py``.
+Both maps are polynomial graph filters given by their matrix taps, and
+both are applied per frequency in the spectral domain by
+``apply_response``: ``reduce`` applies the reducing taps that the
+coefficients imply on its input data, ``reconstruct`` the stored
+reconstruction taps. Reduced data is always held in the vertex domain.
+The literal vertex-domain filter banks they are checked against (dense
+Kronecker products of adjacency powers and per-node taps) live with the
+tests in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -11,7 +15,6 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -25,9 +28,7 @@ from .graph import GraphSpectrum
 from .optimizer import FilterModel
 from .spectral import (
     CenteredDataset,
-    SpectralCache,
     apply_response,
-    build_cache,
     eig_power_table,
     gft,
     igft,
@@ -35,19 +36,14 @@ from .spectral import (
 
 _MAGIC = b"GFM1"
 _VERSION = 1
-
-
-class Domain(Enum):
-    VERTEX = "vertex"
-    SPECTRAL = "spectral"
+_DOMAIN = "vertex"  # the only reduced-data domain; still written for older readers
 
 
 @dataclass(frozen=True)
 class ReducedData:
-    """k-dimensional per-node vectors, tagged with their current domain."""
+    """k-dimensional vertex-domain vectors, one column per node."""
 
     values: np.ndarray  # (k, n)
-    domain: Domain
 
 
 @dataclass(frozen=True)
@@ -101,92 +97,53 @@ def _check_fingerprint(model: FilterModel, spectrum: GraphSpectrum):
         raise FingerprintMismatch("model was trained on a different graph spectrum")
 
 
-def _check_cache(model: FilterModel, cache: SpectralCache):
-    if cache.order != model.order:
-        raise DimensionMismatch(f"cache order {cache.order} != model order {model.order}")
-    if cache.fingerprint != model.spectrum_fingerprint:
-        raise FingerprintMismatch("cache was built for a different spectrum")
+def reducing_taps(model: FilterModel, gft_data, eig_pows) -> np.ndarray:
+    """The (order+1) x k x dim reducing taps the coefficients imply on data.
+
+    Order-l tap: ``coeffs @ diag(lam^l) @ gft_data'``, where ``gft_data``
+    is the transformed centered data and ``eig_pows`` its eigenvalue power
+    table. Applied to ``gft_data`` with ``apply_response`` they give
+    ``coeffs`` times the training kernel of that data.
+    """
+    return np.stack(
+        [(model.coeffs * eig_pows[:, ell]) @ gft_data.T for ell in range(model.order + 1)]
+    )
 
 
-def _cache_for(model: FilterModel, ds: CenteredDataset, spectrum, cache):
-    if cache is None:
-        return build_cache(ds.centered, spectrum, model.order)
-    _check_cache(model, cache)
-    return cache
+def reduce(model: FilterModel, ds: CenteredDataset, spectrum: GraphSpectrum) -> ReducedData:
+    """Reduced vertex-domain vectors for every node of the training graph.
 
-
-def reduce(
-    model: FilterModel,
-    ds: CenteredDataset,
-    spectrum: GraphSpectrum,
-    cache: SpectralCache | None = None,
-) -> ReducedData:
-    """Reduced vertex-domain vectors for every node of the training graph."""
+    Applies the reducing taps computed from ``ds`` itself, without forming
+    the n x n training kernel. On data other than the training set these
+    are not the taps the model was trained with.
+    """
     _check_fingerprint(model, spectrum)
-    cache = _cache_for(model, ds, spectrum, cache)
-    reduced_spec = model.coeffs @ cache.kernel
-    return ReducedData(values=igft(reduced_spec, spectrum), domain=Domain.VERTEX)
+    if ds.dim != model.dim:
+        raise DimensionMismatch(f"data has dimension {ds.dim}, the model expects {model.dim}")
+    xt = gft(ds.centered, spectrum)
+    pows = eig_power_table(spectrum.eigvals, model.order)
+    reduced_spec = apply_response(reducing_taps(model, xt, pows), pows, xt)
+    return ReducedData(values=igft(reduced_spec, spectrum))
 
 
-def reconstruct(
-    model: FilterModel,
-    reduced: ReducedData,
-    spectrum: GraphSpectrum,
-    cache: SpectralCache | None = None,
-) -> np.ndarray:
+def reconstruct(model: FilterModel, reduced: ReducedData, spectrum: GraphSpectrum) -> np.ndarray:
     """Reconstruction in the original (uncentered) coordinates."""
     _check_fingerprint(model, spectrum)
     if reduced.values.shape != (model.k, spectrum.n):
         raise DimensionMismatch(
             f"reduced data {reduced.values.shape} does not match k={model.k}, n={spectrum.n}"
         )
-    if reduced.domain is Domain.VERTEX:
-        reduced_spec = gft(reduced.values, spectrum)
-    else:
-        reduced_spec = reduced.values
-    if cache is not None:
-        _check_cache(model, cache)
-        pows = cache.eig_pows
-    else:
-        pows = eig_power_table(spectrum.eigvals, model.order)
-    recon_spec = apply_response(model.recon_taps, pows, reduced_spec)
+    pows = eig_power_table(spectrum.eigvals, model.order)
+    recon_spec = apply_response(model.recon_taps, pows, gft(reduced.values, spectrum))
     return igft(recon_spec, spectrum) + model.mean[:, None]
 
 
-def convert_domain(reduced: ReducedData, domain: Domain, spectrum: GraphSpectrum) -> ReducedData:
-    if reduced.domain is domain:
-        return reduced
-    if domain is Domain.SPECTRAL:
-        return ReducedData(values=gft(reduced.values, spectrum), domain=domain)
-    return ReducedData(values=igft(reduced.values, spectrum), domain=domain)
-
-
-def reconstruction_mse(
-    model: FilterModel,
-    ds: CenteredDataset,
-    spectrum: GraphSpectrum,
-    cache: SpectralCache | None = None,
-) -> float:
+def reconstruction_mse(model: FilterModel, ds: CenteredDataset, spectrum: GraphSpectrum) -> float:
     """Mean squared vertex-domain error of encode followed by decode."""
-    cache = _cache_for(model, ds, spectrum, cache)
-    reduced = reduce(model, ds, spectrum, cache)
-    recon = reconstruct(model, reduced, spectrum, cache) - model.mean[:, None]
+    reduced = reduce(model, ds, spectrum)
+    recon = reconstruct(model, reduced, spectrum) - model.mean[:, None]
     resid = ds.centered - recon
     return float(np.sum(resid * resid)) / ds.n
-
-
-def reducing_taps(model: FilterModel, cache: SpectralCache) -> np.ndarray:
-    """Materialize the k x dim reducing taps implied by the coefficients.
-
-    Order-l tap: ``coeffs @ diag(lam^l) @ gft_data'``. Only needed by the
-    vertex-domain oracle; the fast paths never form these.
-    """
-    if cache.order != model.order or cache.fingerprint != model.spectrum_fingerprint:
-        raise DimensionMismatch("cache does not match the model")
-    out = np.empty((model.order + 1, model.k, model.dim))
-    for ell in range(model.order + 1):
-        out[ell] = model.coeffs @ (cache.eig_pows[:, ell][:, None] * cache.gft_data.T)
-    return out
 
 
 # --- model file format -----------------------------------------------------
@@ -196,8 +153,9 @@ def reducing_taps(model: FilterModel, cache: SpectralCache) -> np.ndarray:
 # column-major arrays in a fixed sequence: mean (dim), eigenvalues (n),
 # eigenvectors (n x n), each reconstruction tap (dim x k, orders 0..L), the
 # coefficient matrix (k x n), and the reduced data (k x n). The header
-# records dims, a CRC-32 of the payload, the reduced data's domain, and the
-# stored-scalar accounting, which the loader recomputes and verifies.
+# records dims, a CRC-32 of the payload, the reduced data's domain (always
+# "vertex"), and the stored-scalar accounting, which the loader recomputes
+# and verifies.
 
 
 def _payload_arrays(model: FilterModel, spectrum: GraphSpectrum, reduced: ReducedData):
@@ -230,7 +188,7 @@ def save_model(model: FilterModel, spectrum: GraphSpectrum, reduced: ReducedData
         "k": model.k,
         "L": model.order,
         "checksum": zlib.crc32(payload),
-        "domain": reduced.domain.value,
+        "domain": _DOMAIN,
         "stored_scalars": budget.stored_scalars,
         "raw_scalars": budget.raw_scalars,
         "pca_scalars": budget.pca_scalars,
@@ -272,10 +230,12 @@ def load_model(path) -> ModelFile:
     try:
         n, dim, k, order = header["n"], header["D"], header["k"], header["L"]
         checksum = header["checksum"]
-        domain = Domain(header["domain"])
+        domain = header["domain"]
         stored_scalars = header["stored_scalars"]
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
         raise CorruptFile(f"{path}: incomplete header: {exc}") from exc
+    if domain != _DOMAIN:
+        raise CorruptFile(f"{path}: reduced data domain {domain!r} is not {_DOMAIN!r}")
     fields = {"n": n, "D": dim, "k": k, "L": order, "checksum": checksum}
     # type() rather than isinstance(): JSON true/false load as bool, an int subclass
     if any(type(v) is not int for v in fields.values()) or min(n, dim, k) < 1 or order < 0:
@@ -316,5 +276,4 @@ def load_model(path) -> ModelFile:
         mean=mean,
         spectrum_fingerprint=spectrum.fingerprint(),
     )
-    return ModelFile(model=model, spectrum=spectrum,
-                     reduced=ReducedData(values=reduced_values, domain=domain))
+    return ModelFile(model=model, spectrum=spectrum, reduced=ReducedData(values=reduced_values))

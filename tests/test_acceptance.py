@@ -23,7 +23,6 @@ from gfred.codec import (
     reducing_taps,
     save_model,
 )
-from gfred.codec import Domain
 from gfred.graph import Kernel, SimilarityConfig
 from gfred.harness import (
     DataFormat,
@@ -43,6 +42,7 @@ from gfred.optimizer import (
     step_size_taps,
 )
 from gfred.pca import pca_fit, pca_mse
+from gfred.spectral import igft
 
 from oracles import (
     fd_grad_coeffs,
@@ -83,7 +83,7 @@ def test_order_zero_start_matches_pca(capsys):
             k = int(rng.integers(1, min(4, dim - 1, n - 2) + 1))
             inst = random_instance(rng, n=n, dim=dim, order=0)
             result = fit(inst.ds, inst.spectrum, k, 0, max_iters=0, cache=inst.cache)
-            mse = reconstruction_mse(result.model, inst.ds, inst.spectrum, cache=inst.cache)
+            mse = reconstruction_mse(result.model, inst.ds, inst.spectrum)
             baseline = pca_mse(inst.ds, pca_fit(inst.ds, k))
             assert abs(mse - baseline) <= 1e-8 * baseline, (n, dim, k, mse, baseline)
         assert time.perf_counter() - started < 1.0
@@ -163,13 +163,19 @@ def test_spectral_paths_match_vertex_filter_banks(capsys):
                 spectrum_fingerprint=inst.spectrum.fingerprint(),
             )
 
-            fast = reduce(model, inst.ds, inst.spectrum, cache=inst.cache).values
+            fast = reduce(model, inst.ds, inst.spectrum).values
             literal = kron_reduce(
-                inst.spectrum.adjacency, reducing_taps(model, inst.cache), inst.ds.centered
+                inst.spectrum.adjacency,
+                reducing_taps(model, inst.cache.gft_data, inst.cache.eig_pows),
+                inst.ds.centered,
             )
             assert np.abs(fast - literal).max() <= 1e-10 * max(1.0, np.abs(literal).max())
+            # the taps above come from the same function reduce uses; the
+            # training kernel checks reduce without them
+            literal = igft(coeffs @ inst.cache.kernel, inst.spectrum)
+            assert np.abs(fast - literal).max() <= 1e-10 * max(1.0, np.abs(literal).max())
 
-            reduced = ReducedData(values=rng.normal(size=(k, n)), domain=Domain.VERTEX)
+            reduced = ReducedData(values=rng.normal(size=(k, n)))
             fast = reconstruct(model, reduced, inst.spectrum) - model.mean[:, None]
             literal = kron_reconstruct(inst.spectrum.adjacency, taps, reduced.values)
             assert np.abs(fast - literal).max() <= 1e-10 * max(1.0, np.abs(literal).max())
@@ -305,7 +311,7 @@ def test_deterministic_outputs(capsys, tmp_path):
 
         inst = random_instance(rng, n=8, dim=5, order=1)
         result = fit(inst.ds, inst.spectrum, k=2, order=1, max_iters=10, cache=inst.cache)
-        reduced = reduce(result.model, inst.ds, inst.spectrum, cache=inst.cache)
+        reduced = reduce(result.model, inst.ds, inst.spectrum)
         first, second = tmp_path / "m1.gfm", tmp_path / "m2.gfm"
         save_model(result.model, inst.spectrum, reduced, first)
         loaded = load_model(first)

@@ -115,6 +115,18 @@ class TestModelPipeline:
         )
         assert float(pairs["pca_mse"]) == pytest.approx(float(fit_pairs["pca_mse"]), rel=1e-12)
 
+    def test_encode_rejects_wrong_dimension(self, tmp_path, capsys):
+        _, model, _ = self.run_fit(tmp_path, capsys)  # 6 x 12 training data
+        narrow = write_matrix_csv(tmp_path / "narrow.csv", dim=5)
+        out = tmp_path / "reduced.csv"
+        code = main(
+            ["encode", "--model", str(model), "--data", str(narrow),
+             "--format", "csv", "--out", str(out)]
+        )
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
 

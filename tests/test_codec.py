@@ -10,12 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfred.codec import (
-    Domain,
     ModelFile,
     ReducedData,
     StorageBudget,
     compression_bound,
-    convert_domain,
     load_model,
     reconstruct,
     reconstruction_mse,
@@ -30,7 +28,7 @@ from gfred.errors import (
     VersionMismatch,
 )
 from gfred.optimizer import FilterModel, fit, init_filters, objective
-from gfred.spectral import build_cache, gft, igft
+from gfred.spectral import center
 
 from oracles import kron_reconstruct, kron_reduce, random_filters, random_instance
 
@@ -58,11 +56,10 @@ class TestAgainstKroneckerBank:
             inst = random_instance(rng, n=n, dim=dim, order=order)
             taps, coeffs = random_filters(rng, inst.cache, k)
             model = make_model(inst, taps, coeffs)
-            fast = reduce(model, inst.ds, inst.spectrum, cache=inst.cache)
-            assert fast.domain is Domain.VERTEX
+            fast = reduce(model, inst.ds, inst.spectrum)
             literal = kron_reduce(
                 inst.spectrum.adjacency,
-                reducing_taps(model, inst.cache),
+                reducing_taps(model, inst.cache.gft_data, inst.cache.eig_pows),
                 inst.ds.centered,
             )
             scale = max(1.0, np.abs(literal).max())
@@ -78,7 +75,7 @@ class TestAgainstKroneckerBank:
             inst = random_instance(rng, n=n, dim=dim, order=order)
             taps, coeffs = random_filters(rng, inst.cache, k)
             model = make_model(inst, taps, coeffs)
-            reduced = ReducedData(values=rng.normal(size=(k, n)), domain=Domain.VERTEX)
+            reduced = ReducedData(values=rng.normal(size=(k, n)))
             fast = reconstruct(model, reduced, inst.spectrum) - model.mean[:, None]
             literal = kron_reconstruct(inst.spectrum.adjacency, taps, reduced.values)
             scale = max(1.0, np.abs(literal).max())
@@ -113,7 +110,7 @@ class TestRoundTrips:
         inst = random_instance(rng, n=6, dim=4, order=2)
         taps, coeffs = random_filters(rng, inst.cache, 2)
         model = make_model(inst, taps, coeffs)
-        reduced = ReducedData(values=np.zeros((2, 6)), domain=Domain.VERTEX)
+        reduced = ReducedData(values=np.zeros((2, 6)))
         recon = reconstruct(model, reduced, inst.spectrum)
         assert np.allclose(recon, model.mean[:, None], atol=1e-12)
 
@@ -123,33 +120,9 @@ class TestRoundTrips:
         rng = np.random.default_rng(95)
         inst = random_instance(rng, n=9, dim=5, order=1)
         result = fit(inst.ds, inst.spectrum, k=2, order=1, max_iters=15)
-        mse = reconstruction_mse(result.model, inst.ds, inst.spectrum, cache=inst.cache)
+        mse = reconstruction_mse(result.model, inst.ds, inst.spectrum)
         direct = objective(inst.cache, result.model.recon_taps, result.model.coeffs)
         assert mse == pytest.approx(direct, rel=1e-9)
-
-    def test_domain_conversion_round_trip(self):
-        rng = np.random.default_rng(96)
-        inst = random_instance(rng, n=7, dim=3, order=0)
-        values = rng.normal(size=(2, 7))
-        vertex = ReducedData(values=values, domain=Domain.VERTEX)
-        spect = convert_domain(vertex, Domain.SPECTRAL, inst.spectrum)
-        assert spect.domain is Domain.SPECTRAL
-        # orthonormal change of coordinates preserves energy
-        assert np.isclose(np.linalg.norm(spect.values), np.linalg.norm(values), rtol=1e-12)
-        back = convert_domain(spect, Domain.VERTEX, inst.spectrum)
-        assert np.allclose(back.values, values, atol=1e-12)
-        assert convert_domain(vertex, Domain.VERTEX, inst.spectrum) is vertex
-
-    def test_reconstruct_accepts_either_domain(self):
-        rng = np.random.default_rng(97)
-        inst = random_instance(rng, n=8, dim=4, order=1)
-        taps, coeffs = random_filters(rng, inst.cache, 2)
-        model = make_model(inst, taps, coeffs)
-        vertex = reduce(model, inst.ds, inst.spectrum)
-        spect = convert_domain(vertex, Domain.SPECTRAL, inst.spectrum)
-        a = reconstruct(model, vertex, inst.spectrum)
-        b = reconstruct(model, spect, inst.spectrum)
-        assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
 
 
 class TestGuards:
@@ -162,28 +135,27 @@ class TestGuards:
         model = make_model(inst, taps, coeffs)
         with pytest.raises(FingerprintMismatch):
             reduce(model, other.ds, other.spectrum)
-        reduced = ReducedData(values=np.zeros((2, 6)), domain=Domain.VERTEX)
+        reduced = ReducedData(values=np.zeros((2, 6)))
         with pytest.raises(FingerprintMismatch):
             reconstruct(model, reduced, other.spectrum)
 
-    def test_mismatched_cache_is_rejected(self):
+    def test_wrong_data_dimension_is_rejected(self):
         rng = np.random.default_rng(99)
         inst = random_instance(rng, n=6, dim=3, order=1)
         taps, coeffs = random_filters(rng, inst.cache, 2)
         model = make_model(inst, taps, coeffs)
-        stale = build_cache(inst.ds.centered, inst.spectrum, order=2)
+        wide = center(rng.normal(size=(4, 6)))  # same n, one extra row
         with pytest.raises(DimensionMismatch):
-            reduce(model, inst.ds, inst.spectrum, cache=stale)
-        reduced = ReducedData(values=np.zeros((2, 6)), domain=Domain.VERTEX)
+            reduce(model, wide, inst.spectrum)
         with pytest.raises(DimensionMismatch):
-            reconstruct(model, reduced, inst.spectrum, cache=stale)
+            reconstruction_mse(model, wide, inst.spectrum)
 
     def test_reduced_shape_is_checked(self):
         rng = np.random.default_rng(100)
         inst = random_instance(rng, n=6, dim=3, order=0)
         taps, coeffs = random_filters(rng, inst.cache, 2)
         model = make_model(inst, taps, coeffs)
-        bad = ReducedData(values=np.zeros((3, 6)), domain=Domain.VERTEX)
+        bad = ReducedData(values=np.zeros((3, 6)))
         with pytest.raises(DimensionMismatch):
             reconstruct(model, bad, inst.spectrum)
 
@@ -253,12 +225,11 @@ class TestStorageAccounting:
             compression_bound(0, 3, 0)
 
 
-def saved_fixture(tmp_path, domain=Domain.VERTEX, seed=101):
+def saved_fixture(tmp_path, seed=101):
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, n=7, dim=4, order=1)
     result = fit(inst.ds, inst.spectrum, k=2, order=1, max_iters=8)
-    reduced = reduce(result.model, inst.ds, inst.spectrum, cache=inst.cache)
-    reduced = convert_domain(reduced, domain, inst.spectrum)
+    reduced = reduce(result.model, inst.ds, inst.spectrum)
     path = tmp_path / "model.gfm"
     save_model(result.model, inst.spectrum, reduced, path)
     return inst, result.model, reduced, path
@@ -276,16 +247,9 @@ class TestModelFile:
         assert np.array_equal(loaded.spectrum.eigvals, inst.spectrum.eigvals)
         assert np.array_equal(loaded.spectrum.eigvecs, inst.spectrum.eigvecs)
         assert np.array_equal(loaded.reduced.values, reduced.values)
-        assert loaded.reduced.domain is Domain.VERTEX
         assert loaded.model.order == model.order and loaded.model.k == model.k
         # the fingerprint binds the reloaded model to the reloaded spectrum
         assert loaded.model.spectrum_fingerprint == loaded.spectrum.fingerprint()
-
-    def test_spectral_domain_survives(self, tmp_path):
-        _, _, reduced, path = saved_fixture(tmp_path, domain=Domain.SPECTRAL)
-        loaded = load_model(path)
-        assert loaded.reduced.domain is Domain.SPECTRAL
-        assert np.array_equal(loaded.reduced.values, reduced.values)
 
     def test_reloaded_model_decodes_identically(self, tmp_path):
         inst, model, reduced, path = saved_fixture(tmp_path)
@@ -308,6 +272,7 @@ class TestModelFile:
         header = json.loads(blob[8 : 8 + hlen])
         budget = StorageBudget.from_dims(7, 4, 2, 1)
         assert header["version"] == 1
+        assert header["domain"] == "vertex"
         assert header["n"] == 7 and header["D"] == 4
         assert header["k"] == 2 and header["L"] == 1
         assert header["stored_scalars"] == budget.stored_scalars
@@ -319,7 +284,7 @@ class TestModelFile:
         other = random_instance(np.random.default_rng(555), n=7, dim=4, order=1)
         with pytest.raises(FingerprintMismatch):
             save_model(model, other.spectrum, reduced, tmp_path / "x.gfm")
-        bad = ReducedData(values=np.zeros((3, 7)), domain=Domain.VERTEX)
+        bad = ReducedData(values=np.zeros((3, 7)))
         with pytest.raises(DimensionMismatch):
             save_model(model, inst.spectrum, bad, tmp_path / "y.gfm")
 
@@ -383,9 +348,10 @@ class TestCorruption:
         with pytest.raises(CorruptFile):
             load_model(tmp_path / "acct.gfm")
 
-    def test_unknown_domain(self, tmp_path):
+    @pytest.mark.parametrize("domain", ["nowhere", "spectral"])
+    def test_unknown_domain(self, tmp_path, domain):
         _, _, _, path = saved_fixture(tmp_path)
-        self.rewrite_header(path, tmp_path / "dom.gfm", domain="nowhere")
+        self.rewrite_header(path, tmp_path / "dom.gfm", domain=domain)
         with pytest.raises(CorruptFile):
             load_model(tmp_path / "dom.gfm")
 
