@@ -13,9 +13,9 @@ import numpy as np
 from gfred.codec import load_model, reconstruction_mse, reduce, save_model
 from gfred.graph import Kernel, SimilarityConfig, build_graph
 from gfred.harness import synth_digits
-from gfred.optimizer import extend_order, fit
+from gfred.optimizer import fit
 from gfred.pca import pca_fit, pca_mse
-from gfred.spectral import build_cache, center
+from gfred.spectral import center
 
 images, _ = synth_digits(n_classes=4, per_class=10, seed=0, size=28)
 ds = center(images)
@@ -30,17 +30,14 @@ print(f"PCA reconstruction MSE: {baseline:.6f}")
 # each order is seeded from the previous solution so the objective can
 # only keep falling
 results = {}
-caches = {}
 start = None
 for order in (0, 1, 2):
-    caches[order] = build_cache(ds.centered, spectrum, order)
-    result = fit(ds, spectrum, k, order, start=start, cache=caches[order], max_iters=300)
+    result = fit(ds, spectrum, k, order, start=start, max_iters=300)
     results[order] = result
     mse = float(result.objective_trace[-1])
     gain = 100.0 * (1.0 - mse / baseline)
     print(f"order {order}: final MSE {mse:.6f} ({gain:+.2f}% vs PCA, {result.iterations} sweeps)")
-    if order < 2:
-        start = extend_order(result.model, caches[order], build_cache(ds.centered, spectrum, order + 1))
+    start = result.model
 
 best = results[2].model
 reduced = reduce(best, ds, spectrum)

@@ -16,7 +16,7 @@ from .errors import DataError
 from .graph import Kernel, SimilarityConfig, Symmetrization, build_graph
 from .optimizer import fit
 from .pca import pca_fit, pca_mse
-from .spectral import build_cache, center
+from .spectral import center
 
 
 def _add_similarity_flags(parser: argparse.ArgumentParser):
@@ -123,11 +123,7 @@ def _cmd_fit(args) -> int:
     similarity = _similarity_from_args(args)
     spectrum = build_graph(X, similarity)
     ds = center(X)
-    cache = build_cache(ds.centered, spectrum, args.l)
-    result = fit(
-        ds, spectrum, args.k, args.l,
-        epsilon=args.epsilon, max_iters=args.max_iters, cache=cache,
-    )
+    result = fit(ds, spectrum, args.k, args.l, epsilon=args.epsilon, max_iters=args.max_iters)
     reduced = codec.reduce(result.model, ds, spectrum)
     codec.save_model(result.model, spectrum, reduced, args.model_out)
     baseline = pca_mse(ds, pca_fit(ds, args.k))

@@ -32,6 +32,7 @@ from .spectral import (
     eig_power_table,
     gft,
     igft,
+    reducing_taps,
 )
 
 _MAGIC = b"GFM1"
@@ -97,19 +98,6 @@ def _check_fingerprint(model: FilterModel, spectrum: GraphSpectrum):
         raise FingerprintMismatch("model was trained on a different graph spectrum")
 
 
-def reducing_taps(model: FilterModel, gft_data, eig_pows) -> np.ndarray:
-    """The (order+1) x k x dim reducing taps the coefficients imply on data.
-
-    Order-l tap: ``coeffs @ diag(lam^l) @ gft_data'``, where ``gft_data``
-    is the transformed centered data and ``eig_pows`` its eigenvalue power
-    table. Applied to ``gft_data`` with ``apply_response`` they give
-    ``coeffs`` times the training kernel of that data.
-    """
-    return np.stack(
-        [(model.coeffs * eig_pows[:, ell]) @ gft_data.T for ell in range(model.order + 1)]
-    )
-
-
 def reduce(model: FilterModel, ds: CenteredDataset, spectrum: GraphSpectrum) -> ReducedData:
     """Reduced vertex-domain vectors for every node of the training graph.
 
@@ -122,7 +110,7 @@ def reduce(model: FilterModel, ds: CenteredDataset, spectrum: GraphSpectrum) -> 
         raise DimensionMismatch(f"data has dimension {ds.dim}, the model expects {model.dim}")
     xt = gft(ds.centered, spectrum)
     pows = eig_power_table(spectrum.eigvals, model.order)
-    reduced_spec = apply_response(reducing_taps(model, xt, pows), pows, xt)
+    reduced_spec = apply_response(reducing_taps(model.coeffs, xt, pows), pows, xt)
     return ReducedData(values=igft(reduced_spec, spectrum))
 
 

@@ -4,8 +4,11 @@ A sweep draws per-trial subsets of a labeled image collection, builds a
 similarity graph per subset, trains filter pairs over a grid of
 (components, order) cells, and reports training MSE against the PCA
 baseline. Trials run one after another and rows are sorted by
-(trial, k, L). Each order L >= 1 cell is one fit warm-started from the
-order below it, so the grid is monotone in L.
+(trial, k, L). Each cell is one fit; above the lowest order it starts
+from the model of the highest lower order that fitted for the same
+(trial, k), so the grid is monotone in L. Each fit builds the spectral
+cache for its own order, so an order that cannot be trained (its
+eigenvalue powers overflow, say) fails only its own cells.
 """
 from __future__ import annotations
 
@@ -28,10 +31,10 @@ from .errors import (
     TruncatedFile,
 )
 from .graph import Kernel, SimilarityConfig, Symmetrization, build_graph
-from .optimizer import extend_order, fit
+from .optimizer import fit
 from .pca import pca_fit, pca_mse
 from .rng import CounterRng
-from .spectral import build_cache, center
+from .spectral import center
 
 _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
@@ -199,8 +202,9 @@ def load_csv_matrix(path, first_row_labels: bool = False):
 def save_csv_matrix(matrix, path):
     """Write a matrix as CSV with shortest round-trip float formatting."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    # plain-float repr: numpy scalar repr would write "np.float64(...)"
-    body = "\n".join(",".join(repr(float(v)) for v in row) for row in matrix)
+    # tolist() yields Python floats: numpy scalar repr would write "np.float64(...)";
+    # one row at a time, so the whole matrix never exists as Python floats
+    body = "\n".join(",".join(map(repr, row.tolist())) for row in matrix)
     with open(path, "wb") as fh:
         fh.write((body + "\n").encode("utf-8"))
 
@@ -259,7 +263,6 @@ def _run_trial(cfg: ExperimentConfig, images, labels, trial: int, clock):
         X = sample_subset(images, labels, cfg, trial)
         ds = center(X)
         spectrum = build_graph(X, cfg.similarity)
-        caches = {L: build_cache(ds.centered, spectrum, L) for L in orders}
     except Exception as exc:  # whole-trial failure marks every cell
         message = f"{type(exc).__name__}: {exc}"
         failures.extend(
@@ -275,19 +278,15 @@ def _run_trial(cfg: ExperimentConfig, images, labels, trial: int, clock):
                 SweepFailure(trial=trial, k=k, L=L, message=message) for L in orders
             )
             continue
-        previous = None  # (order, model) of the last order that fit
+        previous = None  # model of the last order that fit
         for L in orders:
             started = clock()
             try:
                 # an order-L bank contains the order below with its higher
-                # taps at zero, so reseeding from it keeps the grid monotone in L
-                start = None if previous is None else extend_order(
-                    previous[1], caches[previous[0]], caches[L]
-                )
+                # taps at zero, so starting from it keeps the grid monotone in L
                 result = fit(
                     ds, spectrum, k, L,
-                    epsilon=cfg.epsilon, max_iters=cfg.max_iters,
-                    start=start, cache=caches[L],
+                    epsilon=cfg.epsilon, max_iters=cfg.max_iters, start=previous,
                 )
                 elapsed_ms = (clock() - started) * 1e3
                 rows.append(
@@ -298,7 +297,7 @@ def _run_trial(cfg: ExperimentConfig, images, labels, trial: int, clock):
                         pca_mse=baseline, wall_time_ms=float(elapsed_ms),
                     )
                 )
-                previous = (L, result.model)
+                previous = result.model
             except Exception as exc:  # a failed cell must not sink the sweep
                 failures.append(
                     SweepFailure(trial=trial, k=k, L=L, message=f"{type(exc).__name__}: {exc}")

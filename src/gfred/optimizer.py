@@ -25,6 +25,11 @@ projection) and two n x n kernel products. The public gradient, step and
 objective functions compute the same formulas from a bare (taps, coeffs)
 pair, after checking its shapes.
 
+:func:`fit` builds the cache for the order it trains. It starts from the
+PCA seed of :func:`init_filters` or, given a trained model of the same k
+and an order no higher, from :func:`extend_order` of that model: an
+order-L bank contains the banks below it with their higher taps at zero.
+
 Nonpositive optimal steps are clamped to zero (the stopping test then
 sees a zero update), and a direction whose filtered energy is below
 1e-300 raises DegenerateDirection, which the driver treats the same way.
@@ -38,7 +43,7 @@ import numpy as np
 from .errors import DegenerateDirection, DimensionMismatch, NonFiniteValue
 from .graph import GraphSpectrum
 from .pca import pca_fit
-from .spectral import CenteredDataset, SpectralCache, apply_response, build_cache
+from .spectral import CenteredDataset, SpectralCache, apply_response, build_cache, reducing_taps
 
 _ENERGY_FLOOR = 1e-300
 _INIT_RIDGE = 1e-10
@@ -219,33 +224,26 @@ def fit(
     *,
     epsilon: float | None = None,
     max_iters: int = 500,
-    start=None,
-    cache: SpectralCache | None = None,
+    start: FilterModel | None = None,
 ) -> FitResult:
     """Train a filter pair by alternating exact-line-search descent.
 
     ``epsilon`` defaults to 1e-6 times the summed Frobenius norms of the
-    starting point. ``start`` may carry a (taps, coeffs) pair to resume
-    from; otherwise :func:`init_filters` seeds the run. ``max_iters=0``
-    returns the starting point untouched.
+    starting point. ``start`` may be a trained model with the same ``k``
+    and an order no higher than ``order``; the run resumes from
+    :func:`extend_order` of it, which keeps its reduced vectors. Otherwise
+    :func:`init_filters` seeds the run. ``max_iters=0`` returns the
+    starting point untouched.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    if cache is None:
-        cache = build_cache(ds.centered, spectrum, order)
-    else:
-        if cache.order != order:
-            raise DimensionMismatch(f"cache order {cache.order} does not match order {order}")
-        if cache.fingerprint != spectrum.fingerprint():
-            raise DimensionMismatch("cache was built for a different spectrum")
+    cache = build_cache(ds.centered, spectrum, order)
     if start is None:
         taps, coeffs = init_filters(ds, cache, k)
     else:
-        taps = np.array(start[0], dtype=np.float64, copy=True)
-        coeffs = np.array(start[1], dtype=np.float64, copy=True)
-        if taps.ndim != 3 or taps.shape[2] != k:
-            raise DimensionMismatch(f"start taps {taps.shape} do not match k={k}")
-        _checked(cache, taps, coeffs)
+        if start.k != k:
+            raise DimensionMismatch(f"start model has k={start.k}, expected k={k}")
+        taps, coeffs = extend_order(start, cache)
     if epsilon is None:
         epsilon = 1e-6 * (float(np.linalg.norm(taps)) + float(np.linalg.norm(coeffs)))
     if not epsilon > 0.0:
@@ -294,7 +292,7 @@ def fit(
         recon_taps=taps,
         coeffs=coeffs,
         mean=ds.mean.copy(),
-        spectrum_fingerprint=cache.fingerprint,
+        spectrum_fingerprint=spectrum.fingerprint(),
     )
     return FitResult(
         model=model,
@@ -314,21 +312,30 @@ def stationarity_residual(model: FilterModel, cache: SpectralCache) -> float:
     return float(np.linalg.norm(g_taps)) + float(np.linalg.norm(g_coeffs))
 
 
-def extend_order(model: FilterModel, cache_old: SpectralCache, cache_new: SpectralCache):
-    """Re-seed a higher-order fit from a lower-order solution.
+def extend_order(model: FilterModel, cache: SpectralCache):
+    """Re-seed a fit at the cache's order from a trained model of that
+    order or lower.
 
-    Taps are zero-padded. Because the coefficient matrix acts through the
-    order-dependent kernel, the padded coefficients must be re-solved so
-    every node keeps its reduced vector: ``coeffs_new @ kernel_new =
-    coeffs_old @ kernel_old`` (least squares, exact when the new kernel has
-    full rank). The reseeded pair then reproduces the old objective value.
+    Taps are zero-padded. The model's reducing filter, applied to the
+    cache's data, gives every node's reduced vector; because the
+    coefficients act through the order-dependent kernel, they are re-solved
+    so the node keeps that vector: ``coeffs_new @ cache.kernel = reduced``
+    (least squares, exact when the kernel has full rank). The reseeded
+    (taps, coeffs) pair then reproduces the model's objective value.
     """
-    if cache_new.order < model.order:
+    if cache.order < model.order:
         raise DimensionMismatch(
-            f"cannot extend order {model.order} model into order {cache_new.order} cache"
+            f"cannot extend order {model.order} model into order {cache.order} cache"
         )
-    taps = np.zeros((cache_new.order + 1, model.dim, model.k))
+    if model.dim != cache.dim or model.n != cache.n:
+        raise DimensionMismatch(
+            f"model of dim {model.dim}, n={model.n} does not fit "
+            f"data of dim {cache.dim}, n={cache.n}"
+        )
+    taps = np.zeros((cache.order + 1, model.dim, model.k))
     taps[: model.order + 1] = model.recon_taps
-    target = cache_old.kernel @ model.coeffs.T
-    solved, *_ = np.linalg.lstsq(cache_new.kernel, target, rcond=None)
+    low = cache.eig_pows[:, : model.order + 1]
+    xt = cache.gft_data
+    reduced = apply_response(reducing_taps(model.coeffs, xt, low), low, xt)
+    solved, *_ = np.linalg.lstsq(cache.kernel, reduced.T, rcond=None)
     return taps, solved.T

@@ -84,17 +84,13 @@ class SpectralCache:
     """Everything the trainer needs, precomputed once per (data, graph, order).
 
     ``kernel`` is the n x n Gram matrix of the stacked per-frequency
-    features described in the module docstring; ``mean_energy`` is the
-    data's mean squared column norm, the objective value of the all-zero
-    filter pair.
+    features described in the module docstring.
     """
 
     gft_data: np.ndarray    # (dim, n)
     eig_pows: np.ndarray    # (n, order+1)
     kernel: np.ndarray      # (n, n), symmetric positive semidefinite
-    mean_energy: float
     order: int
-    fingerprint: str
 
     @property
     def dim(self) -> int:
@@ -113,15 +109,7 @@ def build_cache(xbar, spectrum: GraphSpectrum, order: int) -> SpectralCache:
     geo = pows @ pows.T  # term-by-term geometric sums
     kernel = base * geo
     kernel = 0.5 * (kernel + kernel.T)
-    energy = float(np.sum(xt * xt)) / xt.shape[1]
-    return SpectralCache(
-        gft_data=xt,
-        eig_pows=pows,
-        kernel=kernel,
-        mean_energy=energy,
-        order=order,
-        fingerprint=spectrum.fingerprint(),
-    )
+    return SpectralCache(gft_data=xt, eig_pows=pows, kernel=kernel, order=order)
 
 
 def apply_response(taps, eig_pows, vectors) -> np.ndarray:
@@ -134,3 +122,16 @@ def apply_response(taps, eig_pows, vectors) -> np.ndarray:
     for ell in range(1, taps.shape[0]):
         out += taps[ell] @ (vectors * eig_pows[:, ell])
     return out
+
+
+def reducing_taps(coeffs, gft_data, eig_pows) -> np.ndarray:
+    """The reducing filter's taps on transformed data, one k x dim matrix
+    per column of the power table.
+
+    Order-l tap: ``coeffs @ diag(lam^l) @ gft_data'``. Applied to
+    ``gft_data`` with :func:`apply_response` they give ``coeffs`` times the
+    feature kernel of that data at the table's order.
+    """
+    return np.stack(
+        [(coeffs * eig_pows[:, ell]) @ gft_data.T for ell in range(eig_pows.shape[1])]
+    )

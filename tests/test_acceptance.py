@@ -20,7 +20,6 @@ from gfred.codec import (
     reconstruct,
     reconstruction_mse,
     reduce,
-    reducing_taps,
     save_model,
 )
 from gfred.graph import Kernel, SimilarityConfig
@@ -42,7 +41,7 @@ from gfred.optimizer import (
     step_size_taps,
 )
 from gfred.pca import pca_fit, pca_mse
-from gfred.spectral import igft
+from gfred.spectral import igft, reducing_taps
 
 from oracles import (
     fd_grad_coeffs,
@@ -82,7 +81,7 @@ def test_order_zero_start_matches_pca(capsys):
             # a relative comparison of rounding noise is meaningless
             k = int(rng.integers(1, min(4, dim - 1, n - 2) + 1))
             inst = random_instance(rng, n=n, dim=dim, order=0)
-            result = fit(inst.ds, inst.spectrum, k, 0, max_iters=0, cache=inst.cache)
+            result = fit(inst.ds, inst.spectrum, k, 0, max_iters=0)
             mse = reconstruction_mse(result.model, inst.ds, inst.spectrum)
             baseline = pca_mse(inst.ds, pca_fit(inst.ds, k))
             assert abs(mse - baseline) <= 1e-8 * baseline, (n, dim, k, mse, baseline)
@@ -139,7 +138,7 @@ def test_line_search_is_exact(capsys):
             best, spacing = scan_best_step(inst.cache, taps, coeffs, direction, step, "coeffs")
             assert abs(best - step) <= spacing
 
-            result = fit(inst.ds, inst.spectrum, k, order, max_iters=40, cache=inst.cache)
+            result = fit(inst.ds, inst.spectrum, k, order, max_iters=40)
             assert np.all(np.diff(result.objective_trace) <= 1e-12)
         assert time.perf_counter() - started < 10.0
 
@@ -166,7 +165,7 @@ def test_spectral_paths_match_vertex_filter_banks(capsys):
             fast = reduce(model, inst.ds, inst.spectrum).values
             literal = kron_reduce(
                 inst.spectrum.adjacency,
-                reducing_taps(model, inst.cache.gft_data, inst.cache.eig_pows),
+                reducing_taps(coeffs, inst.cache.gft_data, inst.cache.eig_pows),
                 inst.ds.centered,
             )
             assert np.abs(fast - literal).max() <= 1e-10 * max(1.0, np.abs(literal).max())
@@ -202,7 +201,7 @@ def test_converged_runs_are_stationary(capsys):
             inst = random_instance(rng, n=6, dim=5, order=order)
             result = fit(
                 inst.ds, inst.spectrum, k, order,
-                epsilon=1e-8, max_iters=2000, cache=inst.cache,
+                epsilon=1e-8, max_iters=2000,
             )
             if order == 0 or k == 5:
                 assert result.converged, (k, order, result.iterations)
@@ -310,7 +309,7 @@ def test_deterministic_outputs(capsys, tmp_path):
         assert len(out_a.read_text().splitlines()) == 1 + 2 * 2 * 2
 
         inst = random_instance(rng, n=8, dim=5, order=1)
-        result = fit(inst.ds, inst.spectrum, k=2, order=1, max_iters=10, cache=inst.cache)
+        result = fit(inst.ds, inst.spectrum, k=2, order=1, max_iters=10)
         reduced = reduce(result.model, inst.ds, inst.spectrum)
         first, second = tmp_path / "m1.gfm", tmp_path / "m2.gfm"
         save_model(result.model, inst.spectrum, reduced, first)

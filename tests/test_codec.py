@@ -18,7 +18,6 @@ from gfred.codec import (
     reconstruct,
     reconstruction_mse,
     reduce,
-    reducing_taps,
     save_model,
 )
 from gfred.errors import (
@@ -28,7 +27,7 @@ from gfred.errors import (
     VersionMismatch,
 )
 from gfred.optimizer import FilterModel, fit, init_filters, objective
-from gfred.spectral import center
+from gfred.spectral import center, reducing_taps
 
 from oracles import kron_reconstruct, kron_reduce, random_filters, random_instance
 
@@ -59,7 +58,7 @@ class TestAgainstKroneckerBank:
             fast = reduce(model, inst.ds, inst.spectrum)
             literal = kron_reduce(
                 inst.spectrum.adjacency,
-                reducing_taps(model, inst.cache.gft_data, inst.cache.eig_pows),
+                reducing_taps(coeffs, inst.cache.gft_data, inst.cache.eig_pows),
                 inst.ds.centered,
             )
             scale = max(1.0, np.abs(literal).max())

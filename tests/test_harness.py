@@ -419,6 +419,25 @@ class TestRunSweep:
         assert len(calls) == 2 * 1 * 3  # trials x k x L
         for order, start in calls:
             assert (start is not None) == (order >= 1)
+            if order >= 1:
+                assert start.order == order - 1
+
+    def test_overflowing_order_fails_only_its_own_cells(self, tmp_path):
+        # the top eigenvalue is about 3.6, so without normalization the
+        # eigenvalue powers pass the 1e150 guard at order 300 (but stay finite);
+        # the lower orders of the same trial still train
+        data = tmp_path / "d.csv"
+        write_labeled_csv(data)
+        cfg = sweep_config(data, L_list=(0, 1, 300))
+        assert not cfg.similarity.normalize_spectrum
+        report = run_sweep(cfg, timer=lambda: 0.0)
+        assert [(r.trial, r.k, r.L) for r in report.rows] == [
+            (trial, k, L) for trial in (0, 1) for k in (2, 3) for L in (0, 1)
+        ]
+        assert [(f.trial, f.k, f.L) for f in report.failures] == [
+            (trial, k, 300) for trial in (0, 1) for k in (2, 3)
+        ]
+        assert all(f.message.startswith("SpectralOverflow:") for f in report.failures)
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         data = tmp_path / "d.csv"

@@ -156,19 +156,12 @@ class TestCache:
         inst = random_instance(rng, n=10, dim=4, order=3)
         assert np.array_equal(inst.cache.kernel, inst.cache.kernel.T)
 
-    def test_mean_energy(self):
-        rng = np.random.default_rng(23)
-        inst = random_instance(rng, n=7, dim=5, order=2)
-        direct = np.linalg.norm(inst.cache.gft_data) ** 2 / inst.cache.n
-        assert np.isclose(inst.cache.mean_energy, direct, rtol=1e-12)
-
     def test_metadata(self):
         rng = np.random.default_rng(24)
         inst = random_instance(rng, n=6, dim=3, order=2)
         assert inst.cache.order == 2
         assert inst.cache.n == 6
         assert inst.cache.dim == 3
-        assert inst.cache.fingerprint == inst.spectrum.fingerprint()
         assert inst.cache.eig_pows.shape == (6, 3)
 
     def test_order_mismatch_in_power_table_shape(self):
