@@ -8,7 +8,8 @@ baseline. Trials run one after another and rows are sorted by
 from the model of the highest lower order that fitted for the same
 (trial, k), so the grid is monotone in L. Each fit builds the spectral
 cache for its own order, so an order that cannot be trained (its
-eigenvalue powers overflow, say) fails only its own cells.
+eigenvalue powers overflow, say) fails only its own cells, and a trial
+builds one cache per cell: |k_list| builds per order.
 """
 from __future__ import annotations
 

@@ -26,9 +26,10 @@ objective functions compute the same formulas from a bare (taps, coeffs)
 pair, after checking its shapes.
 
 :func:`fit` builds the cache for the order it trains. It starts from the
-PCA seed of :func:`init_filters` or, given a trained model of the same k
-and an order no higher, from :func:`extend_order` of that model: an
-order-L bank contains the banks below it with their higher taps at zero.
+PCA seed of :func:`init_filters` or, given a model trained on the same
+graph with the same k and an order no higher, from :func:`extend_order`
+of that model: an order-L bank contains the banks below it with their
+higher taps at zero.
 
 Nonpositive optimal steps are clamped to zero (the stopping test then
 sees a zero update), and a direction whose filtered energy is below
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDirection, DimensionMismatch, NonFiniteValue
+from .errors import DegenerateDirection, DimensionMismatch, FingerprintMismatch, NonFiniteValue
 from .graph import GraphSpectrum
 from .pca import pca_fit
 from .spectral import CenteredDataset, SpectralCache, apply_response, build_cache, reducing_taps
@@ -229,8 +230,9 @@ def fit(
     """Train a filter pair by alternating exact-line-search descent.
 
     ``epsilon`` defaults to 1e-6 times the summed Frobenius norms of the
-    starting point. ``start`` may be a trained model with the same ``k``
-    and an order no higher than ``order``; the run resumes from
+    starting point. ``start`` may be a model trained on the same graph,
+    with the same ``k`` and an order no higher than ``order``; the run
+    resumes from
     :func:`extend_order` of it, which keeps its reduced vectors. Otherwise
     :func:`init_filters` seeds the run. ``max_iters=0`` returns the
     starting point untouched.
@@ -238,12 +240,15 @@ def fit(
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     cache = build_cache(ds.centered, spectrum, order)
+    fingerprint = spectrum.fingerprint()
     if start is None:
         taps, coeffs = init_filters(ds, cache, k)
     else:
         if start.k != k:
             raise DimensionMismatch(f"start model has k={start.k}, expected k={k}")
         taps, coeffs = extend_order(start, cache)
+        if start.spectrum_fingerprint != fingerprint:
+            raise FingerprintMismatch("start model was trained on a different graph spectrum")
     if epsilon is None:
         epsilon = 1e-6 * (float(np.linalg.norm(taps)) + float(np.linalg.norm(coeffs)))
     if not epsilon > 0.0:
@@ -292,7 +297,7 @@ def fit(
         recon_taps=taps,
         coeffs=coeffs,
         mean=ds.mean.copy(),
-        spectrum_fingerprint=spectrum.fingerprint(),
+        spectrum_fingerprint=fingerprint,
     )
     return FitResult(
         model=model,
@@ -320,8 +325,9 @@ def extend_order(model: FilterModel, cache: SpectralCache):
     cache's data, gives every node's reduced vector; because the
     coefficients act through the order-dependent kernel, they are re-solved
     so the node keeps that vector: ``coeffs_new @ cache.kernel = reduced``
-    (least squares, exact when the kernel has full rank). The reseeded
-    (taps, coeffs) pair then reproduces the model's objective value.
+    (least squares, exact when the kernel has full rank). When the cache
+    is built on the model's own graph, the reseeded (taps, coeffs) pair
+    reproduces the model's objective value; :func:`fit` checks the graph.
     """
     if cache.order < model.order:
         raise DimensionMismatch(

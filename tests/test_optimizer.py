@@ -9,6 +9,7 @@ import pytest
 from gfred import optimizer
 from gfred.errors import (
     DimensionMismatch,
+    FingerprintMismatch,
     NonFiniteValue,
     RankDeficiencyWarning,
 )
@@ -265,15 +266,24 @@ class TestFit:
         stitched = np.concatenate([first.objective_trace, resumed.objective_trace[1:]])
         assert np.allclose(stitched, whole.objective_trace, rtol=1e-9, atol=1e-15)
 
-    @pytest.mark.parametrize("mismatch", ["k", "dim", "n"])
-    def test_start_validation(self, mismatch):
+    @pytest.mark.parametrize(
+        "mismatch, error",
+        [
+            ("k", DimensionMismatch),
+            ("dim", DimensionMismatch),
+            ("n", DimensionMismatch),
+            ("graph", FingerprintMismatch),
+        ],
+        ids=["k", "dim", "n", "graph"],
+    )
+    def test_start_validation(self, mismatch, error):
         rng = np.random.default_rng(80)
         inst = random_instance(rng, n=6, dim=3, order=1)
-        dims = {"k": (6, 3), "dim": (6, 4), "n": (7, 3)}[mismatch]
+        dims = {"k": (6, 3), "dim": (6, 4), "n": (7, 3), "graph": (6, 3)}[mismatch]
         other = random_instance(np.random.default_rng(81), n=dims[0], dim=dims[1], order=1)
         start = fit(other.ds, other.spectrum, k=2, order=1, max_iters=2).model
         k = 3 if mismatch == "k" else 2
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(error):
             fit(inst.ds, inst.spectrum, k=k, order=1, start=start)
 
     def test_parameter_validation(self):
@@ -306,6 +316,7 @@ class TestFit:
         assert model.recon_taps.shape == (3, 4, 3)
         assert model.coeffs.shape == (3, 7)
         assert np.array_equal(model.mean, inst.ds.mean)
+        assert model.spectrum_fingerprint == inst.spectrum.fingerprint()
 
     def test_three_responses_per_iteration(self, monkeypatch):
         # one apply_response for the start, then per iteration the tap ray,
