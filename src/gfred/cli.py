@@ -13,35 +13,26 @@ import numpy as np
 
 from . import codec, harness
 from .errors import DataError
-from .graph import Kernel, SimilarityConfig, Symmetrization, build_graph
+from .graph import build_graph
 from .optimizer import fit
 from .pca import pca_fit, pca_mse
 from .spectral import center
 
 
-def _add_similarity_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--kernel", choices=["cosine", "gaussian"], default=None)
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--knn", type=int, default=None)
-    parser.add_argument("--symmetrization", choices=["union", "mutual"], default=None)
-    parser.add_argument("--normalize-spectrum", action="store_true", default=None)
+def _add_key_flags(parser: argparse.ArgumentParser, keys):
+    """A ``--key-name`` flag per config key. Values stay strings, so the
+    key table in :mod:`gfred.harness` parses flags and config files alike."""
+    for key in keys:
+        flag = "--" + key.replace("_", "-")
+        if key == "normalize_spectrum":
+            parser.add_argument(flag, dest=key, action="store_const", const="true")
+        else:
+            parser.add_argument(flag, dest=key)
 
 
-def _similarity_from_args(args, base: SimilarityConfig | None = None) -> SimilarityConfig:
-    base = base or SimilarityConfig()
-    return SimilarityConfig(
-        kernel=Kernel(args.kernel) if args.kernel else base.kernel,
-        alpha=args.alpha if args.alpha is not None else base.alpha,
-        knn=args.knn if args.knn is not None else base.knn,
-        symmetrization=(
-            Symmetrization(args.symmetrization) if args.symmetrization else base.symmetrization
-        ),
-        normalize_spectrum=(
-            args.normalize_spectrum
-            if args.normalize_spectrum is not None
-            else base.normalize_spectrum
-        ),
-    )
+def _set_keys(args, keys) -> dict:
+    """The config keys among ``keys`` whose flags were given."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
 def _load_matrix(path: str, fmt: str):
@@ -58,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_graph = sub.add_parser("graph", help="build a similarity graph and print its spectrum")
     p_graph.add_argument("--data", required=True)
     p_graph.add_argument("--format", choices=["idx", "csv"], default="csv")
-    _add_similarity_flags(p_graph)
+    _add_key_flags(p_graph, harness.SIMILARITY_KEYS)
 
     p_fit = sub.add_parser("fit", help="train a filter pair on a whole dataset")
     p_fit.add_argument("--data", required=True)
@@ -68,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--model-out", required=True)
     p_fit.add_argument("--epsilon", type=float, default=None)
     p_fit.add_argument("--max-iters", type=int, default=500)
-    _add_similarity_flags(p_fit)
+    _add_key_flags(p_fit, harness.SIMILARITY_KEYS)
 
     p_enc = sub.add_parser("encode", help="reduce a dataset with a trained model")
     p_enc.add_argument("--model", required=True)
@@ -89,17 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out-csv", required=True)
     p_sweep.add_argument("--out-svg", default=None)
-    p_sweep.add_argument("--dataset-path", default=None)
-    p_sweep.add_argument("--dataset-format", choices=["idx", "csv"], default=None)
-    p_sweep.add_argument("--classes-to-pick", type=int, default=None)
-    p_sweep.add_argument("--images-per-class", type=int, default=None)
-    p_sweep.add_argument("--trials", type=int, default=None)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--k-list", default=None)
-    p_sweep.add_argument("--l-list", default=None)
-    p_sweep.add_argument("--epsilon", type=float, default=None)
-    p_sweep.add_argument("--max-iters", type=int, default=None)
-    _add_similarity_flags(p_sweep)
+    _add_key_flags(p_sweep, harness.CONFIG_KEYS)
 
     p_bound = sub.add_parser("bound", help="largest k that still compresses")
     p_bound.add_argument("--n", type=int, required=True)
@@ -110,7 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_graph(args) -> int:
     X = _load_matrix(args.data, args.format)
-    spectrum = build_graph(X, _similarity_from_args(args))
+    similarity = harness.similarity_from_mapping(_set_keys(args, harness.SIMILARITY_KEYS))
+    spectrum = build_graph(X, similarity)
     edges = int(np.count_nonzero(spectrum.adjacency)) // 2
     print(f"nodes: {spectrum.n}")
     print(f"edges: {edges}")
@@ -120,7 +102,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_fit(args) -> int:
     X = _load_matrix(args.data, args.format)
-    similarity = _similarity_from_args(args)
+    similarity = harness.similarity_from_mapping(_set_keys(args, harness.SIMILARITY_KEYS))
     spectrum = build_graph(X, similarity)
     ds = center(X)
     result = fit(ds, spectrum, args.k, args.l, epsilon=args.epsilon, max_iters=args.max_iters)
@@ -162,27 +144,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = harness.load_config(args.config)
-    overrides = {
-        "dataset_path": args.dataset_path,
-        "dataset_format": harness.DataFormat(args.dataset_format) if args.dataset_format else None,
-        "classes_to_pick": args.classes_to_pick,
-        "images_per_class": args.images_per_class,
-        "trials": args.trials,
-        "seed": args.seed,
-        "epsilon": args.epsilon,
-        "max_iters": args.max_iters,
-    }
-    if args.k_list is not None:
-        overrides["k_list"] = tuple(int(p) for p in args.k_list.split(",") if p.strip())
-    if args.l_list is not None:
-        overrides["L_list"] = tuple(int(p) for p in args.l_list.split(",") if p.strip())
-    if any(
-        getattr(args, name) is not None
-        for name in ("kernel", "alpha", "knn", "symmetrization", "normalize_spectrum")
-    ):
-        overrides["similarity"] = _similarity_from_args(args, cfg.similarity)
-    cfg = harness.with_overrides(cfg, **overrides)
+    with open(args.config, "r", encoding="utf-8") as fh:
+        mapping = harness.parse_config_text(fh.read())
+    mapping.update(_set_keys(args, harness.CONFIG_KEYS))  # a set flag wins over its file key
+    cfg = harness.config_from_mapping(mapping)
     report = harness.run_sweep(cfg)
     harness.emit_csv(report, args.out_csv)
     print(f"rows: {len(report.rows)} -> {args.out_csv}")

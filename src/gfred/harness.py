@@ -9,7 +9,9 @@ from the model of the highest lower order that fitted for the same
 (trial, k), so the grid is monotone in L. Each fit builds the spectral
 cache for its own order, so an order that cannot be trained (its
 eigenvalue powers overflow, say) fails only its own cells, and a trial
-builds one cache per cell: |k_list| builds per order.
+builds one cache per cell: |k_list| builds per order. A sweep's settings
+come as flat string keys, from a config file or ``gfred sweep`` flags,
+parsed through one key table into :class:`ExperimentConfig`.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import math
 import os
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -48,10 +50,16 @@ class DataFormat(Enum):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Settings for one sweep; a config key left out keeps the default here.
+
+    ``epsilon`` is each fit's stopping threshold: a positive finite number,
+    or None for the fit's own default.
+    """
+
     dataset_path: str
-    dataset_format: DataFormat
     classes_to_pick: int
     images_per_class: int
+    dataset_format: DataFormat = DataFormat.IDX
     trials: int = 1
     seed: int = 0
     similarity: SimilarityConfig = field(default_factory=SimilarityConfig)
@@ -73,6 +81,8 @@ class ExperimentConfig:
             raise ConfigError(f"every L must be >= 0, got {self.L_list}")
         if self.max_iters < 0:
             raise ConfigError(f"max_iters must be >= 0, got {self.max_iters}")
+        if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be a finite number > 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -163,8 +173,9 @@ def load_csv_matrix(path, first_row_labels: bool = False):
     """Rectangular numeric CSV with one data vector per column.
 
     With ``first_row_labels`` the first row holds integer class labels and
-    the function returns ``(matrix, labels)``. Any unparsable or NaN cell
-    raises CsvParseError naming its 1-based row and column.
+    the function returns ``(matrix, labels)``. Any unparsable or non-finite
+    cell (NaN, infinity, or a value that overflows float64) raises
+    CsvParseError naming its 1-based row and column.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n").rstrip("\r") for line in fh]
@@ -185,8 +196,8 @@ def load_csv_matrix(path, first_row_labels: bool = False):
                 value = float(cell)
             except ValueError as exc:
                 raise CsvParseError(f"{path}: row {r}, column {c}: {cell!r}") from exc
-            if math.isnan(value):
-                raise CsvParseError(f"{path}: row {r}, column {c}: NaN is not allowed")
+            if not math.isfinite(value):
+                raise CsvParseError(f"{path}: row {r}, column {c}: {cell!r} is not finite")
             row.append(value)
         parsed.append(row)
     matrix = np.asarray(parsed, dtype=np.float64)
@@ -509,18 +520,55 @@ def synth_digits(n_classes: int = 10, per_class: int = 30, seed: int = 0, size: 
 
 
 # --- config files -----------------------------------------------------------
-
-_CONFIG_KEYS = {
-    "dataset_path", "dataset_format", "classes_to_pick", "images_per_class",
-    "trials", "seed", "kernel", "alpha", "knn", "symmetrization",
-    "normalize_spectrum", "k_list", "l_list", "epsilon", "max_iters",
-}
+# Config file keys and ``gfred sweep`` flags share one table; absent keys are
+# not passed on, so every default lives on the dataclasses.
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
+def _parse_bool(word: str) -> bool:
+    if word.lower() not in _BOOL_WORDS:
+        raise ValueError(f"expected one of {', '.join(_BOOL_WORDS)}")
+    return _BOOL_WORDS[word.lower()]
+
+
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(",") if part.strip())
+
+
+def _parse_choice(enum):
+    return lambda word: enum(word.lower())
+
+
+# config key -> (field, parser)
+SIMILARITY_KEYS = {
+    "kernel": ("kernel", _parse_choice(Kernel)),
+    "alpha": ("alpha", float),
+    "knn": ("knn", int),
+    "symmetrization": ("symmetrization", _parse_choice(Symmetrization)),
+    "normalize_spectrum": ("normalize_spectrum", _parse_bool),
+}
+_EXPERIMENT_KEYS = {
+    "dataset_path": ("dataset_path", str),
+    "dataset_format": ("dataset_format", _parse_choice(DataFormat)),
+    "classes_to_pick": ("classes_to_pick", int),
+    "images_per_class": ("images_per_class", int),
+    "trials": ("trials", int),
+    "seed": ("seed", int),
+    "k_list": ("k_list", _parse_int_list),
+    "l_list": ("L_list", _parse_int_list),
+    "epsilon": ("epsilon", float),
+    "max_iters": ("max_iters", int),
+}
+CONFIG_KEYS = {**_EXPERIMENT_KEYS, **SIMILARITY_KEYS}
+
+
 def parse_config_text(text: str) -> dict:
-    """Flat key=value lines; blank lines and # comments are skipped."""
+    """Flat key=value lines; blank lines and # comments are skipped.
+
+    Keys are lower-cased with dashes read as underscores and must be in
+    :data:`CONFIG_KEYS`; values stay strings for :func:`config_from_mapping`.
+    """
     mapping = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -530,104 +578,49 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         mapping[key] = value.strip()
     return mapping
 
 
-def _parse_int(mapping, key, default=None):
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
+def _parse_keys(mapping: dict, table: dict) -> dict:
+    """Field values for the keys of ``table`` that ``mapping`` holds."""
+    parsed = {}
+    for key, (name, parse) in table.items():
+        if key in mapping:
+            text = str(mapping[key]).strip()
+            try:
+                parsed[name] = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"{key}={text!r}: {exc}") from exc
+    return parsed
+
+
+def similarity_from_mapping(mapping: dict) -> SimilarityConfig:
+    """SimilarityConfig from the :data:`SIMILARITY_KEYS` in ``mapping``; others are ignored."""
+    parsed = _parse_keys(mapping, SIMILARITY_KEYS)
     try:
-        return int(mapping[key])
+        return SimilarityConfig(**parsed)
     except ValueError as exc:
-        raise ConfigError(f"{key}={mapping[key]!r} is not an integer") from exc
-
-
-def _parse_bool(mapping, key, default: bool) -> bool:
-    if key not in mapping:
-        return default
-    word = str(mapping[key]).strip().lower()
-    if word not in _BOOL_WORDS:
-        raise ConfigError(f"{key}={mapping[key]!r} is not a boolean")
-    return _BOOL_WORDS[word]
-
-
-def _parse_int_list(mapping, key, default):
-    if key not in mapping:
-        return default
-    try:
-        return tuple(int(part) for part in str(mapping[key]).split(",") if part.strip() != "")
-    except ValueError as exc:
-        raise ConfigError(f"{key}={mapping[key]!r} is not a comma-separated int list") from exc
+        raise ConfigError(str(exc)) from exc
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from flat string keys (file or CLI)."""
-    unknown = set(mapping) - _CONFIG_KEYS
+    """Build an ExperimentConfig from flat string keys.
+
+    ``mapping`` is a parsed config file, with the ``sweep`` flags that were
+    set laid over it key by key. Every key must be in :data:`CONFIG_KEYS`;
+    an absent key keeps the dataclass default, and a missing required key
+    raises ConfigError.
+    """
+    unknown = set(mapping) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "dataset_path" not in mapping:
-        raise ConfigError("missing required config key 'dataset_path'")
-    fmt_word = str(mapping.get("dataset_format", "idx")).strip().lower()
-    try:
-        fmt = DataFormat(fmt_word)
-    except ValueError as exc:
-        raise ConfigError(f"dataset_format must be idx or csv, got {fmt_word!r}") from exc
-    kernel_word = str(mapping.get("kernel", "cosine")).strip().lower()
-    try:
-        kernel = Kernel(kernel_word)
-    except ValueError as exc:
-        raise ConfigError(f"kernel must be cosine or gaussian, got {kernel_word!r}") from exc
-    sym_word = str(mapping.get("symmetrization", "union")).strip().lower()
-    try:
-        symmetrization = Symmetrization(sym_word)
-    except ValueError as exc:
-        raise ConfigError(f"symmetrization must be union or mutual, got {sym_word!r}") from exc
-    try:
-        alpha = float(mapping.get("alpha", 0.01))
-    except ValueError as exc:
-        raise ConfigError(f"alpha={mapping['alpha']!r} is not a number") from exc
-    epsilon = None
-    if "epsilon" in mapping:
-        try:
-            epsilon = float(mapping["epsilon"])
-        except ValueError as exc:
-            raise ConfigError(f"epsilon={mapping['epsilon']!r} is not a number") from exc
-    try:
-        similarity = SimilarityConfig(
-            kernel=kernel,
-            alpha=alpha,
-            knn=_parse_int(mapping, "knn", 12),
-            symmetrization=symmetrization,
-            normalize_spectrum=_parse_bool(mapping, "normalize_spectrum", False),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    for key, (name, _) in _EXPERIMENT_KEYS.items():
+        if key not in mapping and defaults[name] is MISSING:
+            raise ConfigError(f"missing required config key {key!r}")
     return ExperimentConfig(
-        dataset_path=str(mapping["dataset_path"]),
-        dataset_format=fmt,
-        classes_to_pick=_parse_int(mapping, "classes_to_pick"),
-        images_per_class=_parse_int(mapping, "images_per_class"),
-        trials=_parse_int(mapping, "trials", 1),
-        seed=_parse_int(mapping, "seed", 0),
-        similarity=similarity,
-        k_list=_parse_int_list(mapping, "k_list", (5,)),
-        L_list=_parse_int_list(mapping, "l_list", (0, 1)),
-        epsilon=epsilon,
-        max_iters=_parse_int(mapping, "max_iters", 500),
+        similarity=similarity_from_mapping(mapping), **_parse_keys(mapping, _EXPERIMENT_KEYS)
     )
-
-
-def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_mapping(parse_config_text(fh.read()))
-
-
-def with_overrides(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    """Functional update helper used by the command-line front end."""
-    simple = {key: value for key, value in kwargs.items() if value is not None}
-    return replace(cfg, **simple) if simple else cfg

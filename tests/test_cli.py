@@ -174,6 +174,20 @@ class TestSweepCommand:
         capsys.readouterr()
         assert len(out_csv.read_text().splitlines()) == 2
 
+    def test_flags_stand_in_for_required_keys(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_labeled_csv(data)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dataset_format = csv\nknn = 3\nk_list = 2\nl_list = 0,1\nmax_iters = 40\n")
+        out_csv = tmp_path / "rows.csv"
+        code = main(
+            ["sweep", "--config", str(cfg), "--out-csv", str(out_csv),
+             "--dataset-path", str(data), "--classes-to-pick", "2", "--images-per-class", "5"]
+        )
+        assert code == 0
+        assert "rows: 2" in capsys.readouterr().out
+        assert len(out_csv.read_text().splitlines()) == 3
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("dataset_path = x.csv\nwidgets = 4\n")

@@ -2,6 +2,7 @@
 
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from gfred.harness import (
     config_from_mapping,
     emit_csv,
     emit_svg,
-    load_config,
     load_csv_matrix,
     load_idx,
     parse_config_text,
@@ -32,7 +32,6 @@ from gfred.harness import (
     sample_subset,
     save_csv_matrix,
     synth_digits,
-    with_overrides,
 )
 from gfred.optimizer import fit
 from gfred.rng import CounterRng, splitmix64
@@ -186,9 +185,10 @@ class TestCsv:
         with pytest.raises(CsvParseError, match=r"row 2, column 2"):
             load_csv_matrix(path)
 
-    def test_nan_rejected(self, tmp_path):
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_nan_rejected(self, tmp_path, cell):
         path = tmp_path / "m.csv"
-        path.write_text("1,2\nnan,4\n")
+        path.write_text(f"1,2\n{cell},4\n")
         with pytest.raises(CsvParseError, match=r"row 2, column 1"):
             load_csv_matrix(path)
 
@@ -597,6 +597,9 @@ class TestConfigFiles:
             {"knn": "0"},
             {"epsilon": "tiny"},
             {"max_iters": "-3"},
+            {"epsilon": "0"},
+            {"epsilon": "-1e-6"},
+            {"epsilon": "nan"},
         ],
     )
     def test_bad_values_raise_config_error(self, patch):
@@ -614,16 +617,14 @@ class TestConfigFiles:
             "dataset_path = d.csv\ndataset_format = csv\n"
             "classes_to_pick = 2\nimages_per_class = 5\nknn = 3\n"
         )
-        cfg = load_config(path)
+        cfg = config_from_mapping(parse_config_text(path.read_text()))
         assert cfg.dataset_path == "d.csv"
         assert cfg.similarity.knn == 3
 
-    def test_with_overrides(self):
-        cfg = config_from_mapping(
-            {"dataset_path": "x", "classes_to_pick": "2", "images_per_class": "5"}
-        )
-        same = with_overrides(cfg, trials=None, seed=None)
-        assert same == cfg
-        bumped = with_overrides(cfg, trials=6, k_list=(3,))
-        assert bumped.trials == 6 and bumped.k_list == (3,)
-        assert bumped.dataset_path == cfg.dataset_path
+    def test_readme_config_block(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = config_from_mapping(parse_config_text(block))
+        assert cfg.trials == 5
+        assert cfg.k_list == (5, 10, 20)
+        assert cfg.L_list == (0, 1, 2)
