@@ -14,7 +14,7 @@ import numpy as np
 from . import codec, harness
 from .errors import DataError
 from .graph import build_graph
-from .optimizer import fit
+from .optimizer import MAX_ITERS, fit
 from .pca import pca_fit, pca_mse
 from .spectral import center
 
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--l", type=int, required=True)
     p_fit.add_argument("--model-out", required=True)
     p_fit.add_argument("--epsilon", type=float, default=None)
-    p_fit.add_argument("--max-iters", type=int, default=500)
+    p_fit.add_argument("--max-iters", type=int, default=MAX_ITERS)
     _add_key_flags(p_fit, harness.SIMILARITY_KEYS)
 
     p_enc = sub.add_parser("encode", help="reduce a dataset with a trained model")

@@ -34,7 +34,7 @@ from .errors import (
     TruncatedFile,
 )
 from .graph import Kernel, SimilarityConfig, Symmetrization, build_graph
-from .optimizer import fit
+from .optimizer import MAX_ITERS, fit
 from .pca import pca_fit, pca_mse
 from .rng import CounterRng
 from .spectral import center
@@ -66,7 +66,7 @@ class ExperimentConfig:
     k_list: tuple[int, ...] = (5,)
     L_list: tuple[int, ...] = (0, 1)
     epsilon: float | None = None
-    max_iters: int = 500
+    max_iters: int = MAX_ITERS
 
     def __post_init__(self):
         if self.classes_to_pick < 1 or self.images_per_class < 1:

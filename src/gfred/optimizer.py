@@ -25,6 +25,22 @@ projection) and two n x n kernel products. The public gradient, step and
 objective functions compute the same formulas from a bare (taps, coeffs)
 pair, after checking its shapes.
 
+:func:`fit`'s loop runs on min(dim, n) rows. On tall data (dim > n) it
+takes the thin QR factorization ``Xt = Q R`` of the transformed data;
+the n orthonormal columns of ``Q`` span a space that holds every data
+column. Every tap gradient is a sum of residual x reduced-vector
+products, and the residual is the data minus the taps' output, so taps
+that start in that space never leave it (the representer-theorem argument
+behind the coefficient parameterization). When the start lies there, as
+the PCA seed (k up to the data's rank) and every model :func:`fit`
+trained on the same data do, the loop trains the coordinates ``Q' taps``
+against ``R`` in place of ``Xt`` and maps the result back with ``Q``.
+This is the same iteration, not an approximation: ``R' R = Xt' Xt``
+leaves the kernel unchanged and ``Q`` keeps every inner product and norm,
+so each cost, step, update size and stopping decision is the one the
+dim-row loop computes, up to rounding. A start with taps outside that
+space trains on all dim rows.
+
 :func:`fit` builds the cache for the order it trains. It starts from the
 PCA seed of :func:`init_filters` or, given a model trained on the same
 graph with the same k and an order no higher, from :func:`extend_order`
@@ -37,7 +53,8 @@ sees a zero update), and a direction whose filtered energy is below
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,8 +63,11 @@ from .graph import GraphSpectrum
 from .pca import pca_fit
 from .spectral import CenteredDataset, SpectralCache, apply_response, build_cache, reducing_taps
 
+MAX_ITERS = 500  # default iteration cap of a fit, a sweep and `gfred fit`
+
 _ENERGY_FLOOR = 1e-300
 _INIT_RIDGE = 1e-10
+_SPAN_TOL = 1e-12  # start taps this close to the data's span, relatively, lie in it
 
 
 @dataclass(frozen=True)
@@ -98,7 +118,7 @@ def _residual(cache: SpectralCache, taps, reduced) -> np.ndarray:
 
 
 def _cost(cache: SpectralCache, resid) -> float:
-    return float(np.sum(resid * resid)) / cache.n
+    return float(np.vdot(resid, resid)) / cache.n
 
 
 def _tap_gradient(cache: SpectralCache, reduced, resid) -> np.ndarray:
@@ -117,10 +137,10 @@ def _coeff_gradient(cache: SpectralCache, taps, resid) -> np.ndarray:
 def _line_step(cache: SpectralCache, resid, moved) -> float:
     """Exact minimizer of the cost along a ray whose filtered output moves
     the prediction by ``-c * moved``."""
-    quad = float(np.sum(moved * moved)) / cache.n
+    quad = float(np.vdot(moved, moved)) / cache.n
     if not quad > _ENERGY_FLOOR:
         raise DegenerateDirection(f"filtered direction energy {quad:.3e} is numerically zero")
-    return -(float(np.sum(resid * moved)) / cache.n) / quad
+    return -(float(np.vdot(resid, moved)) / cache.n) / quad
 
 
 def objective(cache: SpectralCache, taps, coeffs) -> float:
@@ -224,7 +244,7 @@ def fit(
     order: int,
     *,
     epsilon: float | None = None,
-    max_iters: int = 500,
+    max_iters: int = MAX_ITERS,
     start: FilterModel | None = None,
 ) -> FitResult:
     """Train a filter pair by alternating exact-line-search descent.
@@ -235,7 +255,13 @@ def fit(
     resumes from
     :func:`extend_order` of it, which keeps its reduced vectors. Otherwise
     :func:`init_filters` seeds the run. ``max_iters=0`` returns the
-    starting point untouched.
+    starting point untouched. ``epsilon`` must be a finite number > 0.
+
+    The descent runs on min(dim, n) rows: on tall data (dim > n) with a
+    start in the span of the data's columns it trains the taps'
+    coordinates in an orthonormal basis of that span, which computes the
+    same iterates (see the module docstring). The start and the returned
+    model live in the data's own dim rows either way.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
@@ -251,8 +277,20 @@ def fit(
             raise FingerprintMismatch("start model was trained on a different graph spectrum")
     if epsilon is None:
         epsilon = 1e-6 * (float(np.linalg.norm(taps)) + float(np.linalg.norm(coeffs)))
+    elif not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be a finite number > 0, got {epsilon}")
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
+
+    # taps that start in the span of Q, for Xt = QR, stay there (module
+    # docstring): on tall data train their coordinates against R
+    given_taps, basis = taps, None
+    if cache.dim > cache.n:
+        q, r = np.linalg.qr(cache.gft_data)
+        inside = q.T @ taps
+        if np.linalg.norm(q @ inside - taps) <= _SPAN_TOL * np.linalg.norm(taps):
+            basis, taps, cache = q, inside, replace(cache, gft_data=r)
+    start_taps = taps
 
     reduced = coeffs @ cache.kernel
     resid = _residual(cache, taps, reduced)
@@ -291,6 +329,9 @@ def fit(
             converged = True
             break
 
+    if basis is not None:
+        # taps that never took a step come back as given, not round-tripped
+        taps = given_taps if taps is start_taps else basis @ taps
     model = FilterModel(
         order=order,
         k=k,

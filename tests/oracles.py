@@ -8,9 +8,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from gfred.errors import DimensionMismatch
+from gfred.errors import DegenerateDirection, DimensionMismatch
 from gfred.graph import GraphSpectrum, Kernel, SimilarityConfig, build_graph
-from gfred.optimizer import objective
+from gfred.optimizer import (
+    grad_coeffs,
+    grad_taps,
+    objective,
+    step_size_coeffs,
+    step_size_taps,
+)
 from gfred.spectral import CenteredDataset, SpectralCache, build_cache, center
 
 
@@ -46,6 +52,35 @@ def scan_best_step(cache, taps, coeffs, direction, step, which, points=1001):
         values = [objective(cache, taps, coeffs - c * direction) for c in grid]
     best = int(np.argmin(values))
     return grid[best], grid[1] - grid[0]
+
+
+def descend_by_public_steps(cache, taps, coeffs, iters):
+    """The training iteration spelled out with the public gradient and step
+    functions on the full dim-row cache, recomputing the model output at
+    every half-update. A nonpositive or degenerate step counts as 0.
+
+    Returns the objective trace (start, then after every half-update) and
+    the final (taps, coeffs) pair.
+    """
+    trace = [objective(cache, taps, coeffs)]
+    for _ in range(iters):
+        direction = grad_taps(cache, taps, coeffs)
+        step = _clamped(step_size_taps, cache, taps, coeffs, direction)
+        taps = taps - step * direction
+        trace.append(objective(cache, taps, coeffs))
+        direction = grad_coeffs(cache, taps, coeffs)
+        step = _clamped(step_size_coeffs, cache, taps, coeffs, direction)
+        coeffs = coeffs - step * direction
+        trace.append(objective(cache, taps, coeffs))
+    return np.asarray(trace), taps, coeffs
+
+
+def _clamped(step_size, cache, taps, coeffs, direction):
+    try:
+        step = step_size(cache, taps, coeffs, direction)
+    except DegenerateDirection:
+        return 0.0
+    return max(step, 0.0)
 
 
 def stacked_kernel(gft_data, eigvals, order):

@@ -228,6 +228,16 @@ class TestExitCodes:
         assert code == 2
         assert "config error:" in capsys.readouterr().err
 
+    def test_infinite_epsilon_exits_2(self, tmp_path, capsys):
+        data = write_matrix_csv(tmp_path / "d.csv")
+        code = main(
+            ["fit", "--data", str(data), "--format", "csv", "--k", "2", "--l", "1",
+             "--model-out", str(tmp_path / "m.gfm"), "--knn", "3", "--epsilon", "inf"]
+        )
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "m.gfm").exists()
+
     def test_usage_errors_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -29,6 +29,7 @@ from gfred.pca import pca_fit, pca_mse
 from gfred.spectral import apply_response, build_cache, center
 
 from oracles import (
+    descend_by_public_steps,
     fd_grad_coeffs,
     fd_grad_taps,
     random_filters,
@@ -240,14 +241,15 @@ class TestFit:
 
     def test_max_iters_zero_returns_start(self):
         rng = np.random.default_rng(76)
-        inst = random_instance(rng, n=7, dim=4, order=1)
-        taps, coeffs = init_filters(inst.ds, inst.cache, 2)
-        result = fit(inst.ds, inst.spectrum, k=2, order=1, max_iters=0)
-        assert result.iterations == 0
-        assert not result.converged
-        assert result.objective_trace.shape == (1,)
-        assert np.array_equal(result.model.recon_taps, taps)
-        assert np.array_equal(result.model.coeffs, coeffs)
+        for dim in (4, 20):  # the tall instance trains on n-row coordinates
+            inst = random_instance(rng, n=7, dim=dim, order=1)
+            taps, coeffs = init_filters(inst.ds, inst.cache, 2)
+            result = fit(inst.ds, inst.spectrum, k=2, order=1, max_iters=0)
+            assert result.iterations == 0
+            assert not result.converged
+            assert result.objective_trace.shape == (1,)
+            assert np.array_equal(result.model.recon_taps, taps)
+            assert np.array_equal(result.model.coeffs, coeffs)
 
     def test_explicit_start_resumes(self):
         rng = np.random.default_rng(77)
@@ -293,6 +295,8 @@ class TestFit:
             fit(inst.ds, inst.spectrum, k=1, order=0, max_iters=-1)
         with pytest.raises(ValueError):
             fit(inst.ds, inst.spectrum, k=1, order=0, epsilon=0.0)
+        with pytest.raises(ValueError):
+            fit(inst.ds, inst.spectrum, k=1, order=0, epsilon=np.inf)
 
     def test_non_finite_start_raises(self):
         rng = np.random.default_rng(82)
@@ -318,12 +322,13 @@ class TestFit:
         assert np.array_equal(model.mean, inst.ds.mean)
         assert model.spectrum_fingerprint == inst.spectrum.fingerprint()
 
-    def test_three_responses_per_iteration(self, monkeypatch):
+    @pytest.mark.parametrize("dim", [4, 30], ids=["wide", "tall"])
+    def test_three_responses_per_iteration(self, monkeypatch, dim):
         # one apply_response for the start, then per iteration the tap ray,
         # the coefficient gradient and the coefficient ray: the loop carries
         # its residual instead of recomputing the model output
         rng = np.random.default_rng(84)
-        inst = random_instance(rng, n=8, dim=4, order=2)
+        inst = random_instance(rng, n=8, dim=dim, order=2)
         calls = []
 
         def counting(*args):
@@ -334,6 +339,45 @@ class TestFit:
         result = fit(inst.ds, inst.spectrum, k=2, order=2, max_iters=5)
         assert result.iterations > 0
         assert len(calls) == 1 + 3 * result.iterations
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("start", ["cold", "warm", "foreign"])
+    def test_tall_fit_follows_the_public_steps(self, order, start):
+        # dim > n: fit descends on the data's n-row coordinates, the oracle
+        # on all dim rows. A foreign start (trained on other data over the
+        # same graph) has taps outside the data's span, which the n rows
+        # cannot hold, so fit must train it on all dim rows too.
+        rng = np.random.default_rng(89)
+        inst = random_instance(rng, n=12, dim=60, order=order)
+        k = 3
+        model = None
+        if start == "warm":
+            model = fit(inst.ds, inst.spectrum, k=k, order=order - 1, max_iters=10).model
+        elif start == "foreign":
+            other = center(rng.normal(size=(60, 12)))
+            model = fit(other, inst.spectrum, k=k, order=order, max_iters=10).model
+        if model is None:
+            taps, coeffs = init_filters(inst.ds, inst.cache, k)
+        else:
+            taps, coeffs = extend_order(model, inst.cache)
+        trace, taps, coeffs = descend_by_public_steps(inst.cache, taps, coeffs, 15)
+
+        result = fit(
+            inst.ds, inst.spectrum, k=k, order=order, max_iters=15, epsilon=1e-300, start=model
+        )
+
+        def rel(got, want):
+            return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+        assert result.iterations == 15
+        assert rel(result.objective_trace, trace) <= 1e-10
+        assert rel(result.model.recon_taps, taps) <= 1e-10
+        assert rel(result.model.coeffs, coeffs) <= 1e-10
+        if start != "foreign":
+            # every tap is a combination of the centered data's columns
+            for tap in result.model.recon_taps:
+                weights, *_ = np.linalg.lstsq(inst.ds.centered, tap, rcond=None)
+                assert rel(inst.ds.centered @ weights, tap) <= 1e-10
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_carried_trace_matches_fresh_objective(self, order):
