@@ -23,8 +23,9 @@ spectrum = build_graph(images, cfg)
 edges = int(np.count_nonzero(spectrum.adjacency) // 2)
 print(f"kept {edges} undirected edges after 4-nearest sparsification")
 
-# eigenvalues come back sorted descending; the extremes bound every
-# frequency response the filters can realize
+# eigenvalues come back sorted descending, and the graph is scaled to unit
+# spectral radius; the extremes bound every frequency response the filters
+# can realize
 lo, hi = float(spectrum.eigvals[-1]), float(spectrum.eigvals[0])
 print(f"adjacency spectrum lies in [{lo:.4f}, {hi:.4f}]")
 
@@ -40,7 +41,8 @@ back = igft(freq, spectrum)
 print(f"round-trip error through the transform: {np.abs(back - ds.centered).max():.2e}")
 print(f"energy is preserved: {np.linalg.norm(ds.centered):.6f} vs {np.linalg.norm(freq):.6f}")
 
-# filters act through eigenvalue powers; the table is the workhorse
+# filters act through eigenvalue powers; the table is the workhorse, and at
+# unit radius no power grows past 1 in magnitude
 table = eig_power_table(spectrum.eigvals, order=3)
 print(f"power table for orders 0..3 has shape {table.shape}")
-print("first node's powers:", np.round(table[0], 4))
+print("powers of the most negative eigenvalue:", np.round(table[-1], 4))

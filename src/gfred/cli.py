@@ -23,11 +23,7 @@ def _add_key_flags(parser: argparse.ArgumentParser, keys):
     """A ``--key-name`` flag per config key. Values stay strings, so the
     key table in :mod:`gfred.harness` parses flags and config files alike."""
     for key in keys:
-        flag = "--" + key.replace("_", "-")
-        if key == "normalize_spectrum":
-            parser.add_argument(flag, dest=key, action="store_const", const="true")
-        else:
-            parser.add_argument(flag, dest=key)
+        parser.add_argument("--" + key.replace("_", "-"), dest=key)
 
 
 def _set_keys(args, keys) -> dict:

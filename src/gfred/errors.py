@@ -18,7 +18,7 @@ class ConvergenceFailure(RuntimeError):
 
 
 class SpectralOverflow(ArithmeticError):
-    """An eigenvalue power grew past 1e150; normalize the spectrum first."""
+    """An eigenvalue power grew past 1e150 (build_graph's unit-radius graphs never do)."""
 
 
 class DegenerateDirection(ArithmeticError):

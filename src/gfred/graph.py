@@ -7,11 +7,15 @@ eigenvector matrix of the symmetric adjacency is the Fourier basis used by
 every other module, so this module pins down the conventions the rest of
 the package relies on: eigenvalues sorted in descending order, and each
 eigenvector scaled so that its largest-magnitude entry is nonnegative.
+:func:`build_graph` also scales the graph to unit spectral radius. A
+polynomial of order L in A/rho is a polynomial of order L in A, so the
+filter family does not change; the eigenvalue powers stay within [-1, 1]
+for any order, and the trainer's feature kernel is better conditioned.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -42,17 +46,15 @@ class SimilarityConfig:
 
     ``alpha`` is the Gaussian width and participates only when
     ``kernel = GAUSSIAN``. ``knn`` counts neighbors marked per row, checked
-    against n - 1 once the data size is known. ``normalize_spectrum``
-    makes :func:`build_graph` divide the adjacency and its eigenvalues by
-    the largest eigenvalue magnitude, so that eigenvalue powers stay
-    bounded for high filter orders.
+    against n - 1 once the data size is known. The scale of the graph is
+    not a setting: :func:`build_graph` always returns it at unit spectral
+    radius.
     """
 
     kernel: Kernel = Kernel.COSINE
     alpha: float = 0.01
     knn: int = 12
     symmetrization: Symmetrization = Symmetrization.UNION
-    normalize_spectrum: bool = False
 
     def __post_init__(self):
         if not isinstance(self.knn, int) or self.knn < 1:
@@ -123,8 +125,8 @@ def knn_sparsify(sim, cfg: SimilarityConfig) -> np.ndarray:
     Every row marks its ``cfg.knn`` largest off-diagonal entries (ties go to
     the lower column index). Union symmetrization keeps an entry marked by
     either endpoint, mutual keeps it only when both endpoints marked it.
-    Kept entries retain their original values; ``cfg.normalize_spectrum``
-    is applied later, by :func:`build_graph`.
+    Kept entries retain their original values; :func:`build_graph` scales
+    them afterwards.
     """
     sim = np.asarray(sim, dtype=np.float64)
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
@@ -186,13 +188,16 @@ def eigendecompose(adjacency) -> GraphSpectrum:
 def build_graph(X, cfg: SimilarityConfig) -> GraphSpectrum:
     """similarity_dense -> knn_sparsify -> eigendecompose, in one call.
 
-    With ``cfg.normalize_spectrum`` the adjacency and eigenvalues are then
-    divided by the spectral radius, taken from the one eigendecomposition;
-    the eigenvectors do not change. A zero radius leaves them as they are.
+    The adjacency and eigenvalues are then divided by the spectral radius,
+    taken from the one eigendecomposition, so the largest eigenvalue
+    magnitude is exactly 1; the eigenvectors do not change. A zero radius
+    (a graph with no edges) leaves them as they are.
     """
     spectrum = eigendecompose(knn_sparsify(similarity_dense(X, cfg), cfg))
     radius = max(abs(float(spectrum.eigvals[0])), abs(float(spectrum.eigvals[-1])))
-    if not cfg.normalize_spectrum or radius == 0.0:
-        return spectrum
-    return replace(spectrum, adjacency=spectrum.adjacency / radius,
-                   eigvals=spectrum.eigvals / radius)
+    if radius != 0.0:
+        # in place: eigendecompose returned fresh arrays, and an n x n copy
+        # would raise the peak memory of a large build
+        np.divide(spectrum.adjacency, radius, out=spectrum.adjacency)
+        np.divide(spectrum.eigvals, radius, out=spectrum.eigvals)
+    return spectrum

@@ -7,11 +7,11 @@ baseline. Trials run one after another and rows are sorted by
 (trial, k, L). Each cell is one fit; above the lowest order it starts
 from the model of the highest lower order that fitted for the same
 (trial, k), so the grid is monotone in L. Each fit builds the spectral
-cache for its own order, so an order that cannot be trained (its
-eigenvalue powers overflow, say) fails only its own cells, and a trial
-builds one cache per cell: |k_list| builds per order. A sweep's settings
-come as flat string keys, from a config file or ``gfred sweep`` flags,
-parsed through one key table into :class:`ExperimentConfig`.
+cache for its own order, so a trial builds one cache per cell: |k_list|
+builds per order. A cell that cannot be trained (its iterate turns
+non-finite, say) fails only itself. A sweep's settings come as flat
+string keys, from a config file or ``gfred sweep`` flags, parsed through
+one key table into :class:`ExperimentConfig`.
 """
 from __future__ import annotations
 
@@ -523,15 +523,6 @@ def synth_digits(n_classes: int = 10, per_class: int = 30, seed: int = 0, size: 
 # Config file keys and ``gfred sweep`` flags share one table; absent keys are
 # not passed on, so every default lives on the dataclasses.
 
-_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-def _parse_bool(word: str) -> bool:
-    if word.lower() not in _BOOL_WORDS:
-        raise ValueError(f"expected one of {', '.join(_BOOL_WORDS)}")
-    return _BOOL_WORDS[word.lower()]
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
@@ -546,7 +537,6 @@ SIMILARITY_KEYS = {
     "alpha": ("alpha", float),
     "knn": ("knn", int),
     "symmetrization": ("symmetrization", _parse_choice(Symmetrization)),
-    "normalize_spectrum": ("normalize_spectrum", _parse_bool),
 }
 _EXPERIMENT_KEYS = {
     "dataset_path": ("dataset_path", str),

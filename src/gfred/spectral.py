@@ -74,7 +74,7 @@ def eig_power_table(eigvals, order: int) -> np.ndarray:
     if np.any(np.abs(pows) > _POWER_LIMIT):
         raise SpectralOverflow(
             f"|eigenvalue|^l exceeded {_POWER_LIMIT:g} at order {order}; "
-            "enable normalize_spectrum on the graph"
+            "scale the spectrum to unit radius, as build_graph does"
         )
     return pows
 

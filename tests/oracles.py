@@ -108,14 +108,13 @@ class Instance(NamedTuple):
     cache: SpectralCache
 
 
-def random_instance(rng, n, dim, order, knn=None, normalize=True, scale=1.0) -> Instance:
+def random_instance(rng, n, dim, order, knn=None, scale=1.0) -> Instance:
     """Random data plus the graph and cache the trainer would build on it."""
     X = rng.normal(size=(dim, n)) * scale
     cfg = SimilarityConfig(
         kernel=Kernel.GAUSSIAN,
         alpha=1.0 / dim,
         knn=knn if knn is not None else max(1, min(3, n - 1)),
-        normalize_spectrum=normalize,
     )
     spectrum = build_graph(X, cfg)
     ds = center(X)

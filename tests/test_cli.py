@@ -54,7 +54,8 @@ class TestGraph:
         assert pairs["nodes"] == "12"
         assert int(pairs["edges"]) >= 3 * 12 // 2
         lo, hi = (float(v) for v in pairs["eigenvalue range"].strip("[]").split(", "))
-        assert lo < 0 < hi
+        assert -1.0 <= lo < 0 < hi <= 1.0
+        assert max(-lo, hi) == 1.0  # scaled to unit spectral radius
 
 
 class TestModelPipeline:
@@ -190,10 +191,23 @@ class TestSweepCommand:
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("dataset_path = x.csv\nwidgets = 4\n")
-        code = main(["sweep", "--config", str(cfg), "--out-csv", str(tmp_path / "o.csv")])
-        assert code == 2
-        assert "config error:" in capsys.readouterr().err
+        for line in ("widgets = 4", "normalize_spectrum = true"):
+            cfg.write_text(f"dataset_path = x.csv\n{line}\n")
+            code = main(["sweep", "--config", str(cfg), "--out-csv", str(tmp_path / "o.csv")])
+            assert code == 2
+            assert "config error:" in capsys.readouterr().err
+        # the graph is always scaled to unit radius, so no command takes the flag
+        out = str(tmp_path / "o")
+        for command in (
+            ["graph", "--data", "x.csv"],
+            ["fit", "--data", "x.csv", "--format", "csv", "--k", "2", "--l", "0",
+             "--model-out", out],
+            ["sweep", "--config", str(cfg), "--out-csv", out],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(command + ["--normalize-spectrum"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --normalize-spectrum" in capsys.readouterr().err
 
 
 class TestExitCodes:

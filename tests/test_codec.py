@@ -26,10 +26,23 @@ from gfred.errors import (
     FingerprintMismatch,
     VersionMismatch,
 )
+from gfred.graph import Kernel, SimilarityConfig, eigendecompose, knn_sparsify, similarity_dense
 from gfred.optimizer import FilterModel, fit, init_filters, objective
-from gfred.spectral import center, reducing_taps
+from gfred.spectral import build_cache, center, reducing_taps
 
-from oracles import kron_reconstruct, kron_reduce, random_filters, random_instance
+from oracles import Instance, kron_reconstruct, kron_reduce, random_filters, random_instance
+
+
+def raw_instance(rng, n, dim, order) -> Instance:
+    """A kNN graph left at its raw scale (top eigenvalue above 1), as in
+    model files written before build_graph scaled every graph to unit
+    spectral radius; the codec must still serve them."""
+    X = rng.uniform(0.1, 1.0, size=(dim, n))
+    cfg = SimilarityConfig(kernel=Kernel.COSINE, knn=3)
+    spectrum = eigendecompose(knn_sparsify(similarity_dense(X, cfg), cfg))
+    assert spectrum.eigvals[0] > 1.0
+    ds = center(X)
+    return Instance(ds, spectrum, build_cache(ds.centered, spectrum, order))
 
 
 def make_model(inst, taps, coeffs) -> FilterModel:
@@ -43,16 +56,23 @@ def make_model(inst, taps, coeffs) -> FilterModel:
     )
 
 
+def kron_cases(seed):
+    """Eight random unit-radius instances, then one raw-scale instance,
+    each with its filter count k."""
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        n = int(rng.integers(3, 8))
+        dim = int(rng.integers(2, 6))
+        order = int(rng.integers(0, 4))
+        k = int(rng.integers(1, dim + 1))
+        yield rng, random_instance(rng, n=n, dim=dim, order=order), k
+    yield rng, raw_instance(rng, n=7, dim=5, order=3), 2
+
+
 class TestAgainstKroneckerBank:
 
     def test_reduce_matches_literal_bank(self):
-        rng = np.random.default_rng(90)
-        for _ in range(8):
-            n = int(rng.integers(3, 8))
-            dim = int(rng.integers(2, 6))
-            order = int(rng.integers(0, 4))
-            k = int(rng.integers(1, dim + 1))
-            inst = random_instance(rng, n=n, dim=dim, order=order)
+        for rng, inst, k in kron_cases(90):
             taps, coeffs = random_filters(rng, inst.cache, k)
             model = make_model(inst, taps, coeffs)
             fast = reduce(model, inst.ds, inst.spectrum)
@@ -65,16 +85,10 @@ class TestAgainstKroneckerBank:
             assert np.abs(fast.values - literal).max() <= 1e-10 * scale
 
     def test_reconstruct_matches_literal_bank(self):
-        rng = np.random.default_rng(91)
-        for _ in range(8):
-            n = int(rng.integers(3, 8))
-            dim = int(rng.integers(2, 6))
-            order = int(rng.integers(0, 4))
-            k = int(rng.integers(1, dim + 1))
-            inst = random_instance(rng, n=n, dim=dim, order=order)
+        for rng, inst, k in kron_cases(91):
             taps, coeffs = random_filters(rng, inst.cache, k)
             model = make_model(inst, taps, coeffs)
-            reduced = ReducedData(values=rng.normal(size=(k, n)))
+            reduced = ReducedData(values=rng.normal(size=(k, inst.spectrum.n)))
             fast = reconstruct(model, reduced, inst.spectrum) - model.mean[:, None]
             literal = kron_reconstruct(inst.spectrum.adjacency, taps, reduced.values)
             scale = max(1.0, np.abs(literal).max())
@@ -224,12 +238,12 @@ class TestStorageAccounting:
             compression_bound(0, 3, 0)
 
 
-def saved_fixture(tmp_path, seed=101):
+def saved_fixture(tmp_path, seed=101, make_instance=random_instance):
     rng = np.random.default_rng(seed)
-    inst = random_instance(rng, n=7, dim=4, order=1)
+    inst = make_instance(rng, n=7, dim=4, order=1)
     result = fit(inst.ds, inst.spectrum, k=2, order=1, max_iters=8)
     reduced = reduce(result.model, inst.ds, inst.spectrum)
-    path = tmp_path / "model.gfm"
+    path = tmp_path / f"{make_instance.__name__}.gfm"
     save_model(result.model, inst.spectrum, reduced, path)
     return inst, result.model, reduced, path
 
@@ -237,18 +251,28 @@ def saved_fixture(tmp_path, seed=101):
 class TestModelFile:
 
     def test_round_trip_is_bit_exact(self, tmp_path):
-        inst, model, reduced, path = saved_fixture(tmp_path)
-        loaded = load_model(path)
-        assert isinstance(loaded, ModelFile)
-        assert np.array_equal(loaded.model.recon_taps, model.recon_taps)
-        assert np.array_equal(loaded.model.coeffs, model.coeffs)
-        assert np.array_equal(loaded.model.mean, model.mean)
-        assert np.array_equal(loaded.spectrum.eigvals, inst.spectrum.eigvals)
-        assert np.array_equal(loaded.spectrum.eigvecs, inst.spectrum.eigvecs)
-        assert np.array_equal(loaded.reduced.values, reduced.values)
-        assert loaded.model.order == model.order and loaded.model.k == model.k
-        # the fingerprint binds the reloaded model to the reloaded spectrum
-        assert loaded.model.spectrum_fingerprint == loaded.spectrum.fingerprint()
+        # a raw-scale spectrum too: model files from before graphs were
+        # scaled to unit radius still load, re-save and decode unchanged
+        for make_instance in (random_instance, raw_instance):
+            inst, model, reduced, path = saved_fixture(tmp_path, make_instance=make_instance)
+            loaded = load_model(path)
+            assert isinstance(loaded, ModelFile)
+            assert np.array_equal(loaded.model.recon_taps, model.recon_taps)
+            assert np.array_equal(loaded.model.coeffs, model.coeffs)
+            assert np.array_equal(loaded.model.mean, model.mean)
+            assert np.array_equal(loaded.spectrum.eigvals, inst.spectrum.eigvals)
+            assert np.array_equal(loaded.spectrum.eigvecs, inst.spectrum.eigvecs)
+            assert np.array_equal(loaded.reduced.values, reduced.values)
+            assert loaded.model.order == model.order and loaded.model.k == model.k
+            # the fingerprint binds the reloaded model to the reloaded spectrum
+            assert loaded.model.spectrum_fingerprint == loaded.spectrum.fingerprint()
+            again = tmp_path / f"again-{path.name}"
+            save_model(loaded.model, loaded.spectrum, loaded.reduced, again)
+            assert again.read_bytes() == path.read_bytes()
+            assert np.array_equal(
+                reconstruct(loaded.model, loaded.reduced, loaded.spectrum),
+                reconstruct(model, reduced, inst.spectrum),
+            )
 
     def test_reloaded_model_decodes_identically(self, tmp_path):
         inst, model, reduced, path = saved_fixture(tmp_path)

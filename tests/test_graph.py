@@ -154,12 +154,27 @@ class TestKnnSparsify:
             out = knn_sparsify(sim, SimilarityConfig(knn=3, symmetrization=mode))
             assert np.array_equal(out, out.T)
 
-    def test_normalize_spectrum_unit_radius(self):
+    @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda e: e.value)
+    @pytest.mark.parametrize("mode", list(Symmetrization), ids=lambda e: e.value)
+    def test_normalize_spectrum_unit_radius(self, kernel, mode):
         rng = np.random.default_rng(6)
-        cfg = SimilarityConfig(knn=3, normalize_spectrum=True)
-        spectrum = build_graph(rng.normal(size=(4, 10)), cfg)
+        X = rng.normal(size=(4, 10))
+        cfg = SimilarityConfig(kernel=kernel, knn=3, symmetrization=mode)
+        spectrum = build_graph(X, cfg)
+        # the radius divides itself, and x / x is exact
+        assert np.max(np.abs(spectrum.eigvals)) == 1.0
         radius = np.max(np.abs(np.linalg.eigvalsh(spectrum.adjacency)))
         assert radius == pytest.approx(1.0, abs=1e-10)
+        sparse = knn_sparsify(similarity_dense(X, cfg), cfg)
+        assert np.array_equal(spectrum.adjacency != 0, sparse != 0)
+
+    def test_zero_radius_stays_unscaled(self):
+        # mutually orthogonal columns have cosine 0, so no edge has weight
+        cfg = SimilarityConfig(kernel=Kernel.COSINE, knn=2)
+        spectrum = build_graph(np.eye(5), cfg)
+        assert np.all(np.isfinite(spectrum.eigvals))
+        assert np.all(spectrum.eigvals == 0.0)
+        assert np.all(spectrum.adjacency == 0.0)
 
 
 class TestEigendecompose:

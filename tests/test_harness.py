@@ -15,6 +15,7 @@ from gfred.errors import (
     CsvParseError,
     DimensionMismatch,
     InsufficientImages,
+    SpectralOverflow,
     TruncatedFile,
 )
 from gfred.graph import Kernel, SimilarityConfig, Symmetrization
@@ -364,6 +365,23 @@ class TestRunSweep:
             for lower, higher in zip(finals, finals[1:]):
                 assert higher <= lower * (1.0 + 1e-10)
 
+    def test_high_order_starts_where_the_order_below_ended(self, tmp_path):
+        # at unit spectral radius the order-300 powers stay bounded and its
+        # kernel keeps the lower order's reduced vectors, so each warm start
+        # carries the previous final MSE and the grid stays monotone in L
+        data = tmp_path / "d.csv"
+        write_labeled_csv(data)
+        report = run_sweep(sweep_config(data, L_list=(0, 1, 2, 3, 300)), timer=lambda: 0.0)
+        assert not report.failures
+        assert len(report.rows) == 2 * 2 * 5  # trials x k x L
+        for trial in (0, 1):
+            for k in (2, 3):
+                cells = [r for r in report.rows if (r.trial, r.k) == (trial, k)]
+                assert [r.L for r in cells] == [0, 1, 2, 3, 300]
+                for lower, higher in zip(cells, cells[1:]):
+                    assert higher.initial_mse == pytest.approx(lower.final_mse, rel=1e-9)
+                    assert higher.final_mse <= lower.final_mse
+
     def test_aggregates_match_rows(self, tmp_path):
         data = tmp_path / "d.csv"
         write_labeled_csv(data)
@@ -422,14 +440,20 @@ class TestRunSweep:
             if order >= 1:
                 assert start.order == order - 1
 
-    def test_overflowing_order_fails_only_its_own_cells(self, tmp_path):
-        # the top eigenvalue is about 3.6, so without normalization the
-        # eigenvalue powers pass the 1e150 guard at order 300 (but stay finite);
-        # the lower orders of the same trial still train
+    def test_overflowing_order_fails_only_its_own_cells(self, tmp_path, monkeypatch):
+        # graphs from build_graph have unit radius and never overflow, so the
+        # fault is injected: every order-300 fit raises, the lower orders of
+        # the same trial still train
         data = tmp_path / "d.csv"
         write_labeled_csv(data)
+
+        def overflowing_fit(ds, spectrum, k, order, **kwargs):
+            if order == 300:
+                raise SpectralOverflow("|eigenvalue|^l exceeded 1e+150 at order 300")
+            return fit(ds, spectrum, k, order, **kwargs)
+
+        monkeypatch.setattr(harness, "fit", overflowing_fit)
         cfg = sweep_config(data, L_list=(0, 1, 300))
-        assert not cfg.similarity.normalize_spectrum
         report = run_sweep(cfg, timer=lambda: 0.0)
         assert [(r.trial, r.k, r.L) for r in report.rows] == [
             (trial, k, L) for trial in (0, 1) for k in (2, 3) for L in (0, 1)
@@ -551,7 +575,6 @@ class TestConfigFiles:
                 "alpha": "0.5",
                 "knn": "4",
                 "symmetrization": "mutual",
-                "normalize_spectrum": "yes",
                 "k_list": "2,4",
                 "l_list": "0,1,2",
                 "epsilon": "1e-7",
@@ -565,7 +588,6 @@ class TestConfigFiles:
         assert cfg.similarity.alpha == 0.5
         assert cfg.similarity.knn == 4
         assert cfg.similarity.symmetrization is Symmetrization.MUTUAL
-        assert cfg.similarity.normalize_spectrum is True
         assert cfg.k_list == (2, 4) and cfg.L_list == (0, 1, 2)
         assert cfg.epsilon == 1e-7 and cfg.max_iters == 123
 
@@ -590,7 +612,7 @@ class TestConfigFiles:
             {"kernel": "rbf"},
             {"symmetrization": "both"},
             {"alpha": "wide"},
-            {"normalize_spectrum": "maybe"},
+            {"normalize_spectrum": "yes"},  # the graph is always scaled; no such key
             {"k_list": "2,banana"},
             {"k_list": "0"},
             {"l_list": "-1"},

@@ -414,7 +414,7 @@ class TestInvariances:
         # two runs stay in lockstep on the same basis
         rng = np.random.default_rng(85)
         X = rng.normal(size=(4, 8))
-        cfg = SimilarityConfig(kernel=Kernel.GAUSSIAN, alpha=0.25, knn=3, normalize_spectrum=True)
+        cfg = SimilarityConfig(kernel=Kernel.GAUSSIAN, alpha=0.25, knn=3)
         spectrum = build_graph(X, cfg)
         a = fit(center(X), spectrum, k=2, order=1, max_iters=25, epsilon=1e-300)
         b = fit(center(4.0 * X), spectrum, k=2, order=1, max_iters=25, epsilon=1e-300)
