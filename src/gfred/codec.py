@@ -12,6 +12,7 @@ tests in ``tests/oracles.py``.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -138,20 +139,19 @@ def reconstruction_mse(model: FilterModel, ds: CenteredDataset, spectrum: GraphS
 #
 # Layout: 4-byte magic "GFM1", a little-endian uint32 byte length, that many
 # bytes of UTF-8 JSON (sorted keys), then the payload: float64 little-endian
-# column-major arrays in a fixed sequence: mean (dim), eigenvalues (n),
-# eigenvectors (n x n), each reconstruction tap (dim x k, orders 0..L), the
-# coefficient matrix (k x n), and the reduced data (k x n). The header
-# records dims, a CRC-32 of the payload, the reduced data's domain (always
-# "vertex"), and the stored-scalar accounting, which the loader recomputes
-# and verifies.
+# column-major arrays in the order and shapes of _payload_shapes: mean
+# (dim), eigenvalues (n), eigenvectors (n x n), the reconstruction taps as
+# one dim x k x (L+1) array (tap l is [:, :, l]), the coefficient matrix
+# (k x n), and the reduced data (k x n). The header records dims, a CRC-32
+# of the payload, the reduced data's domain (always "vertex"), and the
+# three scalar counts of StorageBudget, which the loader recomputes and
+# verifies.
+
+_COUNTS = ("stored_scalars", "raw_scalars", "pca_scalars")
 
 
-def _payload_arrays(model: FilterModel, spectrum: GraphSpectrum, reduced: ReducedData):
-    arrays = [model.mean, spectrum.eigvals, spectrum.eigvecs]
-    arrays.extend(model.recon_taps[ell] for ell in range(model.order + 1))
-    arrays.append(model.coeffs)
-    arrays.append(reduced.values)
-    return arrays
+def _payload_shapes(n: int, dim: int, k: int, order: int):
+    return [(dim,), (n,), (n, n), (dim, k, order + 1), (k, n), (k, n)]
 
 
 def save_model(model: FilterModel, spectrum: GraphSpectrum, reduced: ReducedData, path):
@@ -161,13 +161,12 @@ def save_model(model: FilterModel, spectrum: GraphSpectrum, reduced: ReducedData
     save/load round trip is bit exact.
     """
     _check_fingerprint(model, spectrum)
-    if reduced.values.shape != (model.k, spectrum.n):
-        raise DimensionMismatch(
-            f"reduced data {reduced.values.shape} does not match k={model.k}, n={spectrum.n}"
-        )
-    payload = b"".join(
-        np.asarray(a, dtype="<f8").tobytes(order="F") for a in _payload_arrays(model, spectrum, reduced)
-    )
+    taps = model.recon_taps.transpose(1, 2, 0)
+    arrays = [model.mean, spectrum.eigvals, spectrum.eigvecs, taps, model.coeffs, reduced.values]
+    shapes = _payload_shapes(spectrum.n, model.dim, model.k, model.order)
+    if [a.shape for a in arrays] != shapes:
+        raise DimensionMismatch(f"arrays of shapes {[a.shape for a in arrays]}, expected {shapes}")
+    payload = b"".join(np.asarray(a, dtype="<f8").tobytes(order="F") for a in arrays)
     budget = StorageBudget.from_dims(spectrum.n, model.dim, model.k, model.order)
     header = {
         "version": _VERSION,
@@ -177,9 +176,7 @@ def save_model(model: FilterModel, spectrum: GraphSpectrum, reduced: ReducedData
         "L": model.order,
         "checksum": zlib.crc32(payload),
         "domain": _DOMAIN,
-        "stored_scalars": budget.stored_scalars,
-        "raw_scalars": budget.raw_scalars,
-        "pca_scalars": budget.pca_scalars,
+        **{name: getattr(budget, name) for name in _COUNTS},
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
@@ -197,16 +194,22 @@ class ModelFile:
 
 
 def load_model(path) -> ModelFile:
-    """Read a model file back, verifying structure, checksum, and budget."""
+    """Read a model file back, verifying structure, checksum, and budget.
+
+    Arrays come back as read-only views of one aligned payload buffer, and
+    the spectrum's adjacency is ``None``: nothing is derived on load."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8 or blob[:4] != _MAGIC:
-        raise CorruptFile(f"{path}: bad magic")
-    (header_len,) = struct.unpack("<I", blob[4:8])
-    if len(blob) < 8 + header_len:
-        raise CorruptFile(f"{path}: truncated header")
+        prefix = fh.read(8)
+        if len(prefix) < 8 or prefix[:4] != _MAGIC:
+            raise CorruptFile(f"{path}: bad magic")
+        (header_len,) = struct.unpack("<I", prefix[4:])
+        header_bytes = fh.read(header_len)
+        if len(header_bytes) < header_len:
+            raise CorruptFile(f"{path}: truncated header")
+        # a buffer of its own: at the header's offset float64 views are misaligned
+        payload = np.fromfile(fh, dtype=np.uint8)
     try:
-        header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
+        header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptFile(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
@@ -219,7 +222,7 @@ def load_model(path) -> ModelFile:
         n, dim, k, order = header["n"], header["D"], header["k"], header["L"]
         checksum = header["checksum"]
         domain = header["domain"]
-        stored_scalars = header["stored_scalars"]
+        counts = {name: header[name] for name in _COUNTS}
     except KeyError as exc:
         raise CorruptFile(f"{path}: incomplete header: {exc}") from exc
     if domain != _DOMAIN:
@@ -231,35 +234,26 @@ def load_model(path) -> ModelFile:
             f"{path}: header needs integer n, D, k >= 1, L >= 0 and checksum, got {fields}"
         )
     budget = StorageBudget.from_dims(n, dim, k, order)
-    if stored_scalars != budget.stored_scalars:
-        raise CorruptFile(
-            f"{path}: stored_scalars {stored_scalars} != recomputed {budget.stored_scalars}"
-        )
-    counts = [dim, n, n * n] + [dim * k] * (order + 1) + [k * n, k * n]
-    payload = blob[8 + header_len :]
-    if len(payload) != 8 * sum(counts):
-        raise CorruptFile(f"{path}: payload is {len(payload)} bytes, expected {8 * sum(counts)}")
+    for name, count in counts.items():
+        if count != getattr(budget, name):
+            raise CorruptFile(f"{path}: {name} {count} != recomputed {getattr(budget, name)}")
+    shapes = _payload_shapes(n, dim, k, order)
+    sizes = [math.prod(shape) for shape in shapes]
+    if payload.size != 8 * sum(sizes):
+        raise CorruptFile(f"{path}: payload is {payload.size} bytes, expected {8 * sum(sizes)}")
     if zlib.crc32(payload) != checksum:
         raise CorruptFile(f"{path}: checksum mismatch")
 
-    shapes = [(dim,), (n,), (n, n)] + [(dim, k)] * (order + 1) + [(k, n), (k, n)]
-    arrays = []
-    offset = 0
-    for shape, count in zip(shapes, counts):
-        flat = np.frombuffer(payload, dtype="<f8", count=count, offset=8 * offset)
-        arrays.append(flat.reshape(shape, order="F").astype(np.float64))
-        offset += count
-    mean, eigvals, eigvecs = arrays[0], arrays[1], arrays[2]
-    taps = np.stack(arrays[3 : 3 + order + 1])
-    coeffs, reduced_values = arrays[3 + order + 1], arrays[4 + order + 1]
-
-    adjacency = eigvecs @ (eigvals[:, None] * eigvecs.T)
-    adjacency = 0.5 * (adjacency + adjacency.T)  # derived from eigenpairs, kept exactly symmetric
-    spectrum = GraphSpectrum(n=n, adjacency=adjacency, eigvals=eigvals, eigvecs=eigvecs)
+    payload.flags.writeable = False
+    flat = np.split(payload.view("<f8"), np.cumsum(sizes)[:-1])
+    mean, eigvals, eigvecs, taps, coeffs, reduced_values = (
+        part.reshape(shape, order="F") for part, shape in zip(flat, shapes)
+    )
+    spectrum = GraphSpectrum(eigvals=eigvals, eigvecs=eigvecs)
     model = FilterModel(
         order=order,
         k=k,
-        recon_taps=taps,
+        recon_taps=taps.transpose(2, 0, 1),
         coeffs=coeffs,
         mean=mean,
         spectrum_fingerprint=spectrum.fingerprint(),

@@ -65,12 +65,16 @@ class SimilarityConfig:
 
 @dataclass(frozen=True)
 class GraphSpectrum:
-    """Symmetric adjacency together with its full eigendecomposition."""
+    """Full eigendecomposition of a symmetric adjacency. ``adjacency`` is
+    ``None`` on a spectrum loaded from a model file, which stores eigenpairs only."""
 
-    n: int
-    adjacency: np.ndarray  # (n, n), exactly symmetric
     eigvals: np.ndarray    # (n,), descending
     eigvecs: np.ndarray    # (n, n), orthonormal columns, canonical signs
+    adjacency: np.ndarray | None = None  # (n, n), exactly symmetric
+
+    @property
+    def n(self) -> int:
+        return self.eigvals.shape[0]
 
     def fingerprint(self) -> str:
         """Hash of the eigenpairs, used to pair models with their graph."""
@@ -182,7 +186,7 @@ def eigendecompose(adjacency) -> GraphSpectrum:
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = canonical_signs(vecs[:, order])
-    return GraphSpectrum(n=S.shape[0], adjacency=S.copy(), eigvals=vals, eigvecs=vecs)
+    return GraphSpectrum(eigvals=vals, eigvecs=vecs, adjacency=S.copy())
 
 
 def build_graph(X, cfg: SimilarityConfig) -> GraphSpectrum:

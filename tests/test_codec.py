@@ -3,6 +3,7 @@ storage accounting, and the model file format."""
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +239,56 @@ class TestStorageAccounting:
             compression_bound(0, 3, 0)
 
 
+# written by save_model at the commit before the payload layout moved to one
+# shape list, from saved_fixture's inputs (seed 101, n=7, D=4, k=2, L=1)
+V1_FILE = Path(__file__).parent / "data" / "model_v1.gfm"
+
+
+def read_v1(blob: bytes):
+    """Header and arrays of a .gfm file, parsed as README documents the
+    layout: one dim x k tap after another, orders 0..L."""
+    assert blob[:4] == b"GFM1"
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8 : 8 + hlen])
+    n, dim, k, order = header["n"], header["D"], header["k"], header["L"]
+    offset = 8 + hlen
+
+    def take(*shape):
+        nonlocal offset
+        count = int(np.prod(shape))
+        flat = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        offset += 8 * count
+        return flat.reshape(shape, order="F")
+
+    arrays = {
+        "mean": take(dim),
+        "eigvals": take(n),
+        "eigvecs": take(n, n),
+        "taps": np.stack([take(dim, k) for _ in range(order + 1)]),
+        "coeffs": take(k, n),
+        "reduced": take(k, n),
+    }
+    assert offset == len(blob)
+    return header, arrays
+
+
+def loaded_arrays(loaded: ModelFile):
+    return {
+        "mean": loaded.model.mean,
+        "eigvals": loaded.spectrum.eigvals,
+        "eigvecs": loaded.spectrum.eigvecs,
+        "taps": loaded.model.recon_taps,
+        "coeffs": loaded.model.coeffs,
+        "reduced": loaded.reduced.values,
+    }
+
+
+def owner(array: np.ndarray) -> np.ndarray:
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
 def saved_fixture(tmp_path, seed=101, make_instance=random_instance):
     rng = np.random.default_rng(seed)
     inst = make_instance(rng, n=7, dim=4, order=1)
@@ -273,6 +324,33 @@ class TestModelFile:
                 reconstruct(loaded.model, loaded.reduced, loaded.spectrum),
                 reconstruct(model, reduced, inst.spectrum),
             )
+            assert np.array_equal(
+                reduce(loaded.model, inst.ds, loaded.spectrum).values,
+                reduce(model, inst.ds, inst.spectrum).values,
+            )
+            assert reconstruction_mse(loaded.model, inst.ds, loaded.spectrum) == (
+                reconstruction_mse(model, inst.ds, inst.spectrum)
+            )
+            # loading derives nothing and copies nothing: every array is a
+            # read-only, aligned view of the one payload buffer
+            assert loaded.spectrum.adjacency is None
+            arrays = loaded_arrays(loaded)
+            buffer = owner(arrays["mean"])
+            for name, array in arrays.items():
+                assert array.flags.aligned and not array.flags.writeable, name
+                assert owner(array) is buffer and np.shares_memory(array, buffer), name
+
+    def test_parent_written_file_loads_as_stored(self, tmp_path):
+        blob = V1_FILE.read_bytes()
+        header, expected = read_v1(blob)
+        assert (header["n"], header["D"], header["k"], header["L"]) == (7, 4, 2, 1)
+        loaded = load_model(V1_FILE)
+        for name, array in loaded_arrays(loaded).items():
+            assert array.shape == expected[name].shape, name
+            assert np.array_equal(array, expected[name]), name
+        again = tmp_path / "again.gfm"
+        save_model(loaded.model, loaded.spectrum, loaded.reduced, again)
+        assert again.read_bytes() == blob
 
     def test_reloaded_model_decodes_identically(self, tmp_path):
         inst, model, reduced, path = saved_fixture(tmp_path)
@@ -365,9 +443,10 @@ class TestCorruption:
         with pytest.raises(VersionMismatch):
             load_model(tmp_path / "v2.gfm")
 
-    def test_wrong_accounting(self, tmp_path):
+    @pytest.mark.parametrize("key", ["stored_scalars", "raw_scalars", "pca_scalars"])
+    def test_wrong_accounting(self, tmp_path, key):
         _, _, _, path = saved_fixture(tmp_path)
-        self.rewrite_header(path, tmp_path / "acct.gfm", stored_scalars=12345)
+        self.rewrite_header(path, tmp_path / "acct.gfm", **{key: 12345})
         with pytest.raises(CorruptFile):
             load_model(tmp_path / "acct.gfm")
 

@@ -399,10 +399,9 @@ class TestInvariances:
         inst = random_instance(rng, n=8, dim=4, order=2)
         flips = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
         flipped = GraphSpectrum(
-            n=inst.spectrum.n,
-            adjacency=inst.spectrum.adjacency,
             eigvals=inst.spectrum.eigvals,
             eigvecs=inst.spectrum.eigvecs * flips[None, :],
+            adjacency=inst.spectrum.adjacency,
         )
         a = fit(inst.ds, inst.spectrum, k=2, order=2, max_iters=40, epsilon=1e-300)
         b = fit(inst.ds, flipped, k=2, order=2, max_iters=40, epsilon=1e-300)

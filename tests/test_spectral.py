@@ -23,10 +23,9 @@ def two_path_spectrum() -> GraphSpectrum:
     S = np.array([[0.0, 1.0], [1.0, 0.0]])
     r = 1.0 / np.sqrt(2.0)
     return GraphSpectrum(
-        n=2,
-        adjacency=S,
         eigvals=np.array([1.0, -1.0]),
         eigvecs=np.array([[r, r], [r, -r]]),
+        adjacency=S,
     )
 
 
