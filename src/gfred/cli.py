@@ -99,8 +99,8 @@ def _cmd_graph(args) -> int:
 def _cmd_fit(args) -> int:
     X = _load_matrix(args.data, args.format)
     similarity = harness.similarity_from_mapping(_set_keys(args, harness.SIMILARITY_KEYS))
-    spectrum = build_graph(X, similarity)
     ds = center(X)
+    spectrum = build_graph(X, similarity)
     result = fit(ds, spectrum, args.k, args.l, epsilon=args.epsilon, max_iters=args.max_iters)
     reduced = codec.reduce(result.model, ds, spectrum)
     codec.save_model(result.model, spectrum, reduced, args.model_out)

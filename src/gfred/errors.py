@@ -69,5 +69,9 @@ class VersionMismatch(DataError):
     """A model file was written by an unsupported format version."""
 
 
+class DataOverflow(DataError):
+    """The centered data's sum of squares is not a finite float64."""
+
+
 class RankDeficiencyWarning(UserWarning):
     """Requested components reach into the numerical null space."""

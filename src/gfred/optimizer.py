@@ -16,14 +16,21 @@ the same along the coefficient ray. Both half-updates therefore never
 increase the cost. Iteration stops when the summed Frobenius norm of the
 two updates drops below ``epsilon`` or after ``max_iters`` sweeps.
 
-:func:`fit` carries the reduced vectors and the residual from step to
-step: a step of size c along a ray adds ``c * moved`` to the residual,
-and each trace entry is the carried residual's mean squared norm. An
-iteration thus costs three :func:`~gfred.spectral.apply_response` calls
-(the two rays' filtered outputs and the coefficient gradient's back
-projection) and two n x n kernel products. The public gradient, step and
-objective functions compute the same formulas from a bare (taps, coeffs)
-pair, after checking its shapes.
+:func:`fit` holds the taps as one flat dim x (L+1)k bank
+``T = [T_0 ... T_L]`` and the reduced vectors V as their power stack
+``Phi = [V diag(lam^0); ...; V diag(lam^L)]``
+(:func:`~gfred.spectral.power_stack`): the bank's output is the one
+product ``T @ Phi``. It carries Phi and the residual from step to step
+(a step of size c along a ray adds ``c * moved`` to the residual), and
+each trace entry is the carried residual's mean squared norm. An
+iteration makes six matrix products: the tap gradient
+``-2/n * resid @ Phi'`` and its ray's output, the back projection
+``T' @ resid`` (:func:`~gfred.spectral.power_sum` adds its power weights
+in after the product, on k-row blocks) and its kernel product, and the
+coefficient ray's kernel product and output. Every power weighting acts
+on an (L+1)k-row array. The public gradient, step and objective functions
+compute the same formulas from a bare (taps, coeffs) pair, after checking
+its shapes, and convert the (L+1, dim, k) tap stack at their boundary.
 
 :func:`fit`'s loop runs on min(dim, n) rows. On tall data (dim > n) it
 takes the thin QR factorization ``Xt = Q R`` of the transformed data;
@@ -61,7 +68,16 @@ import numpy as np
 from .errors import DegenerateDirection, DimensionMismatch, FingerprintMismatch, NonFiniteValue
 from .graph import GraphSpectrum
 from .pca import pca_fit
-from .spectral import CenteredDataset, SpectralCache, apply_response, build_cache, reducing_taps
+from .spectral import (
+    CenteredDataset,
+    SpectralCache,
+    apply_response,
+    build_cache,
+    flat_taps,
+    power_stack,
+    power_sum,
+    reducing_taps,
+)
 
 MAX_ITERS = 500  # default iteration cap of a fit, a sweep and `gfred fit`
 
@@ -99,7 +115,8 @@ class FitResult:
 
 
 def _checked(cache: SpectralCache, taps, coeffs):
-    """The pair as float arrays, after checking it fits the cache."""
+    """The pair as float arrays, the taps as a flat bank, after checking
+    it fits the cache."""
     taps = np.asarray(taps, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if taps.ndim != 3 or taps.shape[0] != cache.order + 1 or taps.shape[1] != cache.dim:
@@ -110,27 +127,49 @@ def _checked(cache: SpectralCache, taps, coeffs):
         raise DimensionMismatch(
             f"coefficients {coeffs.shape} do not fit k={taps.shape[2]}, n={cache.n}"
         )
-    return taps, coeffs
+    return flat_taps(taps), coeffs
 
 
-def _residual(cache: SpectralCache, taps, reduced) -> np.ndarray:
-    return cache.gft_data - apply_response(taps, cache.eig_pows, reduced)
+def _direction(given, like, what: str) -> np.ndarray:
+    direction = np.asarray(given, dtype=np.float64)
+    if direction.shape != np.shape(like):
+        raise DimensionMismatch(
+            f"direction {direction.shape} does not match {what} {np.shape(like)}"
+        )
+    return direction
+
+
+def _stacked(cache: SpectralCache, taps) -> np.ndarray:
+    """A flat bank back as the (order+1, dim, k) tap stack."""
+    return np.ascontiguousarray(
+        taps.reshape(taps.shape[0], cache.order + 1, -1).transpose(1, 0, 2)
+    )
+
+
+# The formulas below take the taps as one flat dim x (L+1)k bank and the
+# reduced vectors as their power stack ``phi = power_stack(reduced, pows)``,
+# so that every filter application is one matrix product.
+
+
+def _reduced_powers(cache: SpectralCache, coeffs) -> np.ndarray:
+    """Power stack of the reduced vectors ``coeffs @ kernel``."""
+    return power_stack(coeffs @ cache.kernel, cache.eig_pows)
+
+
+def _residual(cache: SpectralCache, taps, phi) -> np.ndarray:
+    return cache.gft_data - taps @ phi
 
 
 def _cost(cache: SpectralCache, resid) -> float:
     return float(np.vdot(resid, resid)) / cache.n
 
 
-def _tap_gradient(cache: SpectralCache, reduced, resid) -> np.ndarray:
-    out = np.empty((cache.order + 1, cache.dim, reduced.shape[0]))
-    for ell in range(cache.order + 1):
-        out[ell] = (resid * cache.eig_pows[:, ell]) @ reduced.T
-    out *= -2.0 / cache.n
-    return out
+def _tap_gradient(cache: SpectralCache, phi, resid) -> np.ndarray:
+    return (-2.0 / cache.n) * (resid @ phi.T)
 
 
 def _coeff_gradient(cache: SpectralCache, taps, resid) -> np.ndarray:
-    back = apply_response(taps.transpose(0, 2, 1), cache.eig_pows, resid)
+    back = power_sum(taps.T @ resid, cache.eig_pows)
     return (-2.0 / cache.n) * (back @ cache.kernel)
 
 
@@ -146,18 +185,18 @@ def _line_step(cache: SpectralCache, resid, moved) -> float:
 def objective(cache: SpectralCache, taps, coeffs) -> float:
     """Mean squared spectral-domain reconstruction error."""
     taps, coeffs = _checked(cache, taps, coeffs)
-    return _cost(cache, _residual(cache, taps, coeffs @ cache.kernel))
+    return _cost(cache, _residual(cache, taps, _reduced_powers(cache, coeffs)))
 
 
 def grad_taps(cache: SpectralCache, taps, coeffs) -> np.ndarray:
     """Exact gradient of :func:`objective` with respect to the tap stack.
 
-    Order-l slice: ``-2/n * sum_i lam_i^l resid_i reduced_i'``, accumulated
-    as one matrix product per order.
+    Order-l slice: ``-2/n * sum_i lam_i^l resid_i reduced_i'``, all orders
+    accumulated in one matrix product.
     """
     taps, coeffs = _checked(cache, taps, coeffs)
-    reduced = coeffs @ cache.kernel
-    return _tap_gradient(cache, reduced, _residual(cache, taps, reduced))
+    phi = _reduced_powers(cache, coeffs)
+    return _stacked(cache, _tap_gradient(cache, phi, _residual(cache, taps, phi)))
 
 
 def grad_coeffs(cache: SpectralCache, taps, coeffs) -> np.ndarray:
@@ -167,7 +206,7 @@ def grad_coeffs(cache: SpectralCache, taps, coeffs) -> np.ndarray:
     this at the already-updated tap stack.
     """
     taps, coeffs = _checked(cache, taps, coeffs)
-    return _coeff_gradient(cache, taps, _residual(cache, taps, coeffs @ cache.kernel))
+    return _coeff_gradient(cache, taps, _residual(cache, taps, _reduced_powers(cache, coeffs)))
 
 
 def step_size_taps(cache: SpectralCache, taps, coeffs, direction) -> float:
@@ -179,25 +218,18 @@ def step_size_taps(cache: SpectralCache, taps, coeffs, direction) -> float:
     over nodes). Raises DegenerateDirection when the quadratic term is
     numerically zero.
     """
+    direction = _direction(direction, taps, "taps")
     taps, coeffs = _checked(cache, taps, coeffs)
-    direction = np.asarray(direction, dtype=np.float64)
-    if direction.shape != taps.shape:
-        raise DimensionMismatch(f"direction {direction.shape} does not match taps {taps.shape}")
-    reduced = coeffs @ cache.kernel
-    moved = apply_response(direction, cache.eig_pows, reduced)
-    return _line_step(cache, _residual(cache, taps, reduced), moved)
+    phi = _reduced_powers(cache, coeffs)
+    return _line_step(cache, _residual(cache, taps, phi), flat_taps(direction) @ phi)
 
 
 def step_size_coeffs(cache: SpectralCache, taps, coeffs, direction) -> float:
     """Exact minimizer of the cost along ``coeffs - c * direction``."""
+    direction = _direction(direction, coeffs, "coefficients")
     taps, coeffs = _checked(cache, taps, coeffs)
-    direction = np.asarray(direction, dtype=np.float64)
-    if direction.shape != coeffs.shape:
-        raise DimensionMismatch(
-            f"direction {direction.shape} does not match coefficients {coeffs.shape}"
-        )
-    moved = apply_response(taps, cache.eig_pows, direction @ cache.kernel)
-    return _line_step(cache, _residual(cache, taps, coeffs @ cache.kernel), moved)
+    moved = taps @ _reduced_powers(cache, direction)
+    return _line_step(cache, _residual(cache, taps, _reduced_powers(cache, coeffs)), moved)
 
 
 def init_filters(ds: CenteredDataset, cache: SpectralCache, k: int):
@@ -284,6 +316,7 @@ def fit(
 
     # taps that start in the span of Q, for Xt = QR, stay there (module
     # docstring): on tall data train their coordinates against R
+    taps = flat_taps(taps)
     given_taps, basis = taps, None
     if cache.dim > cache.n:
         q, r = np.linalg.qr(cache.gft_data)
@@ -292,34 +325,38 @@ def fit(
             basis, taps, cache = q, inside, replace(cache, gft_data=r)
     start_taps = taps
 
-    reduced = coeffs @ cache.kernel
-    resid = _residual(cache, taps, reduced)
+    phi = _reduced_powers(cache, coeffs)
+    resid = _residual(cache, taps, phi)
+    moved = np.empty_like(resid)  # each ray's filtered output, in turn
     trace = [_cost(cache, resid)]
     iterations = 0
     converged = False
     for _ in range(max_iters):
-        direction_t = _tap_gradient(cache, reduced, resid)
-        moved_t = apply_response(direction_t, cache.eig_pows, reduced)
-        step_t = _clamped_step(cache, resid, moved_t)
+        direction_t = _tap_gradient(cache, phi, resid)
+        np.matmul(direction_t, phi, out=moved)
+        step_t = _clamped_step(cache, resid, moved)
         taps_next = taps
         if step_t:
             taps_next = taps - step_t * direction_t
-            resid += step_t * moved_t
+            moved *= step_t
+            resid += moved
         trace.append(_cost(cache, resid))
 
         direction_c = _coeff_gradient(cache, taps_next, resid)
-        shift = direction_c @ cache.kernel
-        moved_c = apply_response(taps_next, cache.eig_pows, shift)
-        step_c = _clamped_step(cache, resid, moved_c)
+        shift = _reduced_powers(cache, direction_c)
+        np.matmul(taps_next, shift, out=moved)
+        step_c = _clamped_step(cache, resid, moved)
         coeffs_next = coeffs
         if step_c:
             coeffs_next = coeffs - step_c * direction_c
-            reduced -= step_c * shift
-            resid += step_c * moved_c
+            shift *= step_c
+            phi -= shift
+            moved *= step_c
+            resid += moved
         trace.append(_cost(cache, resid))
 
-        delta = float(np.linalg.norm(taps_next - taps)) + float(
-            np.linalg.norm(coeffs_next - coeffs)
+        delta = step_t * float(np.linalg.norm(direction_t)) + step_c * float(
+            np.linalg.norm(direction_c)
         )
         taps, coeffs = taps_next, coeffs_next
         iterations += 1
@@ -335,7 +372,7 @@ def fit(
     model = FilterModel(
         order=order,
         k=k,
-        recon_taps=taps,
+        recon_taps=_stacked(cache, taps),
         coeffs=coeffs,
         mean=ds.mean.copy(),
         spectrum_fingerprint=fingerprint,
@@ -351,9 +388,9 @@ def fit(
 def stationarity_residual(model: FilterModel, cache: SpectralCache) -> float:
     """Summed Frobenius norms of both gradients at the model's iterate."""
     taps, coeffs = _checked(cache, model.recon_taps, model.coeffs)
-    reduced = coeffs @ cache.kernel
-    resid = _residual(cache, taps, reduced)
-    g_taps = _tap_gradient(cache, reduced, resid)
+    phi = _reduced_powers(cache, coeffs)
+    resid = _residual(cache, taps, phi)
+    g_taps = _tap_gradient(cache, phi, resid)
     g_coeffs = _coeff_gradient(cache, taps, resid)
     return float(np.linalg.norm(g_taps)) + float(np.linalg.norm(g_coeffs))
 
@@ -381,8 +418,8 @@ def extend_order(model: FilterModel, cache: SpectralCache):
         )
     taps = np.zeros((cache.order + 1, model.dim, model.k))
     taps[: model.order + 1] = model.recon_taps
-    low = cache.eig_pows[:, : model.order + 1]
     xt = cache.gft_data
-    reduced = apply_response(reducing_taps(model.coeffs, xt, low), low, xt)
+    reducer = reducing_taps(model.coeffs, xt, cache.eig_pows[:, : model.order + 1])
+    reduced = apply_response(reducer, cache.eig_pows, xt)
     solved, *_ = np.linalg.lstsq(cache.kernel, reduced.T, rcond=None)
     return taps, solved.T

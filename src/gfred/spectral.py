@@ -12,11 +12,12 @@ term (the geometric series has no safe closed form at lam_i lam_j = 1).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SpectralOverflow
+from .errors import DataOverflow, DimensionMismatch, SpectralOverflow
 from .graph import GraphSpectrum
 
 _POWER_LIMIT = 1e150
@@ -31,14 +32,25 @@ class CenteredDataset:
 
 
 def center(X) -> CenteredDataset:
-    """Subtract the column mean from every column."""
+    """Subtract the column mean from every column.
+
+    Raises DataOverflow when the centered data's sum of squares is not
+    finite: every cost, kernel and PCA energy is built from it, so finite
+    cells that large would surface as NaN further down.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d data matrix, got ndim={X.ndim}")
     if X.shape[1] < 1:
         raise DimensionMismatch("need at least one data column")
-    mean = X.mean(axis=1)
-    return CenteredDataset(centered=X - mean[:, None], mean=mean, dim=X.shape[0], n=X.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+        mean = X.mean(axis=1)
+        centered = X - mean[:, None]
+        flat = centered.ravel(order="K")  # a view in either memory order
+        energy = float(np.dot(flat, flat))
+    if not math.isfinite(energy):
+        raise DataOverflow(f"the centered data's sum of squares is {energy}, not a finite number")
+    return CenteredDataset(centered=centered, mean=mean, dim=X.shape[0], n=X.shape[1])
 
 
 def gft(values, spectrum: GraphSpectrum) -> np.ndarray:
@@ -112,16 +124,54 @@ def build_cache(xbar, spectrum: GraphSpectrum, order: int) -> SpectralCache:
     return SpectralCache(gft_data=xt, eig_pows=pows, kernel=kernel, order=order)
 
 
+def flat_taps(taps) -> np.ndarray:
+    """A (L+1, rows, cols) tap stack as one rows x (L+1)cols bank
+    ``[taps[0] ... taps[L]]``, the layout :func:`power_stack` pairs with."""
+    orders, rows, cols = taps.shape
+    return taps.transpose(1, 0, 2).reshape(rows, orders * cols)
+
+
+def power_stack(vectors, eig_pows) -> np.ndarray:
+    """The per-frequency columns of ``vectors`` weighted by each column of
+    the power table, stacked: block l of the result is
+    ``vectors * lam^l``.
+
+    ``flat_taps(taps) @ power_stack(vectors, eig_pows)`` applies the bank
+    to ``vectors`` in one matrix product.
+    """
+    rows = vectors.shape[0]
+    out = np.empty((eig_pows.shape[1] * rows, vectors.shape[1]))
+    for ell in range(eig_pows.shape[1]):
+        np.multiply(vectors, eig_pows[:, ell], out=out[ell * rows : (ell + 1) * rows])
+    return out
+
+
+def power_sum(stacked, eig_pows) -> np.ndarray:
+    """Adjoint of :func:`power_stack`: ``sum_l lam^l * block_l`` over the
+    stacked blocks of equal height, one block per column of the table."""
+    blocks = stacked.reshape(eig_pows.shape[1], -1, stacked.shape[1])
+    out = blocks[0] * eig_pows[:, 0]
+    for ell in range(1, eig_pows.shape[1]):
+        out += blocks[ell] * eig_pows[:, ell]
+    return out
+
+
 def apply_response(taps, eig_pows, vectors) -> np.ndarray:
     """Apply per-frequency responses to per-frequency columns.
 
     Column i of the result is ``(sum_l lam_i^l taps[l]) @ vectors[:, i]``,
-    evaluated without materializing any per-frequency matrix.
+    evaluated in one matrix product without materializing any
+    per-frequency matrix; the power table may have more columns than the
+    stack has taps. The power weights go on the side with fewer rows: with
+    fewer output rows than input rows they are summed into the stacked
+    outputs after the product (:func:`power_sum`), otherwise they weight
+    the input columns before it (:func:`power_stack`).
     """
-    out = taps[0] @ vectors
-    for ell in range(1, taps.shape[0]):
-        out += taps[ell] @ (vectors * eig_pows[:, ell])
-    return out
+    orders, rows_out, rows_in = taps.shape
+    pows = eig_pows[:, :orders]
+    if rows_out < rows_in:
+        return power_sum(taps.reshape(orders * rows_out, rows_in) @ vectors, pows)
+    return flat_taps(taps) @ power_stack(vectors, pows)
 
 
 def reducing_taps(coeffs, gft_data, eig_pows) -> np.ndarray:
@@ -130,8 +180,9 @@ def reducing_taps(coeffs, gft_data, eig_pows) -> np.ndarray:
 
     Order-l tap: ``coeffs @ diag(lam^l) @ gft_data'``. Applied to
     ``gft_data`` with :func:`apply_response` they give ``coeffs`` times the
-    feature kernel of that data at the table's order.
+    feature kernel of that data at the table's order. The power weights go
+    on the coefficients, the side with fewer rows (a model's k is at most
+    its dim), and all taps come out of one matrix product.
     """
-    return np.stack(
-        [(coeffs * eig_pows[:, ell]) @ gft_data.T for ell in range(eig_pows.shape[1])]
-    )
+    k, dim = coeffs.shape[0], gft_data.shape[0]
+    return (power_stack(coeffs, eig_pows) @ gft_data.T).reshape(eig_pows.shape[1], k, dim)

@@ -8,7 +8,7 @@ import pytest
 
 from gfred.cli import main
 from gfred.codec import load_model
-from gfred.harness import load_csv_matrix, save_csv_matrix
+from gfred.harness import load_csv_matrix, save_csv_matrix, synth_digits
 
 from test_harness import write_labeled_csv
 
@@ -25,6 +25,13 @@ def parse_kv(output: str) -> dict:
 def write_matrix_csv(path, seed=15, dim=6, n=12):
     rng = np.random.default_rng(seed)
     save_csv_matrix(rng.uniform(0.1, 1.0, size=(dim, n)), path)
+    return path
+
+
+def write_digits_csv(path, scale=1.0):
+    # at scale 1e155 every cell is finite, but the sums of squares overflow
+    images, _ = synth_digits(n_classes=4, per_class=10, size=12)
+    save_csv_matrix(images * scale, path)
     return path
 
 
@@ -251,6 +258,32 @@ class TestExitCodes:
         assert code == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "m.gfm").exists()
+
+    @pytest.mark.parametrize("epsilon", [[], ["--epsilon", "1e-6"]], ids=["default", "given"])
+    def test_fit_on_overflowing_data_exits_3(self, tmp_path, capsys, epsilon):
+        data = write_digits_csv(tmp_path / "big.csv", scale=1e155)
+        model = tmp_path / "m.gfm"
+        code = main(
+            ["fit", "--data", str(data), "--format", "csv", "--k", "3", "--l", "1",
+             "--model-out", str(model)] + epsilon
+        )
+        assert code == 3
+        assert "data error:" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_eval_on_overflowing_data_exits_3(self, tmp_path, capsys):
+        model = tmp_path / "m.gfm"
+        assert main(
+            ["fit", "--data", str(write_digits_csv(tmp_path / "d.csv")), "--format", "csv",
+             "--k", "3", "--l", "1", "--max-iters", "5", "--model-out", str(model)]
+        ) == 0
+        capsys.readouterr()
+        data = write_digits_csv(tmp_path / "big.csv", scale=1e155)
+        code = main(["eval", "--model", str(model), "--data", str(data), "--format", "csv"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "data error:" in captured.err
+        assert "reconstruction_mse" not in captured.out
 
     def test_usage_errors_exit_2(self):
         with pytest.raises(SystemExit) as exc:

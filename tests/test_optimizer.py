@@ -26,7 +26,7 @@ from gfred.optimizer import (
     step_size_taps,
 )
 from gfred.pca import pca_fit, pca_mse
-from gfred.spectral import apply_response, build_cache, center
+from gfred.spectral import apply_response, build_cache, center, power_stack, power_sum
 
 from oracles import (
     descend_by_public_steps,
@@ -210,6 +210,10 @@ class TestInit:
         assert objective(cache, taps, coeffs) == 0.0
 
 
+def rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
 class TestFit:
 
     def test_trace_never_increases(self):
@@ -323,22 +327,48 @@ class TestFit:
         assert model.spectrum_fingerprint == inst.spectrum.fingerprint()
 
     @pytest.mark.parametrize("dim", [4, 30], ids=["wide", "tall"])
-    def test_three_responses_per_iteration(self, monkeypatch, dim):
-        # one apply_response for the start, then per iteration the tap ray,
-        # the coefficient gradient and the coefficient ray: the loop carries
-        # its residual instead of recomputing the model output
+    def test_two_power_weightings_per_iteration(self, monkeypatch, dim):
+        # one power stack for the start, then per iteration the coefficient
+        # gradient's back projection and the coefficient ray: the loop
+        # carries its residual and the reduced vectors' power stack instead
+        # of recomputing the model output
         rng = np.random.default_rng(84)
         inst = random_instance(rng, n=8, dim=dim, order=2)
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return apply_response(*args)
+        def counting(primitive):
+            def wrapper(*args):
+                calls.append(primitive.__name__)
+                return primitive(*args)
 
-        monkeypatch.setattr(optimizer, "apply_response", counting)
+            return wrapper
+
+        monkeypatch.setattr(optimizer, "power_stack", counting(power_stack))
+        monkeypatch.setattr(optimizer, "power_sum", counting(power_sum))
+        monkeypatch.setattr(optimizer, "apply_response", counting(apply_response))
         result = fit(inst.ds, inst.spectrum, k=2, order=2, max_iters=5)
         assert result.iterations > 0
-        assert len(calls) == 1 + 3 * result.iterations
+        assert len(calls) == 1 + 2 * result.iterations
+        assert "apply_response" not in calls
+
+    @staticmethod
+    def follows_the_public_steps(inst, k, order, model):
+        """fit against the oracle loop over 15 iterations from ``model``'s
+        reseeding, or the PCA seed when it is None; returns the result."""
+        if model is None:
+            taps, coeffs = init_filters(inst.ds, inst.cache, k)
+        else:
+            taps, coeffs = extend_order(model, inst.cache)
+        trace, taps, coeffs = descend_by_public_steps(inst.cache, taps, coeffs, 15)
+
+        result = fit(
+            inst.ds, inst.spectrum, k=k, order=order, max_iters=15, epsilon=1e-300, start=model
+        )
+        assert result.iterations == 15
+        assert rel(result.objective_trace, trace) <= 1e-10
+        assert rel(result.model.recon_taps, taps) <= 1e-10
+        assert rel(result.model.coeffs, coeffs) <= 1e-10
+        return result
 
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("start", ["cold", "warm", "foreign"])
@@ -356,28 +386,24 @@ class TestFit:
         elif start == "foreign":
             other = center(rng.normal(size=(60, 12)))
             model = fit(other, inst.spectrum, k=k, order=order, max_iters=10).model
-        if model is None:
-            taps, coeffs = init_filters(inst.ds, inst.cache, k)
-        else:
-            taps, coeffs = extend_order(model, inst.cache)
-        trace, taps, coeffs = descend_by_public_steps(inst.cache, taps, coeffs, 15)
-
-        result = fit(
-            inst.ds, inst.spectrum, k=k, order=order, max_iters=15, epsilon=1e-300, start=model
-        )
-
-        def rel(got, want):
-            return np.linalg.norm(got - want) / np.linalg.norm(want)
-
-        assert result.iterations == 15
-        assert rel(result.objective_trace, trace) <= 1e-10
-        assert rel(result.model.recon_taps, taps) <= 1e-10
-        assert rel(result.model.coeffs, coeffs) <= 1e-10
+        result = self.follows_the_public_steps(inst, k, order, model)
         if start != "foreign":
             # every tap is a combination of the centered data's columns
             for tap in result.model.recon_taps:
                 weights, *_ = np.linalg.lstsq(inst.ds.centered, tap, rcond=None)
                 assert rel(inst.ds.centered @ weights, tap) <= 1e-10
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_wide_fit_follows_the_public_steps(self, order, start):
+        # dim < n: fit descends on all dim rows with its flat tap bank
+        rng = np.random.default_rng(90)
+        inst = random_instance(rng, n=30, dim=8, order=order)
+        k = 3
+        model = None
+        if start == "warm":
+            model = fit(inst.ds, inst.spectrum, k=k, order=order - 1, max_iters=10).model
+        self.follows_the_public_steps(inst, k, order, model)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_carried_trace_matches_fresh_objective(self, order):

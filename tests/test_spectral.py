@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gfred.errors import DimensionMismatch, SpectralOverflow
+from gfred.errors import DataOverflow, DimensionMismatch, SpectralOverflow
 from gfred.graph import GraphSpectrum, SimilarityConfig, build_graph
 from gfred.spectral import (
     CenteredDataset,
@@ -13,6 +13,8 @@ from gfred.spectral import (
     eig_power_table,
     gft,
     igft,
+    power_stack,
+    power_sum,
 )
 
 from oracles import random_instance, spectral_response, stacked_kernel
@@ -49,6 +51,14 @@ class TestCenter:
         ds = center(np.array([[2.0], [4.0]]))
         assert np.allclose(ds.centered, 0.0)
         assert np.allclose(ds.mean, [2.0, 4.0])
+
+    def test_rejects_overflowing_energy(self):
+        # every cell is finite, the sum of squares is not
+        X = np.array([[1e155, -1e155, 3e155], [0.0, 1.0, 2.0]])
+        with pytest.raises(DataOverflow):
+            center(X)
+        with pytest.raises(DataOverflow):
+            center(np.array([[1e308, -1e308]]))
 
     def test_rejects_non_matrix(self):
         with pytest.raises(DimensionMismatch):
@@ -187,15 +197,34 @@ class TestResponses:
         expected = taps[0] + lam * taps[1] + lam**2 * taps[2]
         assert np.allclose(spectral_response(taps, lam), expected, rtol=1e-15)
 
-    def test_apply_matches_per_node_loop(self):
+    @pytest.mark.parametrize(
+        "taps_shape",
+        [(4, 4, 3), (4, 2, 6), (2, 2, 5)],
+        ids=["more-outputs", "fewer-outputs", "longer-table"],
+    )
+    def test_apply_matches_per_node_loop(self, taps_shape):
+        # more output rows: the inputs are weighted before the product;
+        # fewer: the weights are summed in after it; a power table longer
+        # than the bank is cut to its orders
         rng = np.random.default_rng(31)
         inst = random_instance(rng, n=8, dim=4, order=3)
-        taps = rng.normal(size=(4, 4, 3))
-        vectors = rng.normal(size=(3, 8))
+        taps = rng.normal(size=taps_shape)
+        vectors = rng.normal(size=(taps_shape[2], 8))
         out = apply_response(taps, inst.cache.eig_pows, vectors)
+        assert out.shape == (taps_shape[1], 8)
         for i in range(8):
             resp = spectral_response(taps, inst.spectrum.eigvals[i])
             assert np.allclose(out[:, i], resp @ vectors[:, i], rtol=1e-10, atol=1e-12)
+
+    def test_power_sum_is_the_adjoint_of_power_stack(self):
+        rng = np.random.default_rng(34)
+        pows = eig_power_table(rng.uniform(-1.0, 1.0, size=7), order=2)
+        vectors = rng.normal(size=(3, 7))
+        stacked = rng.normal(size=(9, 7))
+        assert power_stack(vectors, pows).shape == (9, 7)
+        assert np.vdot(power_stack(vectors, pows), stacked) == pytest.approx(
+            np.vdot(vectors, power_sum(stacked, pows)), rel=1e-12
+        )
 
     def test_apply_identity_taps(self):
         rng = np.random.default_rng(32)
