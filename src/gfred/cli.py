@@ -88,6 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_graph(args) -> int:
     X = _load_matrix(args.data, args.format)
     similarity = harness.similarity_from_mapping(_set_keys(args, harness.SIMILARITY_KEYS))
+    center(X)  # raises DataOverflow on data too large to build a graph from, as in fit
     spectrum = build_graph(X, similarity)
     edges = int(np.count_nonzero(spectrum.adjacency)) // 2
     print(f"nodes: {spectrum.n}")
@@ -101,10 +102,13 @@ def _cmd_fit(args) -> int:
     similarity = harness.similarity_from_mapping(_set_keys(args, harness.SIMILARITY_KEYS))
     ds = center(X)
     spectrum = build_graph(X, similarity)
-    result = fit(ds, spectrum, args.k, args.l, epsilon=args.epsilon, max_iters=args.max_iters)
+    pca = pca_fit(ds, args.k)  # the fit's seed and the printed baseline
+    result = fit(
+        ds, spectrum, args.k, args.l, epsilon=args.epsilon, max_iters=args.max_iters, start=pca
+    )
     reduced = codec.reduce(result.model, ds, spectrum)
     codec.save_model(result.model, spectrum, reduced, args.model_out)
-    baseline = pca_mse(ds, pca_fit(ds, args.k))
+    baseline = pca_mse(ds, pca)
     print(f"iterations: {result.iterations}")
     print(f"final_mse: {float(result.objective_trace[-1])!r}")
     print(f"pca_mse: {float(baseline)!r}")

@@ -15,7 +15,7 @@ for any order, and the trainer's feature kernel is better conditioned.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -66,11 +66,25 @@ class SimilarityConfig:
 @dataclass(frozen=True)
 class GraphSpectrum:
     """Full eigendecomposition of a symmetric adjacency. ``adjacency`` is
-    ``None`` on a spectrum loaded from a model file, which stores eigenpairs only."""
+    ``None`` on a spectrum loaded from a model file, which stores eigenpairs only.
+
+    The arrays are held as read-only views, so the eigenpair hash of
+    :meth:`fingerprint` is computed once and cached: nothing can change
+    what it hashed.
+    """
 
     eigvals: np.ndarray    # (n,), descending
     eigvecs: np.ndarray    # (n, n), orthonormal columns, canonical signs
     adjacency: np.ndarray | None = None  # (n, n), exactly symmetric
+    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("eigvals", "eigvecs", "adjacency"):
+            value = getattr(self, name)
+            if value is not None:
+                view = np.asarray(value, dtype=np.float64).view()
+                view.flags.writeable = False
+                object.__setattr__(self, name, view)
 
     @property
     def n(self) -> int:
@@ -78,10 +92,14 @@ class GraphSpectrum:
 
     def fingerprint(self) -> str:
         """Hash of the eigenpairs, used to pair models with their graph."""
-        digest = hashlib.sha256()
-        digest.update(np.ascontiguousarray(self.eigvals, dtype="<f8").tobytes())
-        digest.update(np.asarray(self.eigvecs, dtype="<f8").tobytes(order="F"))
-        return digest.hexdigest()
+        if self._fingerprint is None:
+            digest = hashlib.sha256()
+            digest.update(np.ascontiguousarray(self.eigvals, dtype="<f8"))
+            # the column-major bytes of the eigenvectors, without a copy
+            # when they are stored column-major
+            digest.update(np.asfortranarray(self.eigvecs, dtype="<f8").T)
+            object.__setattr__(self, "_fingerprint", digest.hexdigest())
+        return self._fingerprint
 
 
 def _as_data_matrix(X) -> np.ndarray:
@@ -126,26 +144,38 @@ def similarity_dense(X, cfg: SimilarityConfig) -> np.ndarray:
 def knn_sparsify(sim, cfg: SimilarityConfig) -> np.ndarray:
     """Keep each node's strongest neighbors, drop everything else.
 
-    Every row marks its ``cfg.knn`` largest off-diagonal entries (ties go to
-    the lower column index). Union symmetrization keeps an entry marked by
-    either endpoint, mutual keeps it only when both endpoints marked it.
-    Kept entries retain their original values; :func:`build_graph` scales
-    them afterwards.
+    Every row marks its ``cfg.knn`` largest off-diagonal entries, ties going
+    to the lower column index. The marks come from selection, not a sort:
+    an in-place partition finds the row's knn-th largest off-diagonal
+    value, every entry above it is marked, and entries equal to it are
+    marked in ascending column order until the row has ``cfg.knn``. Union
+    symmetrization keeps an entry marked by either endpoint, mutual keeps
+    it only when both endpoints marked it. Kept entries retain their
+    original values; :func:`build_graph` scales them afterwards.
     """
     sim = np.asarray(sim, dtype=np.float64)
     if sim.ndim != 2 or sim.shape[0] != sim.shape[1]:
         raise DimensionMismatch(f"similarity matrix must be square, got {sim.shape}")
     if not np.array_equal(sim, sim.T):
         raise ValueError("similarity matrix must be symmetric")
-    n = sim.shape[0]
-    if cfg.knn > n - 1:
-        raise KnnTooLarge(f"knn={cfg.knn} but only {n - 1} neighbors exist")
+    n, knn = sim.shape[0], cfg.knn
+    if knn > n - 1:
+        raise KnnTooLarge(f"knn={knn} but only {n - 1} neighbors exist")
     ranked = sim.copy()
     np.fill_diagonal(ranked, -np.inf)
-    # stable argsort on the negated row: descending value, ties by lower index
-    order = np.argsort(-ranked, axis=1, kind="stable")
-    marked = np.zeros((n, n), dtype=bool)
-    marked[np.arange(n)[:, None], order[:, : cfg.knn]] = True
+    ranked.partition(n - knn, axis=1)
+    cut = ranked[:, n - knn, None].copy()  # each row's knn-th largest off-diagonal value
+    del ranked
+    marked = sim > cut
+    tied = sim == cut
+    np.fill_diagonal(marked, False)
+    np.fill_diagonal(tied, False)
+    wanted = knn - np.count_nonzero(marked, axis=1)  # >= 1: the cut itself is needed
+    crowded = np.flatnonzero(np.count_nonzero(tied, axis=1) > wanted)
+    if crowded.size:
+        # more ties than places: the lowest columns win
+        tied[crowded] &= np.cumsum(tied[crowded], axis=1) <= wanted[crowded, None]
+    marked |= tied
     if cfg.symmetrization is Symmetrization.UNION:
         keep = marked | marked.T
     else:
@@ -153,18 +183,21 @@ def knn_sparsify(sim, cfg: SimilarityConfig) -> np.ndarray:
     return np.where(keep, sim, 0.0)
 
 
+def _orient(vectors: np.ndarray) -> np.ndarray:
+    """:func:`canonical_signs` in place on a float64 array; returns it."""
+    lead = np.argmax(np.abs(vectors), axis=0)
+    flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
+    np.negative(vectors, out=vectors, where=flip)
+    return vectors
+
+
 def canonical_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip column signs so each column's largest-magnitude entry is >= 0.
 
     Ties in magnitude resolve to the lowest row index (argmax semantics),
-    which makes the orientation deterministic.
+    which makes the orientation deterministic. Returns a new array.
     """
-    vectors = np.array(vectors, dtype=np.float64, copy=True)
-    lead = np.argmax(np.abs(vectors), axis=0)
-    for j, i in enumerate(lead):
-        if vectors[i, j] < 0.0:
-            vectors[:, j] = -vectors[:, j]
-    return vectors
+    return _orient(np.array(vectors, dtype=np.float64, copy=True))
 
 
 def eigendecompose(adjacency) -> GraphSpectrum:
@@ -184,9 +217,8 @@ def eigendecompose(adjacency) -> GraphSpectrum:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"symmetric eigensolver failed: {exc}") from exc
     order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = canonical_signs(vecs[:, order])
-    return GraphSpectrum(eigvals=vals, eigvecs=vecs, adjacency=S.copy())
+    # the reordering is the one copy of the eigenvectors; signs flip in it
+    return GraphSpectrum(eigvals=vals[order], eigvecs=_orient(vecs[:, order]), adjacency=S.copy())
 
 
 def build_graph(X, cfg: SimilarityConfig) -> GraphSpectrum:
@@ -195,13 +227,15 @@ def build_graph(X, cfg: SimilarityConfig) -> GraphSpectrum:
     The adjacency and eigenvalues are then divided by the spectral radius,
     taken from the one eigendecomposition, so the largest eigenvalue
     magnitude is exactly 1; the eigenvectors do not change. A zero radius
-    (a graph with no edges) leaves them as they are.
+    (a graph with no edges) leaves them as they are. The returned spectrum
+    is built from the scaled arrays.
     """
     spectrum = eigendecompose(knn_sparsify(similarity_dense(X, cfg), cfg))
     radius = max(abs(float(spectrum.eigvals[0])), abs(float(spectrum.eigvals[-1])))
-    if radius != 0.0:
-        # in place: eigendecompose returned fresh arrays, and an n x n copy
-        # would raise the peak memory of a large build
-        np.divide(spectrum.adjacency, radius, out=spectrum.adjacency)
-        np.divide(spectrum.eigvals, radius, out=spectrum.eigvals)
-    return spectrum
+    if radius == 0.0:
+        return spectrum
+    return GraphSpectrum(
+        eigvals=spectrum.eigvals / radius,
+        eigvecs=spectrum.eigvecs,
+        adjacency=spectrum.adjacency / radius,
+    )

@@ -4,9 +4,10 @@ A sweep draws per-trial subsets of a labeled image collection, builds a
 similarity graph per subset, trains filter pairs over a grid of
 (components, order) cells, and reports training MSE against the PCA
 baseline. Trials run one after another and rows are sorted by
-(trial, k, L). Each cell is one fit; above the lowest order it starts
-from the model of the highest lower order that fitted for the same
-(trial, k), so the grid is monotone in L. Each fit builds the spectral
+(trial, k, L). Each cell is one fit. The lowest order starts from the
+PCA of (trial, k), the same PCA the baseline column reports; above it a
+cell starts from the model of the highest lower order that fitted for the
+same (trial, k), so the grid is monotone in L. Each fit builds the spectral
 cache for its own order, so a trial builds one cache per cell: |k_list|
 builds per order. A cell that cannot be trained (its iterate turns
 non-finite, say) fails only itself. A sweep's settings come as flat
@@ -169,38 +170,58 @@ def load_idx(images_path, labels_path=None):
     return images, labels.astype(np.int64)
 
 
+def _raise_cell_error(path, r: int, cells):
+    """Raise the CsvParseError for the first cell of row ``r`` that is not
+    a finite number."""
+    for c, cell in enumerate(cells, start=1):
+        try:
+            value = float(cell)
+        except ValueError as exc:
+            raise CsvParseError(f"{path}: row {r}, column {c}: {cell!r}") from exc
+        if not math.isfinite(value):
+            raise CsvParseError(f"{path}: row {r}, column {c}: {cell!r} is not finite")
+
+
 def load_csv_matrix(path, first_row_labels: bool = False):
     """Rectangular numeric CSV with one data vector per column.
 
     With ``first_row_labels`` the first row holds integer class labels and
     the function returns ``(matrix, labels)``. Any unparsable or non-finite
     cell (NaN, infinity, or a value that overflows float64) raises
-    CsvParseError naming its 1-based row and column.
+    CsvParseError naming its 1-based row and column; with several bad
+    rows or cells, the first in reading order is named.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n").rstrip("\r") for line in fh]
     lines = [line for line in lines if line.strip() != ""]
     if not lines:
         raise CsvParseError(f"{path}: empty file")
+    # rows parse whole; the finiteness of the rows read so far is checked at
+    # once, before the first structural error or at the end, and only a
+    # failing row is rescanned cell by cell to name its cell
     parsed = []
-    width = None
+    width = lines[0].count(",") + 1
+    failed_at = None  # the row a width or parse error stopped at
     for r, line in enumerate(lines, start=1):
         cells = line.split(",")
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise CsvParseError(f"{path}: row {r} has {len(cells)} cells, expected {width}")
-        row = []
-        for c, cell in enumerate(cells, start=1):
-            try:
-                value = float(cell)
-            except ValueError as exc:
-                raise CsvParseError(f"{path}: row {r}, column {c}: {cell!r}") from exc
-            if not math.isfinite(value):
-                raise CsvParseError(f"{path}: row {r}, column {c}: {cell!r} is not finite")
-            row.append(value)
-        parsed.append(row)
-    matrix = np.asarray(parsed, dtype=np.float64)
+        if len(cells) != width:
+            failed_at = r
+            break
+        try:
+            parsed.append(list(map(float, cells)))
+        except ValueError:
+            failed_at = r
+            break
+    matrix = np.asarray(parsed, dtype=np.float64).reshape(len(parsed), width)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        r = int(np.argmin(finite)) + 1
+        _raise_cell_error(path, r, lines[r - 1].split(","))
+    if failed_at is not None:
+        cells = lines[failed_at - 1].split(",")
+        if len(cells) != width:
+            raise CsvParseError(f"{path}: row {failed_at} has {len(cells)} cells, expected {width}")
+        _raise_cell_error(path, failed_at, cells)
     if not first_row_labels:
         return matrix
     if matrix.shape[0] < 2:
@@ -283,14 +304,15 @@ def _run_trial(cfg: ExperimentConfig, images, labels, trial: int, clock):
         return rows, failures
     for k in ks:
         try:
-            baseline = pca_mse(ds, pca_fit(ds, k))
+            pca = pca_fit(ds, k)
+            baseline = pca_mse(ds, pca)
         except Exception as exc:
             message = f"{type(exc).__name__}: {exc}"
             failures.extend(
                 SweepFailure(trial=trial, k=k, L=L, message=message) for L in orders
             )
             continue
-        previous = None  # model of the last order that fit
+        previous = pca  # the cold seed, then the model of the last order that fit
         for L in orders:
             started = clock()
             try:

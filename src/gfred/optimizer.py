@@ -49,10 +49,11 @@ dim-row loop computes, up to rounding. A start with taps outside that
 space trains on all dim rows.
 
 :func:`fit` builds the cache for the order it trains. It starts from the
-PCA seed of :func:`init_filters` or, given a model trained on the same
-graph with the same k and an order no higher, from :func:`extend_order`
-of that model: an order-L bank contains the banks below it with their
-higher taps at zero.
+PCA seed of :func:`init_filters` (from a given PCA model of the data, or
+one it computes) or, given a model trained on the same graph with the
+same k and an order no higher, from :func:`extend_order` of that model:
+an order-L bank contains the banks below it with their higher taps at
+zero.
 
 Nonpositive optimal steps are clamped to zero (the stopping test then
 sees a zero update), and a direction whose filtered energy is below
@@ -67,7 +68,7 @@ import numpy as np
 
 from .errors import DegenerateDirection, DimensionMismatch, FingerprintMismatch, NonFiniteValue
 from .graph import GraphSpectrum
-from .pca import pca_fit
+from .pca import PcaModel, pca_fit
 from .spectral import (
     CenteredDataset,
     SpectralCache,
@@ -232,19 +233,25 @@ def step_size_coeffs(cache: SpectralCache, taps, coeffs, direction) -> float:
     return _line_step(cache, _residual(cache, taps, _reduced_powers(cache, coeffs)), moved)
 
 
-def init_filters(ds: CenteredDataset, cache: SpectralCache, k: int):
-    """PCA-seeded starting point.
+def init_filters(pca: PcaModel, cache: SpectralCache):
+    """PCA-seeded starting point from a PCA model of the cache's data.
 
-    Tap 0 is the top-k PCA basis, higher taps are zero. Coefficients solve
-    a ridge-regularized least squares against the training kernel, so the
-    start reproduces PCA scores whatever the kernel's order or eigenvalue
-    scale (at order 0 the kernel is the spectral data Gram and the start
-    ties PCA exactly). The ridge weight is 1e-10 times the kernel's mean
-    diagonal, so rank-deficient data still yields a finite start.
+    Tap 0 is the model's k-column basis, higher taps are zero. Coefficients
+    solve a ridge-regularized least squares against the training kernel,
+    so the start reproduces PCA scores whatever the kernel's order or
+    eigenvalue scale (at order 0 the kernel is the spectral data Gram and
+    the start ties PCA exactly). The ridge weight is 1e-10 times the
+    kernel's mean diagonal, so rank-deficient data still yields a finite
+    start. A basis whose dimension is not the cache's raises
+    DimensionMismatch.
     """
-    model = pca_fit(ds, k)
-    taps = np.zeros((cache.order + 1, ds.dim, k))
-    taps[0] = model.basis
+    if pca.basis.shape[0] != cache.dim:
+        raise DimensionMismatch(
+            f"PCA basis of dim {pca.basis.shape[0]} does not fit data of dim {cache.dim}"
+        )
+    k = pca.k
+    taps = np.zeros((cache.order + 1, cache.dim, k))
+    taps[0] = pca.basis
     xt = cache.gft_data
     # the reducing filter acts through cache.kernel, not the raw data
     # Gram; solving against anything else gives wildly off-scale starts
@@ -254,7 +261,7 @@ def init_filters(ds: CenteredDataset, cache: SpectralCache, k: int):
         return taps, np.zeros((k, cache.n))
     ridge = _INIT_RIDGE * trace / cache.n
     coeffs = np.linalg.solve(
-        cache.kernel + ridge * np.eye(cache.n), xt.T @ model.basis
+        cache.kernel + ridge * np.eye(cache.n), xt.T @ pca.basis
     ).T
     return taps, coeffs
 
@@ -277,7 +284,7 @@ def fit(
     *,
     epsilon: float | None = None,
     max_iters: int = MAX_ITERS,
-    start: FilterModel | None = None,
+    start: FilterModel | PcaModel | None = None,
 ) -> FitResult:
     """Train a filter pair by alternating exact-line-search descent.
 
@@ -285,8 +292,12 @@ def fit(
     starting point. ``start`` may be a model trained on the same graph,
     with the same ``k`` and an order no higher than ``order``; the run
     resumes from
-    :func:`extend_order` of it, which keeps its reduced vectors. Otherwise
-    :func:`init_filters` seeds the run. ``max_iters=0`` returns the
+    :func:`extend_order` of it, which keeps its reduced vectors. It may
+    also be a :class:`~gfred.pca.PcaModel` of ``ds`` with the same ``k``,
+    the cold seed :func:`init_filters` starts from, so a caller that also
+    wants the PCA baseline computes the PCA once. With ``start=None``
+    the fit computes ``pca_fit(ds, k)`` itself. A start of another ``k``
+    or dimension raises DimensionMismatch. ``max_iters=0`` returns the
     starting point untouched. ``epsilon`` must be a finite number > 0.
 
     The descent runs on min(dim, n) rows: on tall data (dim > n) with a
@@ -300,10 +311,12 @@ def fit(
     cache = build_cache(ds.centered, spectrum, order)
     fingerprint = spectrum.fingerprint()
     if start is None:
-        taps, coeffs = init_filters(ds, cache, k)
+        start = pca_fit(ds, k)
+    if start.k != k:
+        raise DimensionMismatch(f"start model has k={start.k}, expected k={k}")
+    if isinstance(start, PcaModel):
+        taps, coeffs = init_filters(start, cache)
     else:
-        if start.k != k:
-            raise DimensionMismatch(f"start model has k={start.k}, expected k={k}")
         taps, coeffs = extend_order(start, cache)
         if start.spectrum_fingerprint != fingerprint:
             raise FingerprintMismatch("start model was trained on a different graph spectrum")

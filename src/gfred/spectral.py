@@ -114,13 +114,17 @@ class SpectralCache:
 
 
 def build_cache(xbar, spectrum: GraphSpectrum, order: int) -> SpectralCache:
-    """Precompute the transformed data, power table, and feature kernel."""
+    """Precompute the transformed data, power table, and feature kernel.
+
+    The kernel is built in place as ``(Xt' Xt) * (P P')``, P the power
+    table: both factors are Gram products, which come out exactly
+    symmetric, so their Hadamard product is too and needs no averaging
+    with its transpose.
+    """
     xt = gft(xbar, spectrum)
     pows = eig_power_table(spectrum.eigvals, order)
-    base = xt.T @ xt
-    geo = pows @ pows.T  # term-by-term geometric sums
-    kernel = base * geo
-    kernel = 0.5 * (kernel + kernel.T)
+    kernel = xt.T @ xt
+    kernel *= pows @ pows.T  # term-by-term geometric sums
     return SpectralCache(gft_data=xt, eig_pows=pows, kernel=kernel, order=order)
 
 

@@ -102,6 +102,17 @@ def brute_knn_marks(sim, knn):
     return marks
 
 
+def loop_canonical_signs(vectors):
+    """Column by column: negate a column whose first largest-magnitude
+    entry is negative."""
+    out = np.array(vectors, dtype=np.float64, copy=True)
+    for j in range(out.shape[1]):
+        lead = max(range(out.shape[0]), key=lambda i: (abs(out[i, j]), -i))
+        if out[lead, j] < 0.0:
+            out[:, j] = -out[:, j]
+    return out
+
+
 class Instance(NamedTuple):
     ds: CenteredDataset
     spectrum: GraphSpectrum

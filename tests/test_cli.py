@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from gfred import cli, optimizer, pca
 from gfred.cli import main
 from gfred.codec import load_model
 from gfred.harness import load_csv_matrix, save_csv_matrix, synth_digits
@@ -90,6 +91,19 @@ class TestModelPipeline:
         assert int(pairs["iterations"]) <= 80
         bundle = load_model(model)
         assert bundle.model.k == 2 and bundle.model.order == 1
+
+    def test_fit_computes_one_pca(self, tmp_path, capsys, monkeypatch):
+        # the PCA seeds the fit and gives the printed baseline
+        calls = []
+
+        def counting_pca(ds, k):
+            calls.append(k)
+            return pca.pca_fit(ds, k)
+
+        for module in (cli, optimizer):
+            monkeypatch.setattr(module, "pca_fit", counting_pca)
+        self.run_fit(tmp_path, capsys)
+        assert calls == [2]
 
     def test_encode_decode_eval_round_trip(self, tmp_path, capsys):
         data, model, fit_pairs = self.run_fit(tmp_path, capsys)
@@ -270,6 +284,14 @@ class TestExitCodes:
         assert code == 3
         assert "data error:" in capsys.readouterr().err
         assert not model.exists()
+
+    def test_graph_on_overflowing_data_exits_3(self, tmp_path, capsys):
+        data = write_digits_csv(tmp_path / "big.csv", scale=1e155)
+        code = main(["graph", "--data", str(data), "--format", "csv"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "data error:" in captured.err
+        assert "edges" not in captured.out
 
     def test_eval_on_overflowing_data_exits_3(self, tmp_path, capsys):
         model = tmp_path / "m.gfm"

@@ -1,6 +1,7 @@
 """Encode/decode paths against the literal vertex-domain filter bank,
 storage accounting, and the model file format."""
 
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfred import graph
 from gfred.codec import (
     ModelFile,
     ReducedData,
@@ -29,6 +31,7 @@ from gfred.errors import (
 )
 from gfred.graph import Kernel, SimilarityConfig, eigendecompose, knn_sparsify, similarity_dense
 from gfred.optimizer import FilterModel, fit, init_filters, objective
+from gfred.pca import pca_fit
 from gfred.spectral import build_cache, center, reducing_taps
 
 from oracles import Instance, kron_reconstruct, kron_reduce, random_filters, random_instance
@@ -100,7 +103,7 @@ class TestAgainstKroneckerBank:
         # onto the top principal directions, node by node
         rng = np.random.default_rng(92)
         inst = random_instance(rng, n=10, dim=4, order=0)
-        taps, coeffs = init_filters(inst.ds, inst.cache, 2)
+        taps, coeffs = init_filters(pca_fit(inst.ds, 2), inst.cache)
         model = make_model(inst, taps, coeffs)
         reduced = reduce(model, inst.ds, inst.spectrum)
         scores = taps[0].T @ inst.ds.centered
@@ -379,6 +382,27 @@ class TestModelFile:
         assert header["stored_scalars"] == budget.stored_scalars
         assert header["raw_scalars"] == budget.raw_scalars
         assert header["pca_scalars"] == budget.pca_scalars
+
+    def test_one_eigenpair_hash_per_spectrum(self, tmp_path, monkeypatch):
+        # fit, reduce and save_model each check the spectrum's fingerprint,
+        # and a loaded model's reduce, reconstruct and save check it again;
+        # each spectrum's eigenpairs are hashed once
+        hashes, sha256 = [], hashlib.sha256
+
+        def counting_sha256():
+            hashes.append(1)
+            return sha256()
+
+        monkeypatch.setattr(graph.hashlib, "sha256", counting_sha256)
+        inst = random_instance(np.random.default_rng(104), n=7, dim=4, order=1)
+        model = fit(inst.ds, inst.spectrum, k=2, order=1, max_iters=3).model
+        reduced = reduce(model, inst.ds, inst.spectrum)
+        save_model(model, inst.spectrum, reduced, tmp_path / "m.gfm")
+        assert len(hashes) == 1
+        loaded = load_model(tmp_path / "m.gfm")
+        reconstruct(loaded.model, reduce(loaded.model, inst.ds, loaded.spectrum), loaded.spectrum)
+        save_model(loaded.model, loaded.spectrum, loaded.reduced, tmp_path / "again.gfm")
+        assert len(hashes) == 2
 
     def test_save_rejects_mismatched_pieces(self, tmp_path):
         inst, model, reduced, _ = saved_fixture(tmp_path)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from gfred.graph import (
     similarity_dense,
 )
 
-from oracles import brute_knn_marks
+from oracles import brute_knn_marks, loop_canonical_signs
 
 COSINE = SimilarityConfig(kernel=Kernel.COSINE, knn=1)
 GAUSS = SimilarityConfig(kernel=Kernel.GAUSSIAN, alpha=0.01, knn=1)
@@ -129,6 +130,23 @@ class TestKnnSparsify:
             ):
                 out = knn_sparsify(sim, SimilarityConfig(knn=knn, symmetrization=mode))
                 assert np.array_equal(out, np.where(combine, sim, 0.0)), (trial, mode)
+
+    @pytest.mark.parametrize("mode", list(Symmetrization), ids=lambda e: e.value)
+    @pytest.mark.parametrize("levels", [2, 3, 5], ids=lambda v: f"levels{v}")
+    def test_matches_brute_force_marking_on_ties(self, mode, levels):
+        # similarities on a few levels, zero and negative ones among them,
+        # so most rows hold more entries equal to their cut than they need
+        rng = np.random.default_rng(100 + levels)
+        for trial in range(6):
+            n = int(rng.integers(3, 14))
+            upper = np.triu(rng.integers(-1, levels - 1, size=(n, n)) / 4.0, 1)
+            sim = upper + upper.T
+            np.fill_diagonal(sim, rng.choice([0.0, 1.0, -1.0]))  # never marked
+            for knn in range(1, n):
+                marks = brute_knn_marks(sim, knn)
+                combine = marks | marks.T if mode is Symmetrization.UNION else marks & marks.T
+                out = knn_sparsify(sim, SimilarityConfig(knn=knn, symmetrization=mode))
+                assert np.array_equal(out, np.where(combine, sim, 0.0)), (trial, n, knn)
 
     def test_tie_break_lower_column_index(self):
         sim = np.zeros((4, 4))
@@ -243,6 +261,21 @@ class TestConfigAndHelpers:
         with pytest.raises(ValueError):
             SimilarityConfig(kernel=Kernel.GAUSSIAN, alpha=0.0, knn=1)
 
+    def test_canonical_signs_matches_column_loop(self):
+        # magnitude ties between a positive and a negative entry, zero
+        # columns and -0.0 entries among random ones
+        rng = np.random.default_rng(16)
+        M = rng.integers(-2, 3, size=(6, 40)).astype(float)
+        M[:, :3] = rng.normal(size=(6, 3))
+        M[:, 3] = 0.0
+        M[0, 4] = -0.0
+        before = M.copy()
+        got = canonical_signs(M)
+        want = loop_canonical_signs(M)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(M, before)  # a new array; the input keeps its signs
+
     def test_canonical_signs_idempotent(self):
         rng = np.random.default_rng(17)
         M = rng.normal(size=(5, 4))
@@ -256,6 +289,26 @@ class TestConfigAndHelpers:
         assert isinstance(spectrum, GraphSpectrum)
         assert spectrum.n == 12
         assert np.array_equal(spectrum.adjacency, spectrum.adjacency.T)
+
+    def test_spectrum_arrays_are_read_only(self):
+        rng = np.random.default_rng(20)
+        vals = rng.normal(size=4)
+        spectrum = GraphSpectrum(eigvals=vals, eigvecs=np.eye(4), adjacency=np.eye(4))
+        for array in (spectrum.eigvals, spectrum.eigvecs, spectrum.adjacency):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        assert np.array_equal(spectrum.eigvals, vals)
+        assert GraphSpectrum(eigvals=vals, eigvecs=np.eye(4)).adjacency is None
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_fingerprint_is_the_eigenpair_hash(self, layout):
+        # sha256 of the little-endian eigenvalues, then the eigenvectors in
+        # column-major order, whatever order they are stored in
+        rng = np.random.default_rng(21)
+        vals, vecs = rng.normal(size=5), np.asarray(rng.normal(size=(5, 5)), order=layout)
+        want = hashlib.sha256(vals.astype("<f8").tobytes() + vecs.astype("<f8").tobytes(order="F"))
+        assert GraphSpectrum(eigvals=vals, eigvecs=vecs).fingerprint() == want.hexdigest()
 
     def test_fingerprint_tracks_spectrum(self):
         rng = np.random.default_rng(19)

@@ -34,7 +34,8 @@ from gfred.harness import (
     save_csv_matrix,
     synth_digits,
 )
-from gfred.optimizer import fit
+from gfred.optimizer import FilterModel, fit
+from gfred.pca import PcaModel
 from gfred.rng import CounterRng, splitmix64
 
 
@@ -191,6 +192,36 @@ class TestCsv:
         path = tmp_path / "m.csv"
         path.write_text(f"1,2\n{cell},4\n")
         with pytest.raises(CsvParseError, match=r"row 2, column 1"):
+            load_csv_matrix(path)
+
+    @pytest.mark.parametrize("column", [1, 3, 5], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize(
+        "cell, tail",
+        [("oops", ""), ("", ""), ("nan", " is not finite"), ("-inf", " is not finite"),
+         ("1e400", " is not finite")],
+        ids=["word", "blank", "nan", "-inf", "overflow"],
+    )
+    def test_bad_cell_message(self, tmp_path, column, cell, tail):
+        cells = ["1", "2", "3", "4", "5"]
+        cells[column - 1] = cell
+        path = tmp_path / "m.csv"
+        path.write_text("0,1,2,3,4\n" + ",".join(cells) + "\n5,6,7,8,9\n")
+        with pytest.raises(CsvParseError) as caught:
+            load_csv_matrix(path)
+        assert str(caught.value) == f"{path}: row 2, column {column}: {cell!r}{tail}"
+
+    def test_first_bad_cell_in_reading_order_is_named(self, tmp_path):
+        path = tmp_path / "m.csv"
+        # a non-finite cell comes before an unparsable one in the same row,
+        # and before a short row and an unparsable cell further down
+        path.write_text("1,2,3\n4,inf,x\n7,8\n9,y,1\n")
+        with pytest.raises(CsvParseError, match=r"row 2, column 2: 'inf' is not finite"):
+            load_csv_matrix(path)
+        path.write_text("1,2,3\n4,5,6\n7,8\n9,nan,1\n")
+        with pytest.raises(CsvParseError, match=r"row 3 has 2 cells, expected 3"):
+            load_csv_matrix(path)
+        path.write_text("1,2,3\n4,5,6\n7,x,9\n9,8\n")
+        with pytest.raises(CsvParseError, match=r"row 3, column 2: 'x'$"):
             load_csv_matrix(path)
 
     def test_ragged_rows_rejected(self, tmp_path):
@@ -436,7 +467,9 @@ class TestRunSweep:
         assert not report.failures
         assert len(calls) == 2 * 1 * 3  # trials x k x L
         for order, start in calls:
-            assert (start is not None) == (order >= 1)
+            # order 0 starts from the trial's PCA, the one its baseline uses
+            assert isinstance(start, PcaModel if order == 0 else FilterModel)
+            assert start.k == 2
             if order >= 1:
                 assert start.order == order - 1
 

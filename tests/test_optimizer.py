@@ -184,7 +184,7 @@ class TestInit:
             dim = int(rng.integers(2, 7))
             k = int(rng.integers(1, min(dim, n) + 1))
             inst = random_instance(rng, n=n, dim=dim, order=0)
-            taps, coeffs = init_filters(inst.ds, inst.cache, k)
+            taps, coeffs = init_filters(pca_fit(inst.ds, k), inst.cache)
             start = objective(inst.cache, taps, coeffs)
             baseline = pca_mse(inst.ds, pca_fit(inst.ds, k))
             assert start == pytest.approx(baseline, rel=1e-8, abs=1e-12)
@@ -192,7 +192,7 @@ class TestInit:
     def test_higher_order_taps_zero_beyond_first(self):
         rng = np.random.default_rng(72)
         inst = random_instance(rng, n=8, dim=5, order=3)
-        taps, coeffs = init_filters(inst.ds, inst.cache, 2)
+        taps, coeffs = init_filters(pca_fit(inst.ds, 2), inst.cache)
         assert taps.shape == (4, 5, 2)
         assert np.array_equal(taps[1:], np.zeros((3, 5, 2)))
         assert np.array_equal(taps[0], pca_fit(inst.ds, 2).basis)
@@ -205,7 +205,7 @@ class TestInit:
         ds = center(X)
         cache = build_cache(ds.centered, spectrum, order=1)
         with pytest.warns(RankDeficiencyWarning):
-            taps, coeffs = init_filters(ds, cache, 1)
+            taps, coeffs = init_filters(pca_fit(ds, 1), cache)
         assert np.array_equal(coeffs, np.zeros((1, 6)))
         assert objective(cache, taps, coeffs) == 0.0
 
@@ -247,7 +247,7 @@ class TestFit:
         rng = np.random.default_rng(76)
         for dim in (4, 20):  # the tall instance trains on n-row coordinates
             inst = random_instance(rng, n=7, dim=dim, order=1)
-            taps, coeffs = init_filters(inst.ds, inst.cache, 2)
+            taps, coeffs = init_filters(pca_fit(inst.ds, 2), inst.cache)
             result = fit(inst.ds, inst.spectrum, k=2, order=1, max_iters=0)
             assert result.iterations == 0
             assert not result.converged
@@ -290,6 +290,26 @@ class TestFit:
         start = fit(other.ds, other.spectrum, k=2, order=1, max_iters=2).model
         k = 3 if mismatch == "k" else 2
         with pytest.raises(error):
+            fit(inst.ds, inst.spectrum, k=k, order=1, start=start)
+
+    def test_pca_start_is_the_cold_seed(self):
+        rng = np.random.default_rng(84)
+        inst = random_instance(rng, n=9, dim=5, order=2)
+        cold = fit(inst.ds, inst.spectrum, k=2, order=2, max_iters=5)
+        seeded = fit(inst.ds, inst.spectrum, k=2, order=2, max_iters=5,
+                     start=pca_fit(inst.ds, 2))
+        assert np.array_equal(seeded.objective_trace, cold.objective_trace)
+        assert np.array_equal(seeded.model.recon_taps, cold.model.recon_taps)
+        assert np.array_equal(seeded.model.coeffs, cold.model.coeffs)
+
+    @pytest.mark.parametrize("mismatch", ["k", "dim"])
+    def test_pca_start_validation(self, mismatch):
+        rng = np.random.default_rng(85)
+        inst = random_instance(rng, n=6, dim=3, order=1)
+        other = random_instance(rng, n=6, dim=4, order=1)
+        start = pca_fit(inst.ds if mismatch == "k" else other.ds, 2)
+        k = 3 if mismatch == "k" else 2
+        with pytest.raises(DimensionMismatch):
             fit(inst.ds, inst.spectrum, k=k, order=1, start=start)
 
     def test_parameter_validation(self):
@@ -356,7 +376,7 @@ class TestFit:
         """fit against the oracle loop over 15 iterations from ``model``'s
         reseeding, or the PCA seed when it is None; returns the result."""
         if model is None:
-            taps, coeffs = init_filters(inst.ds, inst.cache, k)
+            taps, coeffs = init_filters(pca_fit(inst.ds, k), inst.cache)
         else:
             taps, coeffs = extend_order(model, inst.cache)
         trace, taps, coeffs = descend_by_public_steps(inst.cache, taps, coeffs, 15)

@@ -161,9 +161,12 @@ class TestCache:
         assert cache.kernel[1, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_kernel_symmetric_exactly(self):
+        # both Gram factors are exactly symmetric, so their product is, with
+        # no averaging against the transpose; wide and tall data alike
         rng = np.random.default_rng(22)
-        inst = random_instance(rng, n=10, dim=4, order=3)
-        assert np.array_equal(inst.cache.kernel, inst.cache.kernel.T)
+        for n, dim, order in ((10, 4, 3), (60, 20, 2), (60, 120, 2)):
+            inst = random_instance(rng, n=n, dim=dim, order=order)
+            assert np.array_equal(inst.cache.kernel, inst.cache.kernel.T), (n, dim)
 
     def test_metadata(self):
         rng = np.random.default_rng(24)
