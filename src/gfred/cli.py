@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 2 for configuration problems (argparse usage
-errors included), 3 for data problems (unreadable, malformed, or
-mismatched files).
+Exit codes: 0 on success; 2 for configuration problems, argparse usage
+errors included, and for a data file whose shape does not fit the model;
+3 for data that is unreadable, malformed or unrepresentable (a sum of
+squares that overflows a double).
 """
 from __future__ import annotations
 
@@ -88,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_graph(args) -> int:
     X = _load_matrix(args.data, args.format)
     similarity = harness.similarity_from_mapping(_set_keys(args, harness.SIMILARITY_KEYS))
-    center(X)  # raises DataOverflow on data too large to build a graph from, as in fit
     spectrum = build_graph(X, similarity)
     edges = int(np.count_nonzero(spectrum.adjacency)) // 2
     print(f"nodes: {spectrum.n}")

@@ -70,7 +70,7 @@ class VersionMismatch(DataError):
 
 
 class DataOverflow(DataError):
-    """The centered data's sum of squares is not a finite float64."""
+    """The centered data's sum of squares, or a data column's, is not a finite float64."""
 
 
 class RankDeficiencyWarning(UserWarning):

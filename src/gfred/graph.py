@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailure,
+    DataOverflow,
     DimensionMismatch,
     KnnTooLarge,
     ZeroColumn,
@@ -116,25 +117,31 @@ def similarity_dense(X, cfg: SimilarityConfig) -> np.ndarray:
 
     Cosine entries are inner products of unit-normalized columns, clipped
     into [-1, 1]; the Gaussian kernel is exp(-alpha/2 * squared distance).
-    The result is exactly symmetric (enforced by averaging with its own
-    transpose, which is bitwise symmetric) and has a zero diagonal.
+    Both kernels start from each column's sum of squares, computed once.
+    DataOverflow is raised when one of them is not finite, as it is for
+    cells of order 1e155 or a constant offset that large: the kernel would
+    come out all zeros or NaN. The result has a zero diagonal and is exactly
+    symmetric, as the product of a matrix with its own transpose is.
     """
     X = _as_data_matrix(X)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+        sq = np.sum(X * X, axis=0)
+    bad = np.flatnonzero(~np.isfinite(sq))
+    if bad.size:
+        raise DataOverflow(f"column {bad[0]}'s sum of squares is {sq[bad[0]]}, not a finite number")
     if cfg.kernel is Kernel.COSINE:
-        norms = np.linalg.norm(X, axis=0)
+        norms = np.sqrt(sq)
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
             raise ZeroColumn(f"column {zero[0]} has zero norm, cosine undefined")
         unit = X / norms
         sim = unit.T @ unit
-        sim = 0.5 * (sim + sim.T)
         np.clip(sim, -1.0, 1.0, out=sim)
     else:
-        if not cfg.alpha > 0:
-            raise ValueError(f"alpha must be > 0 for the gaussian kernel, got {cfg.alpha}")
-        sq = np.sum(X * X, axis=0)
+        # a C-ordered matrix times its own transpose is one mirrored
+        # triangle; a strided or reversed view may take a general product
+        X = np.ascontiguousarray(X)
         d2 = sq[:, None] + sq[None, :] - 2.0 * (X.T @ X)
-        d2 = 0.5 * (d2 + d2.T)
         np.maximum(d2, 0.0, out=d2)
         sim = np.exp(-0.5 * cfg.alpha * d2)
     np.fill_diagonal(sim, 0.0)

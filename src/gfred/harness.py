@@ -20,7 +20,7 @@ import math
 import os
 import struct
 import time
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, astuple, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -88,6 +88,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One fitted cell; :func:`emit_csv` writes the fields as CSV columns, in this order."""
+
     trial: int
     k: int
     L: int
@@ -186,42 +188,31 @@ def load_csv_matrix(path, first_row_labels: bool = False):
     """Rectangular numeric CSV with one data vector per column.
 
     With ``first_row_labels`` the first row holds integer class labels and
-    the function returns ``(matrix, labels)``. Any unparsable or non-finite
-    cell (NaN, infinity, or a value that overflows float64) raises
-    CsvParseError naming its 1-based row and column; with several bad
-    rows or cells, the first in reading order is named.
+    the function returns ``(matrix, labels)``. Blank and whitespace-only
+    lines are skipped. Any unparsable or non-finite cell (NaN, infinity,
+    or a value that overflows float64) raises CsvParseError naming its
+    1-based row and column, and a row whose cell count differs from the
+    first row's raises one naming the row; with several bad rows or cells,
+    the first in reading order is named. The rows parse at once and are
+    checked for finiteness in one pass; only a file that fails either is
+    walked row by row, to name the fault.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n").rstrip("\r") for line in fh]
     lines = [line for line in lines if line.strip() != ""]
     if not lines:
         raise CsvParseError(f"{path}: empty file")
-    # rows parse whole; the finiteness of the rows read so far is checked at
-    # once, before the first structural error or at the end, and only a
-    # failing row is rescanned cell by cell to name its cell
-    parsed = []
-    width = lines[0].count(",") + 1
-    failed_at = None  # the row a width or parse error stopped at
-    for r, line in enumerate(lines, start=1):
-        cells = line.split(",")
-        if len(cells) != width:
-            failed_at = r
-            break
-        try:
-            parsed.append(list(map(float, cells)))
-        except ValueError:
-            failed_at = r
-            break
-    matrix = np.asarray(parsed, dtype=np.float64).reshape(len(parsed), width)
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        r = int(np.argmin(finite)) + 1
-        _raise_cell_error(path, r, lines[r - 1].split(","))
-    if failed_at is not None:
-        cells = lines[failed_at - 1].split(",")
-        if len(cells) != width:
-            raise CsvParseError(f"{path}: row {failed_at} has {len(cells)} cells, expected {width}")
-        _raise_cell_error(path, failed_at, cells)
+    try:
+        matrix = np.array([list(map(float, line.split(","))) for line in lines], dtype=np.float64)
+    except ValueError:  # a ragged row or an unparsable cell
+        matrix = None
+    if matrix is None or not np.isfinite(matrix).all():
+        width = lines[0].count(",") + 1
+        for r, line in enumerate(lines, start=1):
+            cells = line.split(",")
+            if len(cells) != width:
+                raise CsvParseError(f"{path}: row {r} has {len(cells)} cells, expected {width}")
+            _raise_cell_error(path, r, cells)
     if not first_row_labels:
         return matrix
     if matrix.shape[0] < 2:
@@ -383,17 +374,12 @@ def run_sweep(cfg: ExperimentConfig, *, timer=None, force_serial: bool = False) 
 
 # --- report emitters --------------------------------------------------------
 
-_CSV_HEADER = "trial,k,L,iters,initial_mse,final_mse,pca_mse,wall_time_ms"
-
 
 def emit_csv(report: SweepReport, path):
-    """Write the row table; bytes depend only on the report contents."""
-    lines = [_CSV_HEADER]
-    for r in report.rows:
-        lines.append(
-            f"{r.trial},{r.k},{r.L},{r.iters},"
-            f"{r.initial_mse!r},{r.final_mse!r},{r.pca_mse!r},{r.wall_time_ms!r}"
-        )
+    """Write the row table, one column per :class:`SweepRow` field in
+    declaration order; bytes depend only on the report contents."""
+    lines = [",".join(f.name for f in fields(SweepRow))]
+    lines.extend(",".join(map(repr, astuple(row))) for row in report.rows)
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 

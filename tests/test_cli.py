@@ -29,10 +29,11 @@ def write_matrix_csv(path, seed=15, dim=6, n=12):
     return path
 
 
-def write_digits_csv(path, scale=1.0):
-    # at scale 1e155 every cell is finite, but the sums of squares overflow
+def write_digits_csv(path, scale=1.0, offset=0.0):
+    # at scale 1e155 every cell is finite, but the sums of squares overflow;
+    # at offset 1e155 and scale 1e140 only the columns' own sums of squares do
     images, _ = synth_digits(n_classes=4, per_class=10, size=12)
-    save_csv_matrix(images * scale, path)
+    save_csv_matrix(offset + images * scale, path)
     return path
 
 
@@ -292,6 +293,28 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "data error:" in captured.err
         assert "edges" not in captured.out
+
+    def test_graph_on_offset_data_exits_3(self, tmp_path, capsys):
+        data = write_digits_csv(tmp_path / "offset.csv", scale=1e140, offset=1e155)
+        for kernel in ("cosine", "gaussian"):
+            code = main(["graph", "--data", str(data), "--format", "csv", "--kernel", kernel])
+            assert code == 3
+            captured = capsys.readouterr()
+            assert "data error:" in captured.err
+            assert "edges" not in captured.out
+
+    def test_fit_on_offset_data_exits_3(self, tmp_path, capsys):
+        data = write_digits_csv(tmp_path / "offset.csv", scale=1e140, offset=1e155)
+        model = tmp_path / "m.gfm"
+        code = main(
+            ["fit", "--data", str(data), "--format", "csv", "--k", "3", "--l", "1",
+             "--model-out", str(model)]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "data error:" in captured.err
+        assert "final_mse" not in captured.out
+        assert not model.exists()
 
     def test_eval_on_overflowing_data_exits_3(self, tmp_path, capsys):
         model = tmp_path / "m.gfm"

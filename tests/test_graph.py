@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gfred.errors import DimensionMismatch, KnnTooLarge, ZeroColumn
+from gfred.errors import DataOverflow, DimensionMismatch, KnnTooLarge, ZeroColumn
 from gfred.graph import (
     GraphSpectrum,
     Kernel,
@@ -54,12 +54,17 @@ class TestSimilarityDense:
 
     def test_exact_symmetry_and_zero_diagonal(self):
         rng = np.random.default_rng(7)
+        X = rng.normal(size=(4, 9))
+        wide = rng.normal(size=(100, 900))
+        # a small product, and blocked ones in every memory layout
+        layouts = (X, wide[:50, :300], np.asfortranarray(wide[:50, :300]),
+                   wide[::2, ::3], wide[:50, 299::-1])
         for kernel, alpha in ((Kernel.COSINE, 0.01), (Kernel.GAUSSIAN, 0.3)):
             cfg = SimilarityConfig(kernel=kernel, alpha=alpha, knn=1)
-            X = rng.normal(size=(4, 9))
-            sim = similarity_dense(X, cfg)
-            assert np.array_equal(sim, sim.T)
-            assert np.all(np.diag(sim) == 0.0)
+            for data in layouts:
+                sim = similarity_dense(data, cfg)
+                assert np.array_equal(sim, sim.T)
+                assert np.all(np.diag(sim) == 0.0)
 
     def test_cosine_range(self):
         rng = np.random.default_rng(8)
@@ -72,6 +77,15 @@ class TestSimilarityDense:
         sim = similarity_dense(rng.normal(size=(3, 20)), cfg)
         off = sim[~np.eye(20, dtype=bool)]
         assert np.all(off > 0.0) and np.all(off <= 1.0)
+
+    @pytest.mark.parametrize("kernel", [Kernel.COSINE, Kernel.GAUSSIAN], ids=["cosine", "gaussian"])
+    @pytest.mark.parametrize("scale, offset", [(1e155, 0.0), (1e140, 1e155)], ids=["scaled", "offset"])
+    def test_overflowing_columns_rejected(self, kernel, scale, offset):
+        # every cell is finite, but each column's sum of squares overflows
+        X = offset + scale * np.random.default_rng(10).uniform(0.1, 1.0, size=(12, 9))
+        cfg = SimilarityConfig(kernel=kernel, knn=3)
+        with pytest.raises(DataOverflow, match="sum of squares"):
+            build_graph(X, cfg)
 
     def test_single_column_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -23,6 +23,7 @@ from gfred.harness import (
     DataFormat,
     ExperimentConfig,
     SweepReport,
+    SweepRow,
     config_from_mapping,
     emit_csv,
     emit_svg,
@@ -229,6 +230,25 @@ class TestCsv:
         path.write_text("1,2,3\n4,5\n")
         with pytest.raises(CsvParseError, match=r"row 2"):
             load_csv_matrix(path)
+
+    def test_wider_row_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3,4,5\n6,7\n")
+        with pytest.raises(CsvParseError) as caught:
+            load_csv_matrix(path)
+        assert str(caught.value) == f"{path}: row 2 has 3 cells, expected 2"
+
+    def test_crlf_and_whitespace_only_lines(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"1,2\r\n  \r\n\r\n3, 4\r\n\t\n5,6\n \r\n")
+        assert np.array_equal(load_csv_matrix(path), [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+    def test_one_column_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1.5\n-2\n3e2\n")
+        matrix = load_csv_matrix(path)
+        assert matrix.shape == (3, 1)
+        assert np.array_equal(matrix[:, 0], [1.5, -2.0, 300.0])
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -452,6 +472,17 @@ class TestRunSweep:
         )
         assert b"polyline" not in (tmp_path / "empty.svg").read_bytes()
 
+    def test_offset_pool_fails_every_trial(self, tmp_path):
+        # every cell is finite and the centred data is small, but a column's
+        # sum of squares overflows, so no trial can build its graph
+        images, labels = synth_digits(n_classes=2, per_class=8, size=6)
+        data = tmp_path / "offset.csv"
+        save_csv_matrix(np.vstack([labels, 1e155 + 1e140 * images]), data)
+        report = run_sweep(sweep_config(data), timer=lambda: 0.0)
+        assert report.rows == ()
+        assert len(report.failures) == 2 * 2 * 2
+        assert all(f.message.startswith("DataOverflow:") for f in report.failures)
+
     def test_one_fit_per_cell_warm_above_order_zero(self, tmp_path, monkeypatch):
         data = tmp_path / "d.csv"
         write_labeled_csv(data)
@@ -531,6 +562,25 @@ class TestEmitters:
             assert float(cells[5]) == row.final_mse
             assert float(cells[6]) == row.pca_mse
             assert float(cells[7]) == row.wall_time_ms
+
+    def test_csv_bytes_of_a_built_report(self, tmp_path):
+        report = SweepReport(
+            rows=(
+                SweepRow(trial=0, k=5, L=0, iters=1, initial_mse=0.1, final_mse=0.1,
+                         pca_mse=0.1, wall_time_ms=0.0),
+                SweepRow(trial=1, k=20, L=2, iters=500, initial_mse=1e-300, final_mse=2.5,
+                         pca_mse=3.0000000000000004, wall_time_ms=12.75),
+            ),
+            aggregates=(),
+            failures=(),
+        )
+        out = tmp_path / "report.csv"
+        emit_csv(report, out)
+        assert out.read_bytes() == (
+            b"trial,k,L,iters,initial_mse,final_mse,pca_mse,wall_time_ms\n"
+            b"0,5,0,1,0.1,0.1,0.1,0.0\n"
+            b"1,20,2,500,1e-300,2.5,3.0000000000000004,12.75\n"
+        )
 
     def test_svg_structure(self, tmp_path):
         report = self.build_report(tmp_path)
