@@ -33,9 +33,9 @@ def _set_keys(args, keys) -> dict:
 
 
 def _load_matrix(path: str, fmt: str):
+    """A data file's matrix; an IDX image file is read without its labels."""
     if fmt == "idx":
-        images, _ = harness.load_idx(path)
-        return images
+        return harness.load_idx_images(path)
     return harness.load_csv_matrix(path)
 
 

@@ -120,7 +120,9 @@ def similarity_dense(X, cfg: SimilarityConfig) -> np.ndarray:
     Both kernels start from each column's sum of squares, computed once.
     DataOverflow is raised when one of them is not finite, as it is for
     cells of order 1e155 or a constant offset that large: the kernel would
-    come out all zeros or NaN. The result has a zero diagonal and is exactly
+    come out all zeros or NaN. The Gaussian kernel also raises it when two
+    finite sums of squares add past the largest double, so that a squared
+    distance is not finite. The result has a zero diagonal and is exactly
     symmetric, as the product of a matrix with its own transpose is.
     """
     X = _as_data_matrix(X)
@@ -141,7 +143,10 @@ def similarity_dense(X, cfg: SimilarityConfig) -> np.ndarray:
         # a C-ordered matrix times its own transpose is one mirrored
         # triangle; a strided or reversed view may take a general product
         X = np.ascontiguousarray(X)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (X.T @ X)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
+            d2 = sq[:, None] + sq[None, :] - 2.0 * (X.T @ X)
+        if not np.isfinite(d2).all():
+            raise DataOverflow("squared distances between columns are not finite numbers")
         np.maximum(d2, 0.0, out=d2)
         sim = np.exp(-0.5 * cfg.alpha * d2)
     np.fill_diagonal(sim, 0.0)

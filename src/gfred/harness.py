@@ -40,9 +40,6 @@ from .pca import pca_fit, pca_mse
 from .rng import CounterRng
 from .spectral import center
 
-_IDX_IMAGES_MAGIC = 0x00000803
-_IDX_LABELS_MAGIC = 0x00000801
-
 
 class DataFormat(Enum):
     IDX = "idx"
@@ -134,6 +131,27 @@ def _read_exact(blob: bytes, offset: int, count: int, path, what: str) -> bytes:
     return blob[offset : offset + count]
 
 
+def _read_idx(path, ndim: int, noun: str) -> np.ndarray:
+    """The uint8 array of an IDX file of ``ndim`` dimensions, in its
+    declared shape; ``noun`` names the records in a truncation message."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    header = _read_exact(blob, 0, 4 + 4 * ndim, path, "header")
+    magic, *sizes = struct.unpack(f">{ndim + 1}I", header)
+    if magic != 0x800 + ndim:
+        raise BadMagic(f"{path}: magic {magic:#010x}, expected {0x800 + ndim:#010x}")
+    body = _read_exact(blob, len(header), math.prod(sizes), path, f"{sizes[0]} {noun}")
+    return np.frombuffer(body, dtype=np.uint8).reshape(sizes)
+
+
+def load_idx_images(path) -> np.ndarray:
+    """An IDX image file without its labels, as :func:`load_idx` returns it."""
+    pixels = _read_idx(path, 3, "images")
+    count, rows, cols = pixels.shape
+    # explicit sizes: a file of 0 images is still a (rows*cols) x 0 matrix
+    return (pixels.astype(np.float64) / 255.0).reshape(count, rows * cols).T
+
+
 def load_idx(images_path, labels_path=None):
     """Load a paired IDX image/label file set.
 
@@ -151,24 +169,10 @@ def load_idx(images_path, labels_path=None):
                 f"cannot derive a labels file name from {tail!r}; pass labels_path"
             )
         labels_path = os.path.join(head, derived)
-
-    with open(images_path, "rb") as fh:
-        blob = fh.read()
-    magic, count, rows, cols = struct.unpack(">IIII", _read_exact(blob, 0, 16, images_path, "header"))
-    if magic != _IDX_IMAGES_MAGIC:
-        raise BadMagic(f"{images_path}: magic {magic:#010x}, expected {_IDX_IMAGES_MAGIC:#010x}")
-    pixels = _read_exact(blob, 16, count * rows * cols, images_path, f"{count} images")
-    images = np.frombuffer(pixels, dtype=np.uint8).astype(np.float64) / 255.0
-    images = images.reshape(count, rows * cols).T  # one flattened image per column
-
-    with open(labels_path, "rb") as fh:
-        blob = fh.read()
-    magic, label_count = struct.unpack(">II", _read_exact(blob, 0, 8, labels_path, "header"))
-    if magic != _IDX_LABELS_MAGIC:
-        raise BadMagic(f"{labels_path}: magic {magic:#010x}, expected {_IDX_LABELS_MAGIC:#010x}")
-    if label_count != count:
-        raise CountMismatch(f"{labels_path}: {label_count} labels for {count} images")
-    labels = np.frombuffer(_read_exact(blob, 8, count, labels_path, f"{count} labels"), dtype=np.uint8)
+    images = load_idx_images(images_path)
+    labels = _read_idx(labels_path, 1, "labels")
+    if labels.size != images.shape[1]:
+        raise CountMismatch(f"{labels_path}: {labels.size} labels for {images.shape[1]} images")
     return images, labels.astype(np.int64)
 
 
@@ -283,25 +287,24 @@ def _run_trial(cfg: ExperimentConfig, images, labels, trial: int, clock):
     failures: list[SweepFailure] = []
     orders = sorted(set(cfg.L_list))
     ks = sorted(set(cfg.k_list))
+
+    def failed(exc, cells):  # every (k, L) cell in ``cells`` fails with exc
+        message = f"{type(exc).__name__}: {exc}"
+        failures.extend(SweepFailure(trial=trial, k=k, L=L, message=message) for k, L in cells)
+
     try:
         X = sample_subset(images, labels, cfg, trial)
         ds = center(X)
         spectrum = build_graph(X, cfg.similarity)
     except Exception as exc:  # whole-trial failure marks every cell
-        message = f"{type(exc).__name__}: {exc}"
-        failures.extend(
-            SweepFailure(trial=trial, k=k, L=L, message=message) for k in ks for L in orders
-        )
+        failed(exc, [(k, L) for k in ks for L in orders])
         return rows, failures
     for k in ks:
         try:
             pca = pca_fit(ds, k)
             baseline = pca_mse(ds, pca)
         except Exception as exc:
-            message = f"{type(exc).__name__}: {exc}"
-            failures.extend(
-                SweepFailure(trial=trial, k=k, L=L, message=message) for L in orders
-            )
+            failed(exc, [(k, L) for L in orders])
             continue
         previous = pca  # the cold seed, then the model of the last order that fit
         for L in orders:
@@ -324,9 +327,7 @@ def _run_trial(cfg: ExperimentConfig, images, labels, trial: int, clock):
                 )
                 previous = result.model
             except Exception as exc:  # a failed cell must not sink the sweep
-                failures.append(
-                    SweepFailure(trial=trial, k=k, L=L, message=f"{type(exc).__name__}: {exc}")
-                )
+                failed(exc, [(k, L)])
     return rows, failures
 
 
@@ -390,6 +391,25 @@ _SVG_PALETTE = (
 )
 
 
+# the chart's elements, with coordinates to two decimals
+def _svg_line(x1, y1, x2, y2, stroke="#333333", width=1) -> str:
+    return (
+        f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+        f'stroke="{stroke}" stroke-width="{width}"/>'
+    )
+
+
+def _svg_text(x, y, label, size, anchor=None, transform=None) -> str:
+    """A sans-serif label; an int ``x`` is written as it is."""
+    left = x if isinstance(x, int) else f"{x:.2f}"
+    anchored = f' text-anchor="{anchor}"' if anchor else ""
+    transformed = f' transform="{transform}"' if transform else ""
+    return (
+        f'<text x="{left}" y="{y:.2f}"{anchored} font-family="sans-serif" '
+        f'font-size="{size}"{transformed}>{label}</text>'
+    )
+
+
 def emit_svg(report: SweepReport, path):
     """Line chart of mean final MSE against k, one polyline per order.
 
@@ -399,6 +419,7 @@ def emit_svg(report: SweepReport, path):
     width, height = 640.0, 420.0
     ml, mr, mt, mb = 64.0, 150.0, 28.0, 52.0
     plot_w, plot_h = width - ml - mr, height - mt - mb
+    mid = mt + plot_h / 2
 
     ks = sorted({a.k for a in report.aggregates})
     orders = sorted({a.L for a in report.aggregates})
@@ -420,58 +441,28 @@ def emit_svg(report: SweepReport, path):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>',
-        f'<line x1="{ml:.2f}" y1="{mt + plot_h:.2f}" x2="{ml + plot_w:.2f}" '
-        f'y2="{mt + plot_h:.2f}" stroke="#333333" stroke-width="1"/>',
-        f'<line x1="{ml:.2f}" y1="{mt:.2f}" x2="{ml:.2f}" y2="{mt + plot_h:.2f}" '
-        f'stroke="#333333" stroke-width="1"/>',
-        f'<text x="{ml + plot_w / 2:.2f}" y="{height - 14:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">reduced dimension k</text>',
-        f'<text x="16" y="{mt + plot_h / 2:.2f}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="13" transform="rotate(-90 16 {mt + plot_h / 2:.2f})">mean final MSE</text>',
+        _svg_line(ml, mt + plot_h, ml + plot_w, mt + plot_h),
+        _svg_line(ml, mt, ml, mt + plot_h),
+        _svg_text(ml + plot_w / 2, height - 14, "reduced dimension k", 13, "middle"),
+        _svg_text(16, mid, "mean final MSE", 13, "middle", f"rotate(-90 16 {mid:.2f})"),
     ]
     for k in ks:
-        parts.append(
-            f'<line x1="{px(k):.2f}" y1="{mt + plot_h:.2f}" x2="{px(k):.2f}" '
-            f'y2="{mt + plot_h + 4:.2f}" stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px(k):.2f}" y="{mt + plot_h + 18:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{k}</text>'
-        )
+        parts.append(_svg_line(px(k), mt + plot_h, px(k), mt + plot_h + 4))
+        parts.append(_svg_text(px(k), mt + plot_h + 18, k, 11, "middle"))
     for tick in range(5):
         value = y_hi * tick / 4
-        parts.append(
-            f'<line x1="{ml - 4:.2f}" y1="{py(value):.2f}" x2="{ml:.2f}" y2="{py(value):.2f}" '
-            f'stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{ml - 8:.2f}" y="{py(value) + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{value:.4g}</text>'
-        )
+        parts.append(_svg_line(ml - 4, py(value), ml, py(value)))
+        parts.append(_svg_text(ml - 8, py(value) + 4, f"{value:.4g}", 11, "end"))
     for idx, L in enumerate(orders):
         color = _SVG_PALETTE[idx % len(_SVG_PALETTE)]
-        points = " ".join(
-            f"{px(k):.2f},{py(means[(k, L)]):.2f}" for k in ks if (k, L) in means
-        )
-        if points:
-            parts.append(
-                f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="2"/>'
-            )
-        for k in ks:
-            if (k, L) in means:
-                parts.append(
-                    f'<circle cx="{px(k):.2f}" cy="{py(means[(k, L)]):.2f}" r="3" '
-                    f'fill="{color}"/>'
-                )
+        # every order has a point: orders are taken from the aggregates
+        points = [(px(k), py(means[(k, L)])) for k in ks if (k, L) in means]
+        joined = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+        parts.append(f'<polyline points="{joined}" fill="none" stroke="{color}" stroke-width="2"/>')
+        parts.extend(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>' for x, y in points)
         ly = mt + 14 + 18 * idx
-        parts.append(
-            f'<line x1="{ml + plot_w + 12:.2f}" y1="{ly:.2f}" x2="{ml + plot_w + 34:.2f}" '
-            f'y2="{ly:.2f}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{ml + plot_w + 40:.2f}" y="{ly + 4:.2f}" font-family="sans-serif" '
-            f'font-size="12">L={L}</text>'
-        )
+        parts.append(_svg_line(ml + plot_w + 12, ly, ml + plot_w + 34, ly, color, 2))
+        parts.append(_svg_text(ml + plot_w + 40, ly + 4, f"L={L}", 12))
     parts.append("</svg>")
     with open(path, "wb") as fh:
         fh.write(("\n".join(parts) + "\n").encode("utf-8"))

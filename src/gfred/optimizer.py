@@ -266,14 +266,23 @@ def init_filters(pca: PcaModel, cache: SpectralCache):
     return taps, coeffs
 
 
-def _clamped_step(cache, resid, moved) -> float:
-    # a zero direction has zero filtered energy and lands in the except
+def _step_along(cache, resid, moved) -> float:
+    """Take the clamped exact step along a ray and return its size.
+
+    ``moved`` is scaled by the step and added to the carried ``resid``,
+    both in place. A nonpositive optimal step means no descent along the
+    ray, and a zero direction has zero filtered energy: either way the
+    step is 0.0 and nothing moves.
+    """
     try:
         step = _line_step(cache, resid, moved)
     except DegenerateDirection:
         return 0.0
-    # nonpositive optimal step means no descent along this ray; stand still
-    return step if step > 0.0 else 0.0
+    if not step > 0.0:
+        return 0.0
+    moved *= step
+    resid += moved
+    return step
 
 
 def fit(
@@ -345,33 +354,28 @@ def fit(
     iterations = 0
     converged = False
     for _ in range(max_iters):
+        # taps and coeffs are rebound only on a step, so that `taps is
+        # start_taps` tells a fit that never stepped
         direction_t = _tap_gradient(cache, phi, resid)
         np.matmul(direction_t, phi, out=moved)
-        step_t = _clamped_step(cache, resid, moved)
-        taps_next = taps
+        step_t = _step_along(cache, resid, moved)
         if step_t:
-            taps_next = taps - step_t * direction_t
-            moved *= step_t
-            resid += moved
+            taps = taps - step_t * direction_t
         trace.append(_cost(cache, resid))
 
-        direction_c = _coeff_gradient(cache, taps_next, resid)
+        direction_c = _coeff_gradient(cache, taps, resid)
         shift = _reduced_powers(cache, direction_c)
-        np.matmul(taps_next, shift, out=moved)
-        step_c = _clamped_step(cache, resid, moved)
-        coeffs_next = coeffs
+        np.matmul(taps, shift, out=moved)
+        step_c = _step_along(cache, resid, moved)
         if step_c:
-            coeffs_next = coeffs - step_c * direction_c
+            coeffs = coeffs - step_c * direction_c
             shift *= step_c
             phi -= shift
-            moved *= step_c
-            resid += moved
         trace.append(_cost(cache, resid))
 
         delta = step_t * float(np.linalg.norm(direction_t)) + step_c * float(
             np.linalg.norm(direction_c)
         )
-        taps, coeffs = taps_next, coeffs_next
         iterations += 1
         if not (np.isfinite(taps).all() and np.isfinite(coeffs).all()):
             raise NonFiniteValue(f"non-finite iterate at iteration {iterations}")

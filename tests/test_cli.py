@@ -1,7 +1,9 @@
 """Command-line front end: subcommands, outputs, and exit codes."""
 
+import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +28,14 @@ def parse_kv(output: str) -> dict:
 def write_matrix_csv(path, seed=15, dim=6, n=12):
     rng = np.random.default_rng(seed)
     save_csv_matrix(rng.uniform(0.1, 1.0, size=(dim, n)), path)
+    return path
+
+
+def write_idx_images(path):
+    """Synthetic digits as an IDX image file, with no labels file beside it."""
+    images, _ = synth_digits(n_classes=4, per_class=10, size=12)
+    pixels = np.round(images.T * 255.0).astype(np.uint8)  # one image per record
+    path.write_bytes(struct.pack(">IIII", 0x803, pixels.shape[0], 12, 12) + pixels.tobytes())
     return path
 
 
@@ -65,6 +75,37 @@ class TestGraph:
         lo, hi = (float(v) for v in pairs["eigenvalue range"].strip("[]").split(", "))
         assert -1.0 <= lo < 0 < hi <= 1.0
         assert max(-lo, hi) == 1.0  # scaled to unit spectral radius
+
+
+class TestIdxImagesAlone:
+    """Only ``sweep`` reads IDX labels; the other commands need the images file alone."""
+
+    def test_graph_and_fit(self, tmp_path, capsys):
+        data = write_idx_images(tmp_path / "pool-images-idx3-ubyte")
+        assert main(["graph", "--data", str(data), "--format", "idx"]) == 0
+        assert parse_kv(capsys.readouterr().out)["nodes"] == "40"
+        model = tmp_path / "m.gfm"
+        code = main(
+            ["fit", "--data", str(data), "--format", "idx", "--k", "3", "--l", "1",
+             "--max-iters", "5", "--model-out", str(model)]
+        )
+        assert code == 0
+        assert model.exists()
+
+    def test_encode_and_eval(self, tmp_path, capsys):
+        data = write_idx_images(tmp_path / "pool-images-idx3-ubyte")
+        model = tmp_path / "m.gfm"
+        assert main(
+            ["fit", "--data", str(data), "--format", "idx", "--k", "3", "--l", "0",
+             "--max-iters", "5", "--model-out", str(model)]
+        ) == 0
+        out = tmp_path / "reduced.csv"
+        assert main(
+            ["encode", "--model", str(model), "--data", str(data), "--format", "idx",
+             "--out", str(out)]
+        ) == 0
+        assert load_csv_matrix(out).shape == (3, 40)
+        assert main(["eval", "--model", str(model), "--data", str(data), "--format", "idx"]) == 0
 
 
 class TestModelPipeline:
@@ -314,6 +355,24 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "data error:" in captured.err
         assert "final_mse" not in captured.out
+        assert not model.exists()
+
+    def test_gaussian_distances_past_the_largest_double_exit_3(self, tmp_path, capsys):
+        # finite column sums of squares (about 1.44e308) that add past the largest double
+        data = write_digits_csv(tmp_path / "offset.csv", scale=1e140, offset=1e153)
+        model = tmp_path / "m.gfm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["graph", "--data", str(data), "--format", "csv", "--kernel", "gaussian"])
+            assert code == 3
+            captured = capsys.readouterr()
+            assert "data error:" in captured.err and "edges" not in captured.out
+            code = main(
+                ["fit", "--data", str(data), "--format", "csv", "--k", "3", "--l", "1",
+                 "--kernel", "gaussian", "--model-out", str(model)]
+            )
+            assert code == 3
+        assert "data error:" in capsys.readouterr().err
         assert not model.exists()
 
     def test_eval_on_overflowing_data_exits_3(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gfred.graph import (
     knn_sparsify,
     similarity_dense,
 )
+from gfred.harness import synth_digits
 
 from oracles import brute_knn_marks, loop_canonical_signs
 
@@ -86,6 +88,18 @@ class TestSimilarityDense:
         cfg = SimilarityConfig(kernel=kernel, knn=3)
         with pytest.raises(DataOverflow, match="sum of squares"):
             build_graph(X, cfg)
+
+    def test_gaussian_distances_past_the_largest_double_rejected(self):
+        # each column's sum of squares is finite (about 1.44e308), but two of
+        # them add past the largest double
+        images, _ = synth_digits(4, 10, size=12)
+        X = 1e153 + 1e140 * images
+        assert np.isfinite(np.sum(X * X, axis=0)).all()
+        cfg = SimilarityConfig(kernel=Kernel.GAUSSIAN, knn=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataOverflow, match="squared distances"):
+                build_graph(X, cfg)
 
     def test_single_column_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -1,5 +1,6 @@
 """Data loading, deterministic sampling, sweeps, and report emitters."""
 
+import hashlib
 import os
 import struct
 from pathlib import Path
@@ -22,6 +23,7 @@ from gfred.graph import Kernel, SimilarityConfig, Symmetrization
 from gfred.harness import (
     DataFormat,
     ExperimentConfig,
+    SweepAggregate,
     SweepReport,
     SweepRow,
     config_from_mapping,
@@ -157,6 +159,40 @@ class TestLoadIdx:
         labels_path.write_bytes(struct.pack(">II", 0x801, 5) + bytes(5))
         with pytest.raises(CountMismatch):
             load_idx(images_path, labels_path)
+
+    def test_zero_images_load_as_an_empty_matrix(self, tmp_path):
+        images_path, labels_path = write_idx_pair(tmp_path, count=0, labels=())
+        images, labels = load_idx(images_path, labels_path)
+        assert images.shape == (6, 0)
+        assert labels.shape == (0,) and labels.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "which, cut, tail",
+        [
+            ("images", 10, "ran out of bytes reading header"),
+            ("images", -5, "ran out of bytes reading 6 images"),
+            ("labels", 5, "ran out of bytes reading header"),
+            ("labels", -2, "ran out of bytes reading 6 labels"),
+        ],
+    )
+    def test_truncation_messages(self, tmp_path, which, cut, tail):
+        paths = dict(zip(("images", "labels"), write_idx_pair(tmp_path)))
+        paths[which].write_bytes(paths[which].read_bytes()[:cut])
+        with pytest.raises(TruncatedFile) as exc:
+            load_idx(paths["images"], paths["labels"])
+        assert str(exc.value) == f"{paths[which]}: {tail}"
+
+    @pytest.mark.parametrize(
+        "which, magic, expected",
+        [("images", 0x999, "0x00000803"), ("labels", 0x803, "0x00000801")],
+    )
+    def test_bad_magic_messages(self, tmp_path, which, magic, expected):
+        paths = dict(zip(("images", "labels"), write_idx_pair(tmp_path)))
+        blob = paths[which].read_bytes()
+        paths[which].write_bytes(struct.pack(">I", magic) + blob[4:])
+        with pytest.raises(BadMagic) as exc:
+            load_idx(paths["images"], paths["labels"])
+        assert str(exc.value) == f"{paths[which]}: magic {magic:#010x}, expected {expected}"
 
     def test_official_files_if_present(self):
         root = os.environ.get("GFRED_MNIST_DIR")
@@ -594,6 +630,27 @@ class TestEmitters:
         again = tmp_path / "chart2.svg"
         emit_svg(report, again)
         assert out.read_bytes() == again.read_bytes()
+
+    @pytest.mark.parametrize(
+        "aggregates, digest",
+        [
+            (
+                tuple(
+                    SweepAggregate(k=k, L=L, trials=2, mean_final_mse=mse, std_final_mse=0.01,
+                                   mean_pca_mse=0.5)
+                    for k, L, mse in [(4, 0, 0.5), (4, 1, 0.4375), (4, 2, 0.40625),
+                                      (8, 0, 0.25), (8, 1, 0.21875), (8, 2, 0.2)]
+                ),
+                "d03227c9dca1c7ae876a0533bdd134892084ce9fadefc6821b217038e36740cd",
+            ),
+            ((), "a1b4d0e203f20fad4016c88e415f0818e3783881596dad59e00954c391ec1c2a"),
+        ],
+        ids=["k4-8_L0-2", "empty"],
+    )
+    def test_svg_bytes_of_a_built_report(self, tmp_path, aggregates, digest):
+        out = tmp_path / "chart.svg"
+        emit_svg(SweepReport(rows=(), aggregates=aggregates, failures=()), out)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestSynthDigits:
