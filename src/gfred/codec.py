@@ -1,10 +1,11 @@
 """Encoding, decoding, storage accounting, and the model file format.
 
 Both maps are polynomial graph filters given by their matrix taps, and
-both are applied per frequency in the spectral domain by
-``apply_response``: ``reduce`` applies the reducing taps that the
-coefficients imply on its input data, ``reconstruct`` the stored
-reconstruction taps. Reduced data is always held in the vertex domain.
+both are applied per frequency in the spectral domain: ``reduce``
+applies the reducing taps that the coefficients imply on its input data
+(``reduce_response``), ``reconstruct`` the stored bank of reconstruction
+taps (``apply_response``). Reduced data is always held in the vertex
+domain.
 The literal vertex-domain filter banks they are checked against (dense
 Kronecker products of adjacency powers and per-node taps) live with the
 tests in ``tests/oracles.py``.
@@ -33,7 +34,7 @@ from .spectral import (
     eig_power_table,
     gft,
     igft,
-    reducing_taps,
+    reduce_response,
 )
 
 _MAGIC = b"GFM1"
@@ -111,8 +112,7 @@ def reduce(model: FilterModel, ds: CenteredDataset, spectrum: GraphSpectrum) -> 
         raise DimensionMismatch(f"data has dimension {ds.dim}, the model expects {model.dim}")
     xt = gft(ds.centered, spectrum)
     pows = eig_power_table(spectrum.eigvals, model.order)
-    reduced_spec = apply_response(reducing_taps(model.coeffs, xt, pows), pows, xt)
-    return ReducedData(values=igft(reduced_spec, spectrum))
+    return ReducedData(values=igft(reduce_response(model.coeffs, xt, pows), spectrum))
 
 
 def reconstruct(model: FilterModel, reduced: ReducedData, spectrum: GraphSpectrum) -> np.ndarray:
@@ -141,17 +141,18 @@ def reconstruction_mse(model: FilterModel, ds: CenteredDataset, spectrum: GraphS
 # bytes of UTF-8 JSON (sorted keys), then the payload: float64 little-endian
 # column-major arrays in the order and shapes of _payload_shapes: mean
 # (dim), eigenvalues (n), eigenvectors (n x n), the reconstruction taps as
-# one dim x k x (L+1) array (tap l is [:, :, l]), the coefficient matrix
-# (k x n), and the reduced data (k x n). The header records dims, a CRC-32
-# of the payload, the reduced data's domain (always "vertex"), and the
-# three scalar counts of StorageBudget, which the loader recomputes and
-# verifies.
+# the dim x (L+1)k bank [T_0 ... T_L] that FilterModel holds (column-major,
+# the bytes of a dim x k x (L+1) array with tap l at [:, :, l]), the
+# coefficient matrix (k x n), and the reduced data (k x n). The header
+# records dims, a CRC-32 of the payload, the reduced data's domain (always
+# "vertex"), and the three scalar counts of StorageBudget, which the loader
+# recomputes and verifies.
 
 _COUNTS = ("stored_scalars", "raw_scalars", "pca_scalars")
 
 
 def _payload_shapes(n: int, dim: int, k: int, order: int):
-    return [(dim,), (n,), (n, n), (dim, k, order + 1), (k, n), (k, n)]
+    return [(dim,), (n,), (n, n), (dim, (order + 1) * k), (k, n), (k, n)]
 
 
 def save_model(model: FilterModel, spectrum: GraphSpectrum, reduced: ReducedData, path):
@@ -161,8 +162,10 @@ def save_model(model: FilterModel, spectrum: GraphSpectrum, reduced: ReducedData
     save/load round trip is bit exact.
     """
     _check_fingerprint(model, spectrum)
-    taps = model.recon_taps.transpose(1, 2, 0)
-    arrays = [model.mean, spectrum.eigvals, spectrum.eigvecs, taps, model.coeffs, reduced.values]
+    arrays = [
+        model.mean, spectrum.eigvals, spectrum.eigvecs, model.recon_taps, model.coeffs,
+        reduced.values,
+    ]
     shapes = _payload_shapes(spectrum.n, model.dim, model.k, model.order)
     if [a.shape for a in arrays] != shapes:
         raise DimensionMismatch(f"arrays of shapes {[a.shape for a in arrays]}, expected {shapes}")
@@ -253,7 +256,7 @@ def load_model(path) -> ModelFile:
     model = FilterModel(
         order=order,
         k=k,
-        recon_taps=taps.transpose(2, 0, 1),
+        recon_taps=taps,
         coeffs=coeffs,
         mean=mean,
         spectrum_fingerprint=spectrum.fingerprint(),

@@ -15,6 +15,7 @@ for any order, and the trainer's feature kernel is better conditioned.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -60,8 +61,11 @@ class SimilarityConfig:
     def __post_init__(self):
         if not isinstance(self.knn, int) or self.knn < 1:
             raise KnnTooLarge(f"knn must be a positive integer, got {self.knn!r}")
-        if self.kernel is Kernel.GAUSSIAN and not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0 for the gaussian kernel, got {self.alpha}")
+        # an infinite width zeroes every similarity: the graph has no edges
+        if self.kernel is Kernel.GAUSSIAN and not 0 < self.alpha < math.inf:
+            raise ValueError(
+                f"alpha must be a finite number > 0 for the gaussian kernel, got {self.alpha}"
+            )
 
 
 @dataclass(frozen=True)

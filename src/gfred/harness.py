@@ -197,12 +197,16 @@ def load_csv_matrix(path, first_row_labels: bool = False):
     or a value that overflows float64) raises CsvParseError naming its
     1-based row and column, and a row whose cell count differs from the
     first row's raises one naming the row; with several bad rows or cells,
-    the first in reading order is named. The rows parse at once and are
+    the first in reading order is named. Bytes that are not UTF-8 raise
+    CsvParseError naming the file. The rows parse at once and are
     checked for finiteness in one pass; only a file that fails either is
     walked row by row, to name the fault.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n").rstrip("\r") for line in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.rstrip("\n").rstrip("\r") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise CsvParseError(f"{path}: not UTF-8 text: {exc}") from exc
     lines = [line for line in lines if line.strip() != ""]
     if not lines:
         raise CsvParseError(f"{path}: empty file")

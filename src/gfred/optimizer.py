@@ -1,13 +1,14 @@
 """Filter training by alternating exact-line-search gradient descent.
 
-The model is a pair: a stack of reconstruction taps (one dim x k matrix
-per polynomial order) and a k x n coefficient matrix that parameterizes
-the reducing filter through the cached feature kernel. Node i's reduced
-vector is ``coeffs @ kernel[:, i]`` and its reconstruction is the tap
-stack's frequency response at eigenvalue i applied to that vector. The
-training cost is the mean squared spectral-domain residual.
+The model is a pair: a bank of reconstruction taps, the dim x (L+1)k
+matrix ``T = [T_0 ... T_L]`` with one dim x k tap per polynomial order,
+and a k x n coefficient matrix that parameterizes the reducing filter
+through the cached feature kernel. Node i's reduced vector is
+``coeffs @ kernel[:, i]`` and its reconstruction is the bank's frequency
+response ``sum_l lam_i^l T_l`` applied to that vector. The training cost
+is the mean squared spectral-domain residual.
 
-Each iteration takes the exact gradient with respect to the tap stack,
+Each iteration takes the exact gradient with respect to the tap bank,
 moves to the minimizer of the cost along that ray (the restriction is an
 exact quadratic in the step, so the minimizer is
 ``-<resid, moved> / <moved, moved>``, with ``moved`` the ray's filtered
@@ -16,8 +17,7 @@ the same along the coefficient ray. Both half-updates therefore never
 increase the cost. Iteration stops when the summed Frobenius norm of the
 two updates drops below ``epsilon`` or after ``max_iters`` sweeps.
 
-:func:`fit` holds the taps as one flat dim x (L+1)k bank
-``T = [T_0 ... T_L]`` and the reduced vectors V as their power stack
+:func:`fit` carries the reduced vectors V as their power stack
 ``Phi = [V diag(lam^0); ...; V diag(lam^L)]``
 (:func:`~gfred.spectral.power_stack`): the bank's output is the one
 product ``T @ Phi``. It carries Phi and the residual from step to step
@@ -30,7 +30,7 @@ in after the product, on k-row blocks) and its kernel product, and the
 coefficient ray's kernel product and output. Every power weighting acts
 on an (L+1)k-row array. The public gradient, step and objective functions
 compute the same formulas from a bare (taps, coeffs) pair, after checking
-its shapes, and convert the (L+1, dim, k) tap stack at their boundary.
+its shapes.
 
 :func:`fit`'s loop runs on min(dim, n) rows. On tall data (dim > n) it
 takes the thin QR factorization ``Xt = Q R`` of the transformed data;
@@ -72,12 +72,10 @@ from .pca import PcaModel, pca_fit
 from .spectral import (
     CenteredDataset,
     SpectralCache,
-    apply_response,
     build_cache,
-    flat_taps,
     power_stack,
     power_sum,
-    reducing_taps,
+    reduce_response,
 )
 
 MAX_ITERS = 500  # default iteration cap of a fit, a sweep and `gfred fit`
@@ -93,14 +91,14 @@ class FilterModel:
 
     order: int
     k: int
-    recon_taps: np.ndarray  # (order+1, dim, k)
+    recon_taps: np.ndarray  # (dim, (order+1)*k), the bank [T_0 ... T_L]
     coeffs: np.ndarray      # (k, n)
     mean: np.ndarray        # (dim,)
     spectrum_fingerprint: str
 
     @property
     def dim(self) -> int:
-        return self.recon_taps.shape[1]
+        return self.recon_taps.shape[0]
 
     @property
     def n(self) -> int:
@@ -116,40 +114,24 @@ class FitResult:
 
 
 def _checked(cache: SpectralCache, taps, coeffs):
-    """The pair as float arrays, the taps as a flat bank, after checking
-    it fits the cache."""
+    """The pair as float arrays, after checking it fits the cache: a
+    dim x (order+1)k tap bank and k x n coefficients. A direction is
+    checked in the place of the taps or coefficients it moves."""
     taps = np.asarray(taps, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if taps.ndim != 3 or taps.shape[0] != cache.order + 1 or taps.shape[1] != cache.dim:
+    if coeffs.ndim != 2 or coeffs.shape[1] != cache.n:
+        raise DimensionMismatch(f"coefficients {coeffs.shape} do not fit n={cache.n}")
+    if taps.shape != (cache.dim, (cache.order + 1) * coeffs.shape[0]):
         raise DimensionMismatch(
-            f"tap stack {taps.shape} does not fit order {cache.order}, dim {cache.dim}"
+            f"tap bank {taps.shape} does not fit dim {cache.dim}, "
+            f"order {cache.order} and k={coeffs.shape[0]}"
         )
-    if coeffs.ndim != 2 or coeffs.shape[1] != cache.n or coeffs.shape[0] != taps.shape[2]:
-        raise DimensionMismatch(
-            f"coefficients {coeffs.shape} do not fit k={taps.shape[2]}, n={cache.n}"
-        )
-    return flat_taps(taps), coeffs
+    return taps, coeffs
 
 
-def _direction(given, like, what: str) -> np.ndarray:
-    direction = np.asarray(given, dtype=np.float64)
-    if direction.shape != np.shape(like):
-        raise DimensionMismatch(
-            f"direction {direction.shape} does not match {what} {np.shape(like)}"
-        )
-    return direction
-
-
-def _stacked(cache: SpectralCache, taps) -> np.ndarray:
-    """A flat bank back as the (order+1, dim, k) tap stack."""
-    return np.ascontiguousarray(
-        taps.reshape(taps.shape[0], cache.order + 1, -1).transpose(1, 0, 2)
-    )
-
-
-# The formulas below take the taps as one flat dim x (L+1)k bank and the
-# reduced vectors as their power stack ``phi = power_stack(reduced, pows)``,
-# so that every filter application is one matrix product.
+# The formulas below take the reduced vectors as their power stack
+# ``phi = power_stack(reduced, pows)``, so that every filter application
+# is one matrix product.
 
 
 def _reduced_powers(cache: SpectralCache, coeffs) -> np.ndarray:
@@ -190,21 +172,21 @@ def objective(cache: SpectralCache, taps, coeffs) -> float:
 
 
 def grad_taps(cache: SpectralCache, taps, coeffs) -> np.ndarray:
-    """Exact gradient of :func:`objective` with respect to the tap stack.
+    """Exact gradient of :func:`objective` with respect to the tap bank.
 
-    Order-l slice: ``-2/n * sum_i lam_i^l resid_i reduced_i'``, all orders
+    Order-l block: ``-2/n * sum_i lam_i^l resid_i reduced_i'``, all orders
     accumulated in one matrix product.
     """
     taps, coeffs = _checked(cache, taps, coeffs)
     phi = _reduced_powers(cache, coeffs)
-    return _stacked(cache, _tap_gradient(cache, phi, _residual(cache, taps, phi)))
+    return _tap_gradient(cache, phi, _residual(cache, taps, phi))
 
 
 def grad_coeffs(cache: SpectralCache, taps, coeffs) -> np.ndarray:
     """Exact gradient of :func:`objective` with respect to the coefficients.
 
-    ``-2/n * (sum_l taps[l]' (resid * lam^l)) @ kernel``; the driver calls
-    this at the already-updated tap stack.
+    ``-2/n * (sum_l T_l' (resid * lam^l)) @ kernel``; :func:`fit` takes
+    it at the already-updated tap bank.
     """
     taps, coeffs = _checked(cache, taps, coeffs)
     return _coeff_gradient(cache, taps, _residual(cache, taps, _reduced_powers(cache, coeffs)))
@@ -219,16 +201,16 @@ def step_size_taps(cache: SpectralCache, taps, coeffs, direction) -> float:
     over nodes). Raises DegenerateDirection when the quadratic term is
     numerically zero.
     """
-    direction = _direction(direction, taps, "taps")
     taps, coeffs = _checked(cache, taps, coeffs)
+    direction, _ = _checked(cache, direction, coeffs)
     phi = _reduced_powers(cache, coeffs)
-    return _line_step(cache, _residual(cache, taps, phi), flat_taps(direction) @ phi)
+    return _line_step(cache, _residual(cache, taps, phi), direction @ phi)
 
 
 def step_size_coeffs(cache: SpectralCache, taps, coeffs, direction) -> float:
     """Exact minimizer of the cost along ``coeffs - c * direction``."""
-    direction = _direction(direction, coeffs, "coefficients")
     taps, coeffs = _checked(cache, taps, coeffs)
+    _, direction = _checked(cache, taps, direction)
     moved = taps @ _reduced_powers(cache, direction)
     return _line_step(cache, _residual(cache, taps, _reduced_powers(cache, coeffs)), moved)
 
@@ -250,8 +232,8 @@ def init_filters(pca: PcaModel, cache: SpectralCache):
             f"PCA basis of dim {pca.basis.shape[0]} does not fit data of dim {cache.dim}"
         )
     k = pca.k
-    taps = np.zeros((cache.order + 1, cache.dim, k))
-    taps[0] = pca.basis
+    taps = np.zeros((cache.dim, (cache.order + 1) * k))
+    taps[:, :k] = pca.basis
     xt = cache.gft_data
     # the reducing filter acts through cache.kernel, not the raw data
     # Gram; solving against anything else gives wildly off-scale starts
@@ -338,7 +320,6 @@ def fit(
 
     # taps that start in the span of Q, for Xt = QR, stay there (module
     # docstring): on tall data train their coordinates against R
-    taps = flat_taps(taps)
     given_taps, basis = taps, None
     if cache.dim > cache.n:
         q, r = np.linalg.qr(cache.gft_data)
@@ -389,7 +370,7 @@ def fit(
     model = FilterModel(
         order=order,
         k=k,
-        recon_taps=_stacked(cache, taps),
+        recon_taps=taps,
         coeffs=coeffs,
         mean=ds.mean.copy(),
         spectrum_fingerprint=fingerprint,
@@ -416,8 +397,8 @@ def extend_order(model: FilterModel, cache: SpectralCache):
     """Re-seed a fit at the cache's order from a trained model of that
     order or lower.
 
-    Taps are zero-padded. The model's reducing filter, applied to the
-    cache's data, gives every node's reduced vector; because the
+    The tap bank is zero-padded. The model's reducing filter, applied to
+    the cache's data, gives every node's reduced vector; because the
     coefficients act through the order-dependent kernel, they are re-solved
     so the node keeps that vector: ``coeffs_new @ cache.kernel = reduced``
     (least squares, exact when the kernel has full rank). When the cache
@@ -433,10 +414,8 @@ def extend_order(model: FilterModel, cache: SpectralCache):
             f"model of dim {model.dim}, n={model.n} does not fit "
             f"data of dim {cache.dim}, n={cache.n}"
         )
-    taps = np.zeros((cache.order + 1, model.dim, model.k))
-    taps[: model.order + 1] = model.recon_taps
-    xt = cache.gft_data
-    reducer = reducing_taps(model.coeffs, xt, cache.eig_pows[:, : model.order + 1])
-    reduced = apply_response(reducer, cache.eig_pows, xt)
+    taps = np.zeros((model.dim, (cache.order + 1) * model.k))
+    taps[:, : model.recon_taps.shape[1]] = model.recon_taps
+    reduced = reduce_response(model.coeffs, cache.gft_data, cache.eig_pows[:, : model.order + 1])
     solved, *_ = np.linalg.lstsq(cache.kernel, reduced.T, rcond=None)
     return taps, solved.T

@@ -128,20 +128,15 @@ def build_cache(xbar, spectrum: GraphSpectrum, order: int) -> SpectralCache:
     return SpectralCache(gft_data=xt, eig_pows=pows, kernel=kernel, order=order)
 
 
-def flat_taps(taps) -> np.ndarray:
-    """A (L+1, rows, cols) tap stack as one rows x (L+1)cols bank
-    ``[taps[0] ... taps[L]]``, the layout :func:`power_stack` pairs with."""
-    orders, rows, cols = taps.shape
-    return taps.transpose(1, 0, 2).reshape(rows, orders * cols)
-
-
 def power_stack(vectors, eig_pows) -> np.ndarray:
     """The per-frequency columns of ``vectors`` weighted by each column of
     the power table, stacked: block l of the result is
     ``vectors * lam^l``.
 
-    ``flat_taps(taps) @ power_stack(vectors, eig_pows)`` applies the bank
-    to ``vectors`` in one matrix product.
+    A filter bank ``[T_0 ... T_L]`` of order L is one matrix with L+1
+    blocks of columns, and ``bank @ power_stack(vectors, eig_pows)``
+    applies it to ``vectors`` in one matrix product
+    (:func:`apply_response`).
     """
     rows = vectors.shape[0]
     out = np.empty((eig_pows.shape[1] * rows, vectors.shape[1]))
@@ -160,33 +155,34 @@ def power_sum(stacked, eig_pows) -> np.ndarray:
     return out
 
 
-def apply_response(taps, eig_pows, vectors) -> np.ndarray:
-    """Apply per-frequency responses to per-frequency columns.
+def apply_response(bank, eig_pows, vectors) -> np.ndarray:
+    """Apply a filter bank to per-frequency columns.
 
-    Column i of the result is ``(sum_l lam_i^l taps[l]) @ vectors[:, i]``,
-    evaluated in one matrix product without materializing any
-    per-frequency matrix; the power table may have more columns than the
-    stack has taps. The power weights go on the side with fewer rows: with
-    fewer output rows than input rows they are summed into the stacked
-    outputs after the product (:func:`power_sum`), otherwise they weight
-    the input columns before it (:func:`power_stack`).
+    ``bank`` is ``[T_0 ... T_L]``, one rows_out x (L+1)rows_in matrix,
+    and the power table has one column per tap. Column i of the result is
+    ``(sum_l lam_i^l T_l) @ vectors[:, i]``, evaluated in one matrix
+    product without materializing any per-frequency matrix.
     """
-    orders, rows_out, rows_in = taps.shape
-    pows = eig_pows[:, :orders]
-    if rows_out < rows_in:
-        return power_sum(taps.reshape(orders * rows_out, rows_in) @ vectors, pows)
-    return flat_taps(taps) @ power_stack(vectors, pows)
+    return bank @ power_stack(vectors, eig_pows)
 
 
 def reducing_taps(coeffs, gft_data, eig_pows) -> np.ndarray:
-    """The reducing filter's taps on transformed data, one k x dim matrix
-    per column of the power table.
+    """The reducing filter's taps on transformed data, stacked: the
+    (L+1)k x dim matrix ``[H_0; ...; H_L]``, one k x dim tap per column
+    of the power table.
 
-    Order-l tap: ``coeffs @ diag(lam^l) @ gft_data'``. Applied to
-    ``gft_data`` with :func:`apply_response` they give ``coeffs`` times the
-    feature kernel of that data at the table's order. The power weights go
-    on the coefficients, the side with fewer rows (a model's k is at most
-    its dim), and all taps come out of one matrix product.
+    Order-l tap: ``H_l = coeffs @ diag(lam^l) @ gft_data'``. The power
+    weights go on the coefficients, the side with fewer rows (a model's k
+    is at most its dim), and all taps come out of one matrix product.
     """
-    k, dim = coeffs.shape[0], gft_data.shape[0]
-    return (power_stack(coeffs, eig_pows) @ gft_data.T).reshape(eig_pows.shape[1], k, dim)
+    return power_stack(coeffs, eig_pows) @ gft_data.T
+
+
+def reduce_response(coeffs, gft_data, eig_pows) -> np.ndarray:
+    """The reducing filter that ``coeffs`` imply on ``gft_data``, applied
+    to that data: column i is ``(sum_l lam_i^l H_l) @ gft_data[:, i]`` for
+    the :func:`reducing_taps` H, which is ``coeffs`` times the feature
+    kernel of that data at the table's order. The power weights are
+    summed in after the product, on k-row blocks (:func:`power_sum`).
+    """
+    return power_sum(reducing_taps(coeffs, gft_data, eig_pows) @ gft_data, eig_pows)

@@ -134,9 +134,16 @@ def random_instance(rng, n, dim, order, knn=None, scale=1.0) -> Instance:
 
 
 def random_filters(rng, cache, k, scale=0.4):
-    taps = rng.normal(size=(cache.order + 1, cache.dim, k)) * scale
+    """A random dim x (order+1)k tap bank and k x n coefficients."""
+    taps = np.concatenate(rng.normal(size=(cache.order + 1, cache.dim, k)) * scale, axis=1)
     coeffs = rng.normal(size=(k, cache.n)) * scale
     return taps, coeffs
+
+
+def tap_stack(bank, orders) -> np.ndarray:
+    """The (orders, rows, cols) stack of a bank's equal column blocks
+    ``[T_0 ... T_L]``, the layout the Kronecker oracles read."""
+    return np.stack(np.split(np.asarray(bank), orders, axis=1))
 
 
 def spectral_response(taps, lam: float) -> np.ndarray:

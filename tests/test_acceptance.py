@@ -51,6 +51,7 @@ from oracles import (
     random_filters,
     random_instance,
     scan_best_step,
+    tap_stack,
 )
 
 
@@ -165,7 +166,9 @@ def test_spectral_paths_match_vertex_filter_banks(capsys):
             fast = reduce(model, inst.ds, inst.spectrum).values
             literal = kron_reduce(
                 inst.spectrum.adjacency,
-                reducing_taps(coeffs, inst.cache.gft_data, inst.cache.eig_pows),
+                reducing_taps(coeffs, inst.cache.gft_data, inst.cache.eig_pows).reshape(
+                    order + 1, k, dim
+                ),
                 inst.ds.centered,
             )
             assert np.abs(fast - literal).max() <= 1e-10 * max(1.0, np.abs(literal).max())
@@ -176,7 +179,9 @@ def test_spectral_paths_match_vertex_filter_banks(capsys):
 
             reduced = ReducedData(values=rng.normal(size=(k, n)))
             fast = reconstruct(model, reduced, inst.spectrum) - model.mean[:, None]
-            literal = kron_reconstruct(inst.spectrum.adjacency, taps, reduced.values)
+            literal = kron_reconstruct(
+                inst.spectrum.adjacency, tap_stack(taps, order + 1), reduced.values
+            )
             assert np.abs(fast - literal).max() <= 1e-10 * max(1.0, np.abs(literal).max())
         assert time.perf_counter() - started < 10.0
 

@@ -375,6 +375,48 @@ class TestExitCodes:
         assert "data error:" in capsys.readouterr().err
         assert not model.exists()
 
+    def test_infinite_gaussian_alpha_exits_2(self, tmp_path, capsys):
+        data = write_matrix_csv(tmp_path / "d.csv")
+        model = tmp_path / "m.gfm"
+        flags = ["--kernel", "gaussian", "--alpha", "inf", "--knn", "3"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["graph", "--data", str(data), "--format", "csv"] + flags)
+            assert code == 2
+            captured = capsys.readouterr()
+            assert "config error:" in captured.err and "edges" not in captured.out
+            code = main(
+                ["fit", "--data", str(data), "--format", "csv", "--k", "2", "--l", "1",
+                 "--model-out", str(model)] + flags
+            )
+            assert code == 2
+        captured = capsys.readouterr()
+        assert "config error:" in captured.err and "final_mse" not in captured.out
+        assert not model.exists()
+
+    def test_undecodable_csv_exits_3(self, tmp_path, capsys):
+        model = tmp_path / "m.gfm"
+        assert main(
+            ["fit", "--data", str(write_matrix_csv(tmp_path / "d.csv")), "--format", "csv",
+             "--k", "2", "--l", "1", "--max-iters", "5", "--knn", "3", "--model-out", str(model)]
+        ) == 0
+        capsys.readouterr()
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"0.5,0.25\n\xff,0.125\n")
+        refit = tmp_path / "refit.gfm"
+        data = ["--data", str(bad), "--format", "csv"]
+        for argv in (
+            ["graph"] + data,
+            ["fit"] + data + ["--k", "1", "--l", "0", "--model-out", str(refit)],
+            ["encode", "--model", str(model)] + data + ["--out", str(tmp_path / "r.csv")],
+            ["eval", "--model", str(model)] + data,
+        ):
+            assert main(argv) == 3, argv[0]
+            captured = capsys.readouterr()
+            assert "data error:" in captured.err and str(bad) in captured.err, argv[0]
+            assert captured.out == "", argv[0]
+        assert not refit.exists()
+
     def test_eval_on_overflowing_data_exits_3(self, tmp_path, capsys):
         model = tmp_path / "m.gfm"
         assert main(

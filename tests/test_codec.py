@@ -34,7 +34,14 @@ from gfred.optimizer import FilterModel, fit, init_filters, objective
 from gfred.pca import pca_fit
 from gfred.spectral import build_cache, center, reducing_taps
 
-from oracles import Instance, kron_reconstruct, kron_reduce, random_filters, random_instance
+from oracles import (
+    Instance,
+    kron_reconstruct,
+    kron_reduce,
+    random_filters,
+    random_instance,
+    tap_stack,
+)
 
 
 def raw_instance(rng, n, dim, order) -> Instance:
@@ -51,8 +58,8 @@ def raw_instance(rng, n, dim, order) -> Instance:
 
 def make_model(inst, taps, coeffs) -> FilterModel:
     return FilterModel(
-        order=taps.shape[0] - 1,
-        k=taps.shape[2],
+        order=taps.shape[1] // coeffs.shape[0] - 1,
+        k=coeffs.shape[0],
         recon_taps=taps,
         coeffs=coeffs,
         mean=inst.ds.mean.copy(),
@@ -82,7 +89,9 @@ class TestAgainstKroneckerBank:
             fast = reduce(model, inst.ds, inst.spectrum)
             literal = kron_reduce(
                 inst.spectrum.adjacency,
-                reducing_taps(coeffs, inst.cache.gft_data, inst.cache.eig_pows),
+                reducing_taps(coeffs, inst.cache.gft_data, inst.cache.eig_pows).reshape(
+                    model.order + 1, k, model.dim
+                ),
                 inst.ds.centered,
             )
             scale = max(1.0, np.abs(literal).max())
@@ -94,7 +103,9 @@ class TestAgainstKroneckerBank:
             model = make_model(inst, taps, coeffs)
             reduced = ReducedData(values=rng.normal(size=(k, inst.spectrum.n)))
             fast = reconstruct(model, reduced, inst.spectrum) - model.mean[:, None]
-            literal = kron_reconstruct(inst.spectrum.adjacency, taps, reduced.values)
+            literal = kron_reconstruct(
+                inst.spectrum.adjacency, tap_stack(taps, model.order + 1), reduced.values
+            )
             scale = max(1.0, np.abs(literal).max())
             assert np.abs(fast - literal).max() <= 1e-10 * scale
 
@@ -106,7 +117,7 @@ class TestAgainstKroneckerBank:
         taps, coeffs = init_filters(pca_fit(inst.ds, 2), inst.cache)
         model = make_model(inst, taps, coeffs)
         reduced = reduce(model, inst.ds, inst.spectrum)
-        scores = taps[0].T @ inst.ds.centered
+        scores = taps[:, :2].T @ inst.ds.centered
         assert np.allclose(reduced.values, scores, rtol=1e-6, atol=1e-9)
 
 
@@ -115,7 +126,7 @@ class TestRoundTrips:
     def test_full_rank_model_reconstructs_exactly(self):
         rng = np.random.default_rng(93)
         inst = random_instance(rng, n=12, dim=3, order=0)
-        taps = np.eye(3)[None, :, :]
+        taps = np.eye(3)
         solved, *_ = np.linalg.lstsq(inst.cache.kernel, inst.cache.gft_data.T, rcond=None)
         model = make_model(inst, taps, solved.T)
         recon = reconstruct(model, reduce(model, inst.ds, inst.spectrum), inst.spectrum)
@@ -249,7 +260,8 @@ V1_FILE = Path(__file__).parent / "data" / "model_v1.gfm"
 
 def read_v1(blob: bytes):
     """Header and arrays of a .gfm file, parsed as README documents the
-    layout: one dim x k tap after another, orders 0..L."""
+    layout: one dim x k tap after another, orders 0..L, read as the
+    dim x (L+1)k bank [T_0 ... T_L]."""
     assert blob[:4] == b"GFM1"
     (hlen,) = struct.unpack("<I", blob[4:8])
     header = json.loads(blob[8 : 8 + hlen])
@@ -267,7 +279,7 @@ def read_v1(blob: bytes):
         "mean": take(dim),
         "eigvals": take(n),
         "eigvecs": take(n, n),
-        "taps": np.stack([take(dim, k) for _ in range(order + 1)]),
+        "taps": np.hstack([take(dim, k) for _ in range(order + 1)]),
         "coeffs": take(k, n),
         "reduced": take(k, n),
     }

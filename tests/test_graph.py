@@ -286,8 +286,10 @@ class TestConfigAndHelpers:
             SimilarityConfig(knn=0)
 
     def test_gaussian_needs_positive_alpha(self):
-        with pytest.raises(ValueError):
-            SimilarityConfig(kernel=Kernel.GAUSSIAN, alpha=0.0, knn=1)
+        # an infinite width would zero every similarity, leaving no edges
+        for alpha in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite number > 0"):
+                SimilarityConfig(kernel=Kernel.GAUSSIAN, alpha=alpha, knn=1)
 
     def test_canonical_signs_matches_column_loop(self):
         # magnitude ties between a positive and a negative entry, zero

@@ -247,6 +247,13 @@ class TestCsv:
             load_csv_matrix(path)
         assert str(caught.value) == f"{path}: row 2, column {column}: {cell!r}{tail}"
 
+    def test_undecodable_bytes_name_the_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"1,2\n\xff,4\n")
+        with pytest.raises(CsvParseError, match=r"not UTF-8 text") as caught:
+            load_csv_matrix(path)
+        assert str(caught.value).startswith(f"{path}: ")
+
     def test_first_bad_cell_in_reading_order_is_named(self, tmp_path):
         path = tmp_path / "m.csv"
         # a non-finite cell comes before an unparsable one in the same row,
