@@ -126,8 +126,10 @@ def similarity_dense(X, cfg: SimilarityConfig) -> np.ndarray:
     cells of order 1e155 or a constant offset that large: the kernel would
     come out all zeros or NaN. The Gaussian kernel also raises it when two
     finite sums of squares add past the largest double, so that a squared
-    distance is not finite. The result has a zero diagonal and is exactly
-    symmetric, as the product of a matrix with its own transpose is.
+    distance is not finite. It raises ValueError when ``alpha`` is so
+    large that every off-diagonal similarity underflows to 0. The result
+    has a zero diagonal and is exactly symmetric, as the product of a
+    matrix with its own transpose is.
     """
     X = _as_data_matrix(X)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
@@ -152,8 +154,14 @@ def similarity_dense(X, cfg: SimilarityConfig) -> np.ndarray:
         if not np.isfinite(d2).all():
             raise DataOverflow("squared distances between columns are not finite numbers")
         np.maximum(d2, 0.0, out=d2)
-        sim = np.exp(-0.5 * cfg.alpha * d2)
+        with np.errstate(over="ignore"):  # a product past the largest double: exp gives 0
+            sim = np.exp(-0.5 * cfg.alpha * d2)
     np.fill_diagonal(sim, 0.0)
+    if cfg.kernel is Kernel.GAUSSIAN and not sim.any():
+        raise ValueError(
+            f"alpha={cfg.alpha} underflows every gaussian similarity to 0, "
+            "so the graph has no edges; use a smaller alpha"
+        )
     return sim
 
 

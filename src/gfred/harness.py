@@ -191,29 +191,45 @@ def _raise_cell_error(path, r: int, cells):
 def load_csv_matrix(path, first_row_labels: bool = False):
     """Rectangular numeric CSV with one data vector per column.
 
-    With ``first_row_labels`` the first row holds integer class labels and
-    the function returns ``(matrix, labels)``. Blank and whitespace-only
-    lines are skipped. Any unparsable or non-finite cell (NaN, infinity,
-    or a value that overflows float64) raises CsvParseError naming its
-    1-based row and column, and a row whose cell count differs from the
-    first row's raises one naming the row; with several bad rows or cells,
-    the first in reading order is named. Bytes that are not UTF-8 raise
-    CsvParseError naming the file. The rows parse at once and are
-    checked for finiteness in one pass; only a file that fails either is
-    walked row by row, to name the fault.
+    With ``first_row_labels`` the first row holds integer class labels,
+    each in [-2**63, 2**63), and the function returns ``(matrix, labels)``.
+    Blank and whitespace-only lines are skipped. A cell holds what
+    ``float()`` reads, optionally padded with spaces. Any unparsable or
+    non-finite cell (NaN, infinity, or a value that overflows float64)
+    raises CsvParseError naming its 1-based row and column, and a row whose
+    cell count differs from the first row's raises one naming the row; with
+    several bad rows or cells, the first in reading order is named. Bytes
+    that are not UTF-8 raise CsvParseError naming the file.
+
+    The kept lines go to numpy's C text reader, whose float conversion
+    rounds as ``float()`` does. A file it refuses is parsed again with
+    ``float()`` per cell, which also reads spellings numpy does not (``1_000``,
+    non-ASCII digits); the matrix is checked for finiteness in one pass,
+    and only a file that fails is walked row by row, to name the fault.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [line.rstrip("\n").rstrip("\r") for line in fh]
     except UnicodeDecodeError as exc:
         raise CsvParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    # numpy reads a whitespace-only line as a one-column row
     lines = [line for line in lines if line.strip() != ""]
     if not lines:
         raise CsvParseError(f"{path}: empty file")
-    try:
-        matrix = np.array([list(map(float, line.split(","))) for line in lines], dtype=np.float64)
-    except ValueError:  # a ragged row or an unparsable cell
-        matrix = None
+    matrix = None
+    # numpy strips the separators \x1c-\x1f around a cell, which float() refuses
+    if not any(sep in line for line in lines for sep in "\x1c\x1d\x1e\x1f"):
+        try:  # comments=None: the default "#" would cut "1.5#x" down to 1.5
+            matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if matrix is None:
+        try:
+            matrix = np.array(
+                [list(map(float, line.split(","))) for line in lines], dtype=np.float64
+            )
+        except ValueError:  # a ragged row or an unparsable cell
+            pass
     if matrix is None or not np.isfinite(matrix).all():
         width = lines[0].count(",") + 1
         for r, line in enumerate(lines, start=1):
@@ -228,17 +244,30 @@ def load_csv_matrix(path, first_row_labels: bool = False):
     labels = matrix[0]
     if np.any(labels != np.round(labels)):
         raise CsvParseError(f"{path}: first row must hold integer labels")
+    # 2**63 is a double; a label past it would wrap to -2**63 as an int64
+    if np.any((labels < -(2.0**63)) | (labels >= 2.0**63)):
+        raise CsvParseError(f"{path}: labels must lie in [-2**63, 2**63)")
     return matrix[1:], labels.astype(np.int64)
 
 
 def save_csv_matrix(matrix, path):
-    """Write a matrix as CSV with shortest round-trip float formatting."""
+    """Write a 2-d matrix as CSV, one row per line, with shortest
+    round-trip float formatting.
+
+    Each row is written as soon as it is formatted, so the file's text
+    never exists whole in memory; a matrix of no rows is written as one
+    newline. The input is converted before the file is opened, so one that
+    is not a 2-d float matrix leaves no file behind.
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
-    # tolist() yields Python floats: numpy scalar repr would write "np.float64(...)";
-    # one row at a time, so the whole matrix never exists as Python floats
-    body = "\n".join(",".join(map(repr, row.tolist())) for row in matrix)
-    with open(path, "wb") as fh:
-        fh.write((body + "\n").encode("utf-8"))
+    if matrix.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-d matrix, got ndim={matrix.ndim}")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if matrix.shape[0] == 0:
+            fh.write("\n")
+        # tolist() yields Python floats: numpy scalar repr would write "np.float64(...)"
+        for row in matrix:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 # --- sampling ---------------------------------------------------------------

@@ -211,3 +211,18 @@ def kron_reconstruct(adjacency, taps, reduced_values) -> np.ndarray:
         per_node = np.kron(eye_n, taps[ell])
         out += mixer @ (per_node @ stacked)
     return out.reshape((dim, n), order="F")
+
+
+def csv_bytes(matrix) -> bytes:
+    """A CSV matrix file's bytes, built whole: each row's shortest
+    round-trip floats joined by commas, rows joined by newlines, and one
+    final newline."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    body = "\n".join(",".join(map(repr, row.tolist())) for row in matrix)
+    return (body + "\n").encode("utf-8")
+
+
+def csv_floats(text: str) -> np.ndarray:
+    """``float()`` of every cell of a CSV text's non-blank lines, row by row."""
+    lines = [line for line in text.split("\n") if line.strip() != ""]
+    return np.array([list(map(float, line.split(","))) for line in lines], dtype=np.float64)

@@ -252,6 +252,22 @@ class TestSweepCommand:
         assert "rows: 2" in capsys.readouterr().out
         assert len(out_csv.read_text().splitlines()) == 3
 
+    def test_labels_outside_int64_exit_3(self, tmp_path, capsys):
+        # 1e19, 2e19 and -1e19 would all wrap to -2**63 as int64 labels
+        cfg = self.write_inputs(tmp_path)
+        data = tmp_path / "d.csv"
+        lines = data.read_text().splitlines()
+        labels = lines[0].split(",")
+        labels = ["1e19" if l == "0" else "2e19" for l in labels[:-1]] + ["-1e19"]
+        data.write_text("\n".join([",".join(labels)] + lines[1:]) + "\n")
+        out_csv = tmp_path / "rows.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["sweep", "--config", str(cfg), "--out-csv", str(out_csv)])
+        assert code == 3
+        assert "labels must lie in [-2**63, 2**63)" in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         for line in ("widgets = 4", "normalize_spectrum = true"):
@@ -387,6 +403,26 @@ class TestExitCodes:
             assert "config error:" in captured.err and "edges" not in captured.out
             code = main(
                 ["fit", "--data", str(data), "--format", "csv", "--k", "2", "--l", "1",
+                 "--model-out", str(model)] + flags
+            )
+            assert code == 2
+        captured = capsys.readouterr()
+        assert "config error:" in captured.err and "final_mse" not in captured.out
+        assert not model.exists()
+
+    @pytest.mark.parametrize("alpha", ["1e6", "1e300"])
+    def test_gaussian_alpha_that_zeroes_every_similarity_exits_2(self, tmp_path, capsys, alpha):
+        data = write_digits_csv(tmp_path / "d.csv")
+        model = tmp_path / "m.gfm"
+        flags = ["--kernel", "gaussian", "--alpha", alpha]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["graph", "--data", str(data), "--format", "csv"] + flags) == 2
+            captured = capsys.readouterr()
+            assert "config error:" in captured.err and "alpha" in captured.err
+            assert "edges" not in captured.out
+            code = main(
+                ["fit", "--data", str(data), "--format", "csv", "--k", "3", "--l", "1",
                  "--model-out", str(model)] + flags
             )
             assert code == 2

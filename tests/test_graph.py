@@ -101,6 +101,19 @@ class TestSimilarityDense:
             with pytest.raises(DataOverflow, match="squared distances"):
                 build_graph(X, cfg)
 
+    @pytest.mark.parametrize("alpha", [1e6, 1e300, 1e308])
+    def test_gaussian_that_underflows_everywhere_rejected(self, alpha):
+        # every exp(-alpha/2 * d2) off the diagonal is 0: the graph has no edges
+        images, _ = synth_digits(4, 10, size=12)
+        cfg = SimilarityConfig(kernel=Kernel.GAUSSIAN, alpha=alpha, knn=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="alpha"):
+                similarity_dense(images, cfg)
+        # a width that keeps some similarity builds a graph with edges
+        wide = SimilarityConfig(kernel=Kernel.GAUSSIAN, alpha=1000.0, knn=3)
+        assert np.count_nonzero(build_graph(images, wide).adjacency) > 0
+
     def test_single_column_rejected(self):
         with pytest.raises(DimensionMismatch):
             similarity_dense(np.ones((3, 1)), COSINE)

@@ -1,8 +1,10 @@
 """Data loading, deterministic sampling, sweeps, and report emitters."""
 
+import decimal
 import hashlib
 import os
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,8 @@ from gfred.harness import (
 from gfred.optimizer import FilterModel, fit
 from gfred.pca import PcaModel
 from gfred.rng import CounterRng, splitmix64
+
+from oracles import csv_bytes, csv_floats
 
 
 class TestCounterRng:
@@ -305,6 +309,23 @@ class TestCsv:
         with pytest.raises(CsvParseError):
             load_csv_matrix(path, first_row_labels=True)
 
+    @pytest.mark.parametrize("label", ["1e19", "-1e19", "9223372036854775808", "1e300"])
+    def test_labels_outside_int64_rejected(self, tmp_path, label):
+        path = tmp_path / "m.csv"
+        path.write_text(f"0,{label},1\n2,3,4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(CsvParseError) as caught:
+                load_csv_matrix(path, first_row_labels=True)
+        assert str(caught.value) == f"{path}: labels must lie in [-2**63, 2**63)"
+
+    def test_labels_at_the_int64_ends_load(self, tmp_path):
+        path = tmp_path / "m.csv"
+        # -2**63 and the largest double below 2**63
+        path.write_text("-9223372036854775808,9223372036854774784\n2,3\n")
+        _, labels = load_csv_matrix(path, first_row_labels=True)
+        assert labels.tolist() == [-(2**63), 2**63 - 1024]
+
     def test_label_row_needs_data_under_it(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,1,2\n")
@@ -324,6 +345,119 @@ class TestCsv:
         save_csv_matrix(matrix, a)
         save_csv_matrix(matrix, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def csv_matrices():
+    """Matrices that cover what the CSV writer's ``repr`` can print."""
+    rng = np.random.default_rng(23)
+    # repr switches to exponent notation below 1e-4 and from 1e16 on
+    switch = [1e-5, np.nextafter(1e-5, 0.0), np.nextafter(1e-5, 1.0), 1e-4,
+              np.nextafter(1e-4, 0.0), 1e16, np.nextafter(1e16, 0.0),
+              np.nextafter(1e16, 2e16), 9999999999999998.0, -1.2345678901234567e16]
+    return {
+        "lognormal": rng.normal(size=(6, 9)) * np.exp(rng.normal(size=(6, 9)) * 5),
+        "signed-zero-subnormal": np.array(
+            [[-0.0, 5e-324, 0.0], [-5e-324, 2.2250738585072014e-308, -0.0]]
+        ),
+        "notation-switch": np.array(switch).reshape(2, 5),
+        "integers": np.arange(-12.0, 12.0).reshape(4, 6) * 1000.0,
+        "one-row": rng.normal(size=(1, 7)),
+        "one-column": rng.normal(size=(7, 1)),
+        "zero-rows": np.zeros((0, 4)),
+        "zero-columns": np.zeros((3, 0)),
+    }
+
+
+class TestCsvParity:
+    """The streaming writer and numpy's reader against the whole-body
+    writer and the per-cell ``float()`` parse."""
+
+    @pytest.mark.parametrize("name", list(csv_matrices()))
+    def test_written_bytes_match_the_whole_body_writer(self, tmp_path, name):
+        matrix = csv_matrices()[name]
+        path = tmp_path / "m.csv"
+        save_csv_matrix(matrix, path)
+        assert path.read_bytes() == csv_bytes(matrix)
+
+    @pytest.mark.parametrize("name", list(csv_matrices()))
+    def test_read_bits_match_the_float_parse(self, tmp_path, name):
+        matrix = csv_matrices()[name]
+        path = tmp_path / "m.csv"
+        path.write_bytes(csv_bytes(matrix))
+        if matrix.size == 0:  # every line is blank
+            with pytest.raises(CsvParseError) as caught:
+                load_csv_matrix(path)
+            assert str(caught.value) == f"{path}: empty file"
+            return
+        loaded = load_csv_matrix(path)
+        expected = csv_floats(path.read_text(encoding="utf-8"))
+        assert loaded.dtype == np.float64 and loaded.shape == expected.shape
+        assert np.array_equal(loaded.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(loaded.view(np.int64), matrix.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1_000,\u0661,2.5\n3,\u0661\u0662.5,4_0.0_1\n",  # only float() reads these
+         "0.1, 0.2 ,\t0.3\n1e-320,-1e308,.5\n",
+         "1,2\n\u2003\n3,4\n",
+         "0.30000000000000004,1.0000000000000002,2.2250738585072011e-308\n"
+         "9007199254740993,4.9406564584124654e-324,1.7976931348623157e308\n"],
+        ids=["float-only-spellings", "padded", "unicode-blank-line",
+             "halfway-and-extremes"],
+    )
+    def test_text_reads_as_the_float_parse(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = csv_floats(text)
+        assert np.array_equal(load_csv_matrix(path).view(np.int64), expected.view(np.int64))
+
+    def test_random_digit_strings_read_as_the_float_parse(self, tmp_path):
+        # long digit strings, subnormals and values at a rounding boundary
+        rng = np.random.default_rng(5)
+        digits = ["".join(map(str, rng.integers(0, 10, size=rng.integers(1, 30))))
+                  for _ in range(600)]
+        cells = [f"{d[:1]}.{d[1:]}e{e}" for d, e in zip(digits, rng.integers(-330, 308, 600))]
+        cells += map(repr, (rng.normal(size=300) * np.exp(rng.normal(size=300) * 30)).tolist())
+        # the exact decimal halfway between two neighbouring doubles
+        with decimal.localcontext(decimal.Context(prec=1200)):
+            for v in (rng.normal(size=300) * 10.0 ** rng.uniform(-320, 300, 300)).tolist():
+                low, high = decimal.Decimal(v), decimal.Decimal(np.nextafter(v, np.inf).item())
+                cells.append(str((low + high) / 2))
+        path = tmp_path / "m.csv"
+        text = "\n".join(",".join(cells[i : i + 40]) for i in range(0, len(cells), 40)) + "\n"
+        path.write_text(text, encoding="utf-8")
+        expected = csv_floats(text)
+        assert np.isfinite(expected).all()
+        assert np.array_equal(load_csv_matrix(path).view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "text, tail",
+        [("1,2\n#3,4\n", "row 2, column 1: '#3'"),
+         ("1.5#x,2\n3,4\n", "row 1, column 1: '1.5#x'"),
+         ("1,2\n3,4\x1c\n", "row 2, column 2: '4\\x1c'"),
+         ("1,2\n  \n3,nan\n", "row 2, column 2: 'nan' is not finite"),
+         ("1,2\r\n3,inf\r\n", "row 2, column 2: 'inf' is not finite"),
+         ("1,1e999\n3,4\n", "row 1, column 2: '1e999' is not finite"),
+         ("1,2\n3\n4,5\n", "row 2 has 1 cells, expected 2"),
+         ("1,2,\n3,4,\n", "row 1, column 3: ''")],
+        ids=["hash-prefix", "hash-inside", "separator-char", "whitespace-line-then-nan",
+             "crlf-inf", "overflow", "ragged", "trailing-comma"],
+    )
+    def test_fault_messages(self, tmp_path, text, tail):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(CsvParseError) as caught:
+            load_csv_matrix(path)
+        assert str(caught.value) == f"{path}: {tail}"
+
+    def test_not_a_matrix_writes_no_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        with pytest.raises(DimensionMismatch):
+            save_csv_matrix(np.arange(3.0), path)
+        assert not path.exists()
+        with pytest.raises(ValueError):
+            save_csv_matrix([["1", "x"]], path)
+        assert not path.exists()
 
 
 def tagged_dataset(n_classes=3, per_class=8, dim=5):
@@ -525,6 +659,15 @@ class TestRunSweep:
         assert report.rows == ()
         assert len(report.failures) == 2 * 2 * 2
         assert all(f.message.startswith("DataOverflow:") for f in report.failures)
+
+    def test_gaussian_that_underflows_fails_every_trial(self, tmp_path):
+        data = tmp_path / "d.csv"
+        write_labeled_csv(data)
+        gauss = SimilarityConfig(kernel=Kernel.GAUSSIAN, alpha=1e6, knn=3)
+        report = run_sweep(sweep_config(data, similarity=gauss), timer=lambda: 0.0)
+        assert report.rows == ()
+        assert len(report.failures) == 2 * 2 * 2
+        assert all(f.message.startswith("ValueError: alpha=1000000.0") for f in report.failures)
 
     def test_one_fit_per_cell_warm_above_order_zero(self, tmp_path, monkeypatch):
         data = tmp_path / "d.csv"
