@@ -44,9 +44,11 @@ reduced = reduce(best, ds, spectrum)
 print(f"reduced representation: {reduced.values.shape[0]} x {reduced.values.shape[1]}")
 
 # the whole state (model, spectrum, reduced data) fits one file
-out = Path(tempfile.mkdtemp()) / "digits.gfm"
-save_model(best, spectrum, reduced, out)
-loaded = load_model(out)
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "digits.gfm"
+    save_model(best, spectrum, reduced, out)
+    loaded = load_model(out)
+    size = out.stat().st_size
 same = np.array_equal(loaded.model.recon_taps, best.recon_taps)
-print(f"saved {out.stat().st_size} bytes; taps identical after reload: {same}")
+print(f"saved {size} bytes; taps identical after reload: {same}")
 print(f"reloaded model reconstructs at MSE {reconstruction_mse(loaded.model, ds, spectrum):.6f}")

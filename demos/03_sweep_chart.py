@@ -20,23 +20,24 @@ from gfred.harness import (
 
 # pool of labeled images written to a CSV the harness can sample from
 images, labels = synth_digits(n_classes=6, per_class=12, seed=2, size=16)
-pool = Path(tempfile.mkdtemp()) / "pool.csv"
-rows = [[float(v) for v in labels]] + [list(r) for r in images]
-save_csv_matrix(rows, pool)
+with tempfile.TemporaryDirectory() as tmp:
+    pool = Path(tmp) / "pool.csv"
+    rows = [[float(v) for v in labels]] + [list(r) for r in images]
+    save_csv_matrix(rows, pool)
 
-cfg = ExperimentConfig(
-    dataset_path=str(pool),
-    dataset_format=DataFormat.CSV,
-    classes_to_pick=3,
-    images_per_class=8,
-    trials=3,
-    seed=9,
-    similarity=SimilarityConfig(kernel=Kernel.COSINE, knn=6),
-    k_list=(4, 8),
-    L_list=(0, 1, 2),
-    max_iters=200,
-)
-report = run_sweep(cfg)
+    cfg = ExperimentConfig(
+        dataset_path=str(pool),
+        dataset_format=DataFormat.CSV,
+        classes_to_pick=3,
+        images_per_class=8,
+        trials=3,
+        seed=9,
+        similarity=SimilarityConfig(kernel=Kernel.COSINE, knn=6),
+        k_list=(4, 8),
+        L_list=(0, 1, 2),
+        max_iters=200,
+    )
+    report = run_sweep(cfg)
 print(f"{len(report.rows)} cells, {len(report.failures)} failures")
 
 print("\n  k  L   mean final MSE   mean PCA MSE")

@@ -21,10 +21,6 @@ class SpectralOverflow(ArithmeticError):
     """An eigenvalue power grew past 1e150 (build_graph's unit-radius graphs never do)."""
 
 
-class DegenerateDirection(ArithmeticError):
-    """A search direction carries no energy through the data."""
-
-
 class NonFiniteValue(ArithmeticError):
     """An iterate picked up NaN or infinity."""
 

@@ -176,18 +176,6 @@ def load_idx(images_path, labels_path=None):
     return images, labels.astype(np.int64)
 
 
-def _raise_cell_error(path, r: int, cells):
-    """Raise the CsvParseError for the first cell of row ``r`` that is not
-    a finite number."""
-    for c, cell in enumerate(cells, start=1):
-        try:
-            value = float(cell)
-        except ValueError as exc:
-            raise CsvParseError(f"{path}: row {r}, column {c}: {cell!r}") from exc
-        if not math.isfinite(value):
-            raise CsvParseError(f"{path}: row {r}, column {c}: {cell!r} is not finite")
-
-
 def load_csv_matrix(path, first_row_labels: bool = False):
     """Rectangular numeric CSV with one data vector per column.
 
@@ -202,10 +190,11 @@ def load_csv_matrix(path, first_row_labels: bool = False):
     that are not UTF-8 raise CsvParseError naming the file.
 
     The kept lines go to numpy's C text reader, whose float conversion
-    rounds as ``float()`` does. A file it refuses is parsed again with
-    ``float()`` per cell, which also reads spellings numpy does not (``1_000``,
-    non-ASCII digits); the matrix is checked for finiteness in one pass,
-    and only a file that fails is walked row by row, to name the fault.
+    rounds as ``float()`` does, and the matrix is checked for finiteness in
+    one pass. Only a file that numpy refuses, or that holds a non-finite
+    cell, is walked row by row with ``float()`` per cell, which also reads
+    spellings numpy does not (``1_000``, non-ASCII digits): the walk returns
+    the matrix or raises at the first fault.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -223,20 +212,24 @@ def load_csv_matrix(path, first_row_labels: bool = False):
             matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         except ValueError:
             pass
-    if matrix is None:
-        try:
-            matrix = np.array(
-                [list(map(float, line.split(","))) for line in lines], dtype=np.float64
-            )
-        except ValueError:  # a ragged row or an unparsable cell
-            pass
     if matrix is None or not np.isfinite(matrix).all():
         width = lines[0].count(",") + 1
+        rows = []
         for r, line in enumerate(lines, start=1):
             cells = line.split(",")
             if len(cells) != width:
                 raise CsvParseError(f"{path}: row {r} has {len(cells)} cells, expected {width}")
-            _raise_cell_error(path, r, cells)
+            row = []
+            for c, cell in enumerate(cells, start=1):
+                try:
+                    value = float(cell)
+                except ValueError as exc:
+                    raise CsvParseError(f"{path}: row {r}, column {c}: {cell!r}") from exc
+                if not math.isfinite(value):
+                    raise CsvParseError(f"{path}: row {r}, column {c}: {cell!r} is not finite")
+                row.append(value)
+            rows.append(row)
+        matrix = np.array(rows, dtype=np.float64)
     if not first_row_labels:
         return matrix
     if matrix.shape[0] < 2:

@@ -28,9 +28,10 @@ iteration makes six matrix products: the tap gradient
 ``T' @ resid`` (:func:`~gfred.spectral.power_sum` adds its power weights
 in after the product, on k-row blocks) and its kernel product, and the
 coefficient ray's kernel product and output. Every power weighting acts
-on an (L+1)k-row array. The public gradient, step and objective functions
-compute the same formulas from a bare (taps, coeffs) pair, after checking
-its shapes.
+on an (L+1)k-row array. The gradients, steps and cost are internal to
+:func:`fit` (and :func:`stationarity_residual`); the test suite's
+``tests/oracles.py`` computes them again, one frequency at a time, as
+the reference the trainer is checked against.
 
 :func:`fit`'s loop runs on min(dim, n) rows. On tall data (dim > n) it
 takes the thin QR factorization ``Xt = Q R`` of the transformed data;
@@ -56,8 +57,8 @@ an order-L bank contains the banks below it with their higher taps at
 zero.
 
 Nonpositive optimal steps are clamped to zero (the stopping test then
-sees a zero update), and a direction whose filtered energy is below
-1e-300 raises DegenerateDirection, which the driver treats the same way.
+sees a zero update), and so is the step along a direction whose filtered
+energy is below 1e-300.
 """
 from __future__ import annotations
 
@@ -66,7 +67,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateDirection, DimensionMismatch, FingerprintMismatch, NonFiniteValue
+from .errors import DimensionMismatch, FingerprintMismatch, NonFiniteValue
 from .graph import GraphSpectrum
 from .pca import PcaModel, pca_fit
 from .spectral import (
@@ -115,8 +116,7 @@ class FitResult:
 
 def _checked(cache: SpectralCache, taps, coeffs):
     """The pair as float arrays, after checking it fits the cache: a
-    dim x (order+1)k tap bank and k x n coefficients. A direction is
-    checked in the place of the taps or coefficients it moves."""
+    dim x (order+1)k tap bank and k x n coefficients."""
     taps = np.asarray(taps, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 2 or coeffs.shape[1] != cache.n:
@@ -156,65 +156,6 @@ def _coeff_gradient(cache: SpectralCache, taps, resid) -> np.ndarray:
     return (-2.0 / cache.n) * (back @ cache.kernel)
 
 
-def _line_step(cache: SpectralCache, resid, moved) -> float:
-    """Exact minimizer of the cost along a ray whose filtered output moves
-    the prediction by ``-c * moved``."""
-    quad = float(np.vdot(moved, moved)) / cache.n
-    if not quad > _ENERGY_FLOOR:
-        raise DegenerateDirection(f"filtered direction energy {quad:.3e} is numerically zero")
-    return -(float(np.vdot(resid, moved)) / cache.n) / quad
-
-
-def objective(cache: SpectralCache, taps, coeffs) -> float:
-    """Mean squared spectral-domain reconstruction error."""
-    taps, coeffs = _checked(cache, taps, coeffs)
-    return _cost(cache, _residual(cache, taps, _reduced_powers(cache, coeffs)))
-
-
-def grad_taps(cache: SpectralCache, taps, coeffs) -> np.ndarray:
-    """Exact gradient of :func:`objective` with respect to the tap bank.
-
-    Order-l block: ``-2/n * sum_i lam_i^l resid_i reduced_i'``, all orders
-    accumulated in one matrix product.
-    """
-    taps, coeffs = _checked(cache, taps, coeffs)
-    phi = _reduced_powers(cache, coeffs)
-    return _tap_gradient(cache, phi, _residual(cache, taps, phi))
-
-
-def grad_coeffs(cache: SpectralCache, taps, coeffs) -> np.ndarray:
-    """Exact gradient of :func:`objective` with respect to the coefficients.
-
-    ``-2/n * (sum_l T_l' (resid * lam^l)) @ kernel``; :func:`fit` takes
-    it at the already-updated tap bank.
-    """
-    taps, coeffs = _checked(cache, taps, coeffs)
-    return _coeff_gradient(cache, taps, _residual(cache, taps, _reduced_powers(cache, coeffs)))
-
-
-def step_size_taps(cache: SpectralCache, taps, coeffs, direction) -> float:
-    """Exact minimizer of the cost along ``taps - c * direction``.
-
-    The restriction is quadratic in ``c``; with p_i the direction's
-    response applied to node i's reduced vector, the minimizer is
-    ``(<predicted, p> - <data, p>) / <p, p>`` (each contraction averaged
-    over nodes). Raises DegenerateDirection when the quadratic term is
-    numerically zero.
-    """
-    taps, coeffs = _checked(cache, taps, coeffs)
-    direction, _ = _checked(cache, direction, coeffs)
-    phi = _reduced_powers(cache, coeffs)
-    return _line_step(cache, _residual(cache, taps, phi), direction @ phi)
-
-
-def step_size_coeffs(cache: SpectralCache, taps, coeffs, direction) -> float:
-    """Exact minimizer of the cost along ``coeffs - c * direction``."""
-    taps, coeffs = _checked(cache, taps, coeffs)
-    _, direction = _checked(cache, taps, direction)
-    moved = taps @ _reduced_powers(cache, direction)
-    return _line_step(cache, _residual(cache, taps, _reduced_powers(cache, coeffs)), moved)
-
-
 def init_filters(pca: PcaModel, cache: SpectralCache):
     """PCA-seeded starting point from a PCA model of the cache's data.
 
@@ -251,15 +192,18 @@ def init_filters(pca: PcaModel, cache: SpectralCache):
 def _step_along(cache, resid, moved) -> float:
     """Take the clamped exact step along a ray and return its size.
 
-    ``moved`` is scaled by the step and added to the carried ``resid``,
-    both in place. A nonpositive optimal step means no descent along the
-    ray, and a zero direction has zero filtered energy: either way the
-    step is 0.0 and nothing moves.
+    The cost along a ray whose filtered output moves the prediction by
+    ``-c * moved`` is an exact quadratic in ``c``, minimized at
+    ``-<resid, moved> / <moved, moved>``. ``moved`` is scaled by the step
+    and added to the carried ``resid``, both in place. A nonpositive
+    optimal step means no descent along the ray, and a direction whose
+    filtered energy is below 1e-300 has none to give: either way the step
+    is 0.0 and nothing moves.
     """
-    try:
-        step = _line_step(cache, resid, moved)
-    except DegenerateDirection:
+    quad = float(np.vdot(moved, moved)) / cache.n
+    if not quad > _ENERGY_FLOOR:
         return 0.0
+    step = -(float(np.vdot(resid, moved)) / cache.n) / quad
     if not step > 0.0:
         return 0.0
     moved *= step

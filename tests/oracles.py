@@ -2,85 +2,16 @@
 
 Everything here favors directness over speed: entrywise finite
 differences, dense line scans, explicitly stacked feature matrices, and
-per-row loops. Tests compare library outputs against these.
+per-frequency and per-row loops. Tests compare library outputs against these;
+nothing here calls the trainer's own cost, gradients or steps.
 """
 from typing import NamedTuple
 
 import numpy as np
 
-from gfred.errors import DegenerateDirection, DimensionMismatch
+from gfred.errors import DimensionMismatch
 from gfred.graph import GraphSpectrum, Kernel, SimilarityConfig, build_graph
-from gfred.optimizer import (
-    grad_coeffs,
-    grad_taps,
-    objective,
-    step_size_coeffs,
-    step_size_taps,
-)
 from gfred.spectral import CenteredDataset, SpectralCache, build_cache, center
-
-
-def fd_grad_taps(cache, taps, coeffs, h=1e-6):
-    """Central finite differences of the objective in every tap entry."""
-    out = np.zeros_like(taps)
-    for idx in np.ndindex(taps.shape):
-        plus = taps.copy()
-        plus[idx] += h
-        minus = taps.copy()
-        minus[idx] -= h
-        out[idx] = (objective(cache, plus, coeffs) - objective(cache, minus, coeffs)) / (2 * h)
-    return out
-
-
-def fd_grad_coeffs(cache, taps, coeffs, h=1e-6):
-    out = np.zeros_like(coeffs)
-    for idx in np.ndindex(coeffs.shape):
-        plus = coeffs.copy()
-        plus[idx] += h
-        minus = coeffs.copy()
-        minus[idx] -= h
-        out[idx] = (objective(cache, taps, plus) - objective(cache, taps, minus)) / (2 * h)
-    return out
-
-
-def scan_best_step(cache, taps, coeffs, direction, step, which, points=1001):
-    """Argmin of the objective over an even grid on [0, 4*step]."""
-    grid = np.linspace(0.0, 4.0 * step, points)
-    if which == "taps":
-        values = [objective(cache, taps - c * direction, coeffs) for c in grid]
-    else:
-        values = [objective(cache, taps, coeffs - c * direction) for c in grid]
-    best = int(np.argmin(values))
-    return grid[best], grid[1] - grid[0]
-
-
-def descend_by_public_steps(cache, taps, coeffs, iters):
-    """The training iteration spelled out with the public gradient and step
-    functions on the full dim-row cache, recomputing the model output at
-    every half-update. A nonpositive or degenerate step counts as 0.
-
-    Returns the objective trace (start, then after every half-update) and
-    the final (taps, coeffs) pair.
-    """
-    trace = [objective(cache, taps, coeffs)]
-    for _ in range(iters):
-        direction = grad_taps(cache, taps, coeffs)
-        step = _clamped(step_size_taps, cache, taps, coeffs, direction)
-        taps = taps - step * direction
-        trace.append(objective(cache, taps, coeffs))
-        direction = grad_coeffs(cache, taps, coeffs)
-        step = _clamped(step_size_coeffs, cache, taps, coeffs, direction)
-        coeffs = coeffs - step * direction
-        trace.append(objective(cache, taps, coeffs))
-    return np.asarray(trace), taps, coeffs
-
-
-def _clamped(step_size, cache, taps, coeffs, direction):
-    try:
-        step = step_size(cache, taps, coeffs, direction)
-    except DegenerateDirection:
-        return 0.0
-    return max(step, 0.0)
 
 
 def stacked_kernel(gft_data, eigvals, order):
@@ -88,6 +19,147 @@ def stacked_kernel(gft_data, eigvals, order):
     blocks = [gft_data * (eigvals**ell)[None, :] for ell in range(order + 1)]
     stacked = np.vstack(blocks)
     return stacked.T @ stacked
+
+
+# --- the training problem, one graph frequency at a time ---------------------
+#
+# The trainer's cost, both gradients and both exact steps, written from the
+# model's definition in the graph's frequency domain: reduced vector i is
+# column i of ``coeffs @ kernel`` for the stacked feature kernel, and its
+# reconstruction is the tap bank's frequency response at lam_i applied to it.
+
+
+class Reference(NamedTuple):
+    xt: np.ndarray      # (dim, n) centered data in the graph's eigenbasis
+    lam: np.ndarray     # (n,) graph eigenvalues
+    order: int
+    kernel: np.ndarray  # (n, n) stacked_kernel of xt at this order
+
+
+def reference(ds, spectrum, order) -> Reference:
+    """The problem a fit of ``ds`` over ``spectrum`` at ``order`` trains."""
+    xt = ds.centered @ spectrum.eigvecs
+    lam = np.asarray(spectrum.eigvals, dtype=np.float64)
+    return Reference(xt, lam, order, stacked_kernel(xt, lam, order))
+
+
+def _responses(ref, bank):
+    """The bank's frequency response ``sum_l lam_i^l T_l`` at every lam_i."""
+    stack = tap_stack(bank, ref.order + 1)
+    return [spectral_response(stack, lam) for lam in ref.lam]
+
+
+def _outputs(ref, bank, reduced):
+    """Column i: the bank's response at lam_i applied to ``reduced[:, i]``."""
+    return np.column_stack(
+        [resp @ reduced[:, i] for i, resp in enumerate(_responses(ref, bank))]
+    )
+
+
+def _residual(ref, taps, coeffs):
+    reduced = coeffs @ ref.kernel
+    return ref.xt - _outputs(ref, taps, reduced), reduced
+
+
+def objective(ref, taps, coeffs) -> float:
+    """Mean over the n columns of the squared reconstruction residual."""
+    resid, _ = _residual(ref, taps, coeffs)
+    return float(np.sum(resid**2)) / resid.shape[1]
+
+
+def grad_taps(ref, taps, coeffs) -> np.ndarray:
+    """Order-l block: ``-2/n * sum_i lam_i^l resid_i reduced_i'``."""
+    resid, reduced = _residual(ref, taps, coeffs)
+    n = resid.shape[1]
+    blocks = [
+        sum(lam**ell * np.outer(resid[:, i], reduced[:, i]) for i, lam in enumerate(ref.lam))
+        for ell in range(ref.order + 1)
+    ]
+    return (-2.0 / n) * np.concatenate(blocks, axis=1)
+
+
+def grad_coeffs(ref, taps, coeffs) -> np.ndarray:
+    """Reduced vector i pulls with ``-2/n * R_i' resid_i`` for the response
+    R_i at lam_i; each coefficient reaches every column through the kernel."""
+    resid, _ = _residual(ref, taps, coeffs)
+    n = resid.shape[1]
+    pull = np.column_stack(
+        [resp.T @ resid[:, i] for i, resp in enumerate(_responses(ref, taps))]
+    )
+    return (-2.0 / n) * (pull @ ref.kernel)
+
+
+def _line_step(resid, moved) -> float:
+    """Minimizer of ``sum_i |resid_i + c moved_i|^2`` over c, or 0.0 when the
+    mean energy of ``moved`` is below 1e-300 and the cost does not move."""
+    n = resid.shape[1]
+    if not float(np.sum(moved**2)) / n > 1e-300:
+        return 0.0
+    return -float(np.sum(resid * moved)) / float(np.sum(moved**2))
+
+
+def step_taps(ref, taps, coeffs, direction) -> float:
+    """Exact minimizer of the cost along ``taps - c * direction``."""
+    resid, reduced = _residual(ref, taps, coeffs)
+    return _line_step(resid, _outputs(ref, direction, reduced))
+
+
+def step_coeffs(ref, taps, coeffs, direction) -> float:
+    """Exact minimizer of the cost along ``coeffs - c * direction``."""
+    resid, _ = _residual(ref, taps, coeffs)
+    return _line_step(resid, _outputs(ref, taps, direction @ ref.kernel))
+
+
+def fd_grad_taps(ref, taps, coeffs, h=1e-6):
+    """Central finite differences of the objective in every tap entry."""
+    out = np.zeros_like(taps)
+    for idx in np.ndindex(taps.shape):
+        plus = taps.copy()
+        plus[idx] += h
+        minus = taps.copy()
+        minus[idx] -= h
+        out[idx] = (objective(ref, plus, coeffs) - objective(ref, minus, coeffs)) / (2 * h)
+    return out
+
+
+def fd_grad_coeffs(ref, taps, coeffs, h=1e-6):
+    out = np.zeros_like(coeffs)
+    for idx in np.ndindex(coeffs.shape):
+        plus = coeffs.copy()
+        plus[idx] += h
+        minus = coeffs.copy()
+        minus[idx] -= h
+        out[idx] = (objective(ref, taps, plus) - objective(ref, taps, minus)) / (2 * h)
+    return out
+
+
+def scan_best_step(ref, taps, coeffs, direction, step, which, points=1001):
+    """Argmin of the objective over an even grid on [0, 4*step]."""
+    grid = np.linspace(0.0, 4.0 * step, points)
+    if which == "taps":
+        values = [objective(ref, taps - c * direction, coeffs) for c in grid]
+    else:
+        values = [objective(ref, taps, coeffs - c * direction) for c in grid]
+    best = int(np.argmin(values))
+    return grid[best], grid[1] - grid[0]
+
+
+def descend(ref, taps, coeffs, iters):
+    """The training iteration from the reference's gradients and steps: a
+    tap step, then a coefficient step at the fresh taps, each clamped at 0.
+
+    Returns the objective trace (start, then after every half-update) and
+    the final (taps, coeffs) pair.
+    """
+    trace = [objective(ref, taps, coeffs)]
+    for _ in range(iters):
+        direction = grad_taps(ref, taps, coeffs)
+        taps = taps - max(step_taps(ref, taps, coeffs, direction), 0.0) * direction
+        trace.append(objective(ref, taps, coeffs))
+        direction = grad_coeffs(ref, taps, coeffs)
+        coeffs = coeffs - max(step_coeffs(ref, taps, coeffs, direction), 0.0) * direction
+        trace.append(objective(ref, taps, coeffs))
+    return np.asarray(trace), taps, coeffs
 
 
 def brute_knn_marks(sim, knn):
@@ -117,6 +189,11 @@ class Instance(NamedTuple):
     ds: CenteredDataset
     spectrum: GraphSpectrum
     cache: SpectralCache
+
+    @property
+    def ref(self) -> Reference:
+        """The reference of the problem at the cache's order."""
+        return reference(self.ds, self.spectrum, self.cache.order)
 
 
 def random_instance(rng, n, dim, order, knn=None, scale=1.0) -> Instance:

@@ -31,26 +31,23 @@ from gfred.harness import (
     run_sweep,
     synth_digits,
 )
-from gfred.optimizer import (
-    FilterModel,
-    fit,
-    grad_coeffs,
-    grad_taps,
-    stationarity_residual,
-    step_size_coeffs,
-    step_size_taps,
-)
+from gfred.optimizer import FilterModel, fit, init_filters, stationarity_residual
 from gfred.pca import pca_fit, pca_mse
 from gfred.spectral import igft, reducing_taps
 
 from oracles import (
+    descend,
     fd_grad_coeffs,
     fd_grad_taps,
+    grad_coeffs,
+    grad_taps,
     kron_reconstruct,
     kron_reduce,
     random_filters,
     random_instance,
     scan_best_step,
+    step_coeffs,
+    step_taps,
     tap_stack,
 )
 
@@ -90,8 +87,11 @@ def test_order_zero_start_matches_pca(capsys):
 
 
 def test_gradients_match_finite_differences(capsys):
-    # 50+ instances; per entry: 1e-5 relative, or 1e-8 absolute for
-    # entries whose finite-difference value is below 1e-8; under 10 s
+    # the reference's analytic gradients against central differences of
+    # its objective (tests/oracles.py), 50+ instances; per entry: 1e-5
+    # relative, or 1e-8 absolute for entries whose finite-difference value
+    # is below 1e-8; under 10 s. fit's own steps are held to the reference
+    # by the line-search criterion below
     with criterion(capsys, "analytic gradients match central differences"):
         started = time.perf_counter()
         rng = np.random.default_rng(2025)
@@ -102,22 +102,26 @@ def test_gradients_match_finite_differences(capsys):
             k = int(rng.integers(1, min(3, dim) + 1))
             inst = random_instance(rng, n=n, dim=dim, order=order)
             taps, coeffs = random_filters(rng, inst.cache, k)
-            for got, ref in (
-                (grad_taps(inst.cache, taps, coeffs), fd_grad_taps(inst.cache, taps, coeffs)),
-                (grad_coeffs(inst.cache, taps, coeffs), fd_grad_coeffs(inst.cache, taps, coeffs)),
+            ref = inst.ref
+            for got, want in (
+                (grad_taps(ref, taps, coeffs), fd_grad_taps(ref, taps, coeffs)),
+                (grad_coeffs(ref, taps, coeffs), fd_grad_coeffs(ref, taps, coeffs)),
             ):
-                small = np.abs(ref) < 1e-8
-                gap = np.abs(got - ref)
+                small = np.abs(want) < 1e-8
+                gap = np.abs(got - want)
                 assert np.all(gap[small] <= 1e-8), (n, dim, order, k)
-                assert np.all(gap[~small] <= 1e-5 * np.abs(ref)[~small]), (n, dim, order, k)
+                assert np.all(gap[~small] <= 1e-5 * np.abs(want)[~small]), (n, dim, order, k)
         assert time.perf_counter() - started < 10.0
 
 
 @pytest.mark.filterwarnings("ignore::gfred.errors.RankDeficiencyWarning")
 def test_line_search_is_exact(capsys):
-    # both closed-form steps must land on the minimum of a 1001-point
-    # dense scan over [0, 4*step] (within one cell), and every half-update
-    # of a full training run must be non-increasing with 1e-12 slack
+    # both of the reference's closed-form steps must land on the minimum
+    # of a 1001-point dense scan over [0, 4*step] (within one cell), and
+    # every half-update of a full training run must be non-increasing with
+    # 1e-12 slack. That run, from the PCA seed, must follow the reference
+    # descent: taps and coefficients to 1e-10 relative, and each trace
+    # entry to 1e-10 times the data's mean energy
     with criterion(capsys, "closed-form steps minimize the objective along the ray"):
         started = time.perf_counter()
         rng = np.random.default_rng(2026)
@@ -128,19 +132,30 @@ def test_line_search_is_exact(capsys):
             k = int(rng.integers(1, min(3, dim) + 1))
             inst = random_instance(rng, n=n, dim=dim, order=order)
             taps, coeffs = random_filters(rng, inst.cache, k)
+            ref = inst.ref
 
-            direction = grad_taps(inst.cache, taps, coeffs)
-            step = step_size_taps(inst.cache, taps, coeffs, direction)
-            best, spacing = scan_best_step(inst.cache, taps, coeffs, direction, step, "taps")
+            direction = grad_taps(ref, taps, coeffs)
+            step = step_taps(ref, taps, coeffs, direction)
+            best, spacing = scan_best_step(ref, taps, coeffs, direction, step, "taps")
             assert abs(best - step) <= spacing
 
-            direction = grad_coeffs(inst.cache, taps, coeffs)
-            step = step_size_coeffs(inst.cache, taps, coeffs, direction)
-            best, spacing = scan_best_step(inst.cache, taps, coeffs, direction, step, "coeffs")
+            direction = grad_coeffs(ref, taps, coeffs)
+            step = step_coeffs(ref, taps, coeffs, direction)
+            best, spacing = scan_best_step(ref, taps, coeffs, direction, step, "coeffs")
             assert abs(best - step) <= spacing
 
             result = fit(inst.ds, inst.spectrum, k, order, max_iters=40)
             assert np.all(np.diff(result.objective_trace) <= 1e-12)
+
+            seed_taps, seed_coeffs = init_filters(pca_fit(inst.ds, k), inst.cache)
+            trace, taps, coeffs = descend(ref, seed_taps, seed_coeffs, result.iterations)
+            model = result.model
+            energy = float(np.sum(inst.ds.centered**2)) / n
+            gap = np.abs(result.objective_trace - trace).max()
+            assert gap <= 1e-10 * energy, (n, dim, order, k, gap)
+            for got, want in ((model.recon_taps, taps), (model.coeffs, coeffs)):
+                gap = np.linalg.norm(got - want)
+                assert gap <= 1e-10 * np.linalg.norm(want), (n, dim, order, k, gap)
         assert time.perf_counter() - started < 10.0
 
 

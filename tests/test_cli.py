@@ -268,6 +268,32 @@ class TestSweepCommand:
         assert "labels must lie in [-2**63, 2**63)" in capsys.readouterr().err
         assert not out_csv.exists()
 
+    def test_failed_cells_are_reported_on_stderr(self, tmp_path, capsys):
+        # every cell is finite, but a column's sum of squares overflows: each
+        # cell of the one trial fails, the sweep still exits 0 and the CSV
+        # holds only its header
+        images, labels = synth_digits(n_classes=4, per_class=10, size=12)
+        data = tmp_path / "offset.csv"
+        save_csv_matrix(np.vstack([labels, 1e155 + images]), data)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("")
+        out_csv = tmp_path / "rows.csv"
+        code = main(
+            ["sweep", "--config", str(cfg), "--out-csv", str(out_csv),
+             "--dataset-path", str(data), "--dataset-format", "csv", "--trials", "1",
+             "--classes-to-pick", "4", "--images-per-class", "10",
+             "--k-list", "2,3", "--l-list", "0,1"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "rows: 0" in captured.out
+        lines = captured.err.splitlines()
+        cells = [(k, L) for k in (2, 3) for L in (0, 1)]
+        assert len(lines) == len(cells)
+        for line, (k, L) in zip(lines, cells):
+            assert line.startswith(f"failed cell trial=0 k={k} L={L}: DataOverflow: ")
+        assert out_csv.read_text() == "trial,k,L,iters,initial_mse,final_mse,pca_mse,wall_time_ms\n"
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         for line in ("widgets = 4", "normalize_spectrum = true"):

@@ -722,6 +722,28 @@ class TestRunSweep:
         emit_csv(run_sweep(cfg, timer=lambda: 0.0), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_idx_pool_sweeps_as_its_labelled_csv(self, tmp_path):
+        # IDX is the config's default format; the same pixels written as a
+        # labelled CSV must give the same report, byte for byte
+        images, labels = synth_digits(n_classes=3, per_class=8, seed=4, size=8)
+        pixels = np.round(images.T * 255.0).astype(np.uint8)
+        images_path = tmp_path / "pool-images-idx3-ubyte"
+        header = struct.pack(">IIII", 0x803, pixels.shape[0], 8, 8)
+        images_path.write_bytes(header + pixels.tobytes())
+        labels_path = tmp_path / "pool-labels-idx1-ubyte"
+        header = struct.pack(">II", 0x801, labels.size)
+        labels_path.write_bytes(header + labels.astype(np.uint8).tobytes())
+        csv_path = tmp_path / "pool.csv"
+        save_csv_matrix(np.vstack([labels, pixels.T / 255.0]), csv_path)
+        idx_cfg = sweep_config(images_path, dataset_format=DataFormat.IDX, images_per_class=6)
+        csv_cfg = sweep_config(csv_path, images_per_class=6)
+        from_idx, from_csv = tmp_path / "idx.csv", tmp_path / "csv.csv"
+        idx_report = run_sweep(idx_cfg, timer=lambda: 0.0)
+        emit_csv(idx_report, from_idx)
+        emit_csv(run_sweep(csv_cfg, timer=lambda: 0.0), from_csv)
+        assert idx_report.rows and not idx_report.failures
+        assert from_idx.read_bytes() == from_csv.read_bytes()
+
 
 class TestEmitters:
 

@@ -1,12 +1,17 @@
-"""Trainer checks: gradients vs finite differences, steps vs dense scans,
-monotone descent, starting-point quality, and the warm-start reseeding."""
+"""Trainer checks: the reference's gradients vs finite differences and its
+steps vs dense scans, fit against the reference descent, monotone descent,
+starting-point quality, and the warm-start reseeding."""
 
 import dataclasses
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfred import optimizer
+from gfred.codec import reduce
 from gfred.errors import (
     DimensionMismatch,
     FingerprintMismatch,
@@ -14,27 +19,24 @@ from gfred.errors import (
     RankDeficiencyWarning,
 )
 from gfred.graph import GraphSpectrum, Kernel, SimilarityConfig, build_graph
-from gfred.optimizer import (
-    extend_order,
-    fit,
-    grad_coeffs,
-    grad_taps,
-    init_filters,
-    objective,
-    stationarity_residual,
-    step_size_coeffs,
-    step_size_taps,
-)
+from gfred.harness import synth_digits
+from gfred.optimizer import extend_order, fit, init_filters, stationarity_residual
 from gfred.pca import pca_fit, pca_mse
 from gfred.spectral import build_cache, center, power_stack, power_sum, reduce_response
 
 from oracles import (
-    descend_by_public_steps,
+    descend,
     fd_grad_coeffs,
     fd_grad_taps,
+    grad_coeffs,
+    grad_taps,
+    objective,
     random_filters,
     random_instance,
+    reference,
     scan_best_step,
+    step_coeffs,
+    step_taps,
 )
 
 
@@ -47,30 +49,18 @@ class TestObjective:
         coeffs = np.zeros((2, 7))
         # the transform is orthonormal: the vertex-domain energy is the same
         mean_energy = np.sum(inst.ds.centered**2) / inst.ds.n
-        assert objective(inst.cache, taps, coeffs) == pytest.approx(mean_energy, rel=1e-14)
+        assert objective(inst.ref, taps, coeffs) == pytest.approx(mean_energy, rel=1e-14)
 
     def test_zero_at_exactly_representable_data(self):
         # k = dim and an identity tap can reproduce any order-0 model output,
         # so solving for the coefficients drives the cost to rounding level
         rng = np.random.default_rng(61)
         inst = random_instance(rng, n=12, dim=3, order=0)
+        ref = inst.ref
         taps = np.eye(3)
-        coeffs, *_ = np.linalg.lstsq(inst.cache.kernel, inst.cache.gft_data.T, rcond=None)
-        val = objective(inst.cache, taps, coeffs.T)
+        coeffs, *_ = np.linalg.lstsq(ref.kernel, ref.xt.T, rcond=None)
+        val = objective(ref, taps, coeffs.T)
         assert val <= 1e-18 * (1.0 + np.sum(inst.ds.centered**2) / inst.ds.n)
-
-    def test_shape_validation(self):
-        rng = np.random.default_rng(62)
-        inst = random_instance(rng, n=5, dim=3, order=1)
-        with pytest.raises(DimensionMismatch):
-            objective(inst.cache, np.zeros((3, 6)), np.zeros((2, 5)))
-        with pytest.raises(DimensionMismatch):
-            objective(inst.cache, np.zeros((3, 4)), np.zeros((2, 4)))
-        with pytest.raises(DimensionMismatch):
-            objective(inst.cache, np.zeros((3, 4)), np.zeros((3, 5)))
-        with pytest.raises(DimensionMismatch):
-            objective(inst.cache, np.zeros((2, 3, 2)), np.zeros((2, 5)))
-        assert objective(inst.cache, np.zeros((3, 4)), np.zeros((2, 5))) > 0.0
 
 
 class TestGradients:
@@ -84,8 +74,8 @@ class TestGradients:
             k = int(rng.integers(1, dim + 1))
             inst = random_instance(rng, n=n, dim=dim, order=order)
             taps, coeffs = random_filters(rng, inst.cache, k)
-            g = grad_taps(inst.cache, taps, coeffs)
-            fd = fd_grad_taps(inst.cache, taps, coeffs)
+            g = grad_taps(inst.ref, taps, coeffs)
+            fd = fd_grad_taps(inst.ref, taps, coeffs)
             assert np.all(np.abs(g - fd) <= 1e-6 * np.abs(fd) + 1e-8)
 
     def test_coeffs_match_finite_differences(self):
@@ -97,8 +87,8 @@ class TestGradients:
             k = int(rng.integers(1, dim + 1))
             inst = random_instance(rng, n=n, dim=dim, order=order)
             taps, coeffs = random_filters(rng, inst.cache, k)
-            g = grad_coeffs(inst.cache, taps, coeffs)
-            fd = fd_grad_coeffs(inst.cache, taps, coeffs)
+            g = grad_coeffs(inst.ref, taps, coeffs)
+            fd = fd_grad_coeffs(inst.ref, taps, coeffs)
             assert np.all(np.abs(g - fd) <= 1e-6 * np.abs(fd) + 1e-8)
 
     def test_tap_gradient_vanishes_at_zero_coefficients(self):
@@ -107,14 +97,14 @@ class TestGradients:
         rng = np.random.default_rng(65)
         inst = random_instance(rng, n=6, dim=4, order=2)
         taps, _ = random_filters(rng, inst.cache, 2)
-        g = grad_taps(inst.cache, taps, np.zeros((2, 6)))
+        g = grad_taps(inst.ref, taps, np.zeros((2, 6)))
         assert np.array_equal(g, np.zeros_like(taps))
 
     def test_coeff_gradient_vanishes_at_zero_taps(self):
         rng = np.random.default_rng(66)
         inst = random_instance(rng, n=6, dim=4, order=2)
         _, coeffs = random_filters(rng, inst.cache, 2)
-        g = grad_coeffs(inst.cache, np.zeros((4, 6)), coeffs)
+        g = grad_coeffs(inst.ref, np.zeros((4, 6)), coeffs)
         assert np.array_equal(g, np.zeros_like(coeffs))
 
 
@@ -127,12 +117,13 @@ class TestStepSizes:
         for _ in range(5):
             inst = random_instance(rng, n=6, dim=4, order=2)
             taps, coeffs = random_filters(rng, inst.cache, 2)
-            d_t = grad_taps(inst.cache, taps, coeffs)
-            d_c = grad_coeffs(inst.cache, taps, coeffs)
-            s_t = step_size_taps(inst.cache, taps, coeffs, d_t)
-            s_c = step_size_coeffs(inst.cache, taps, coeffs, d_c)
-            assert step_size_taps(inst.cache, taps, coeffs, 2.0 * d_t) == s_t / 2.0
-            assert step_size_coeffs(inst.cache, taps, coeffs, 2.0 * d_c) == s_c / 2.0
+            ref = inst.ref
+            d_t = grad_taps(ref, taps, coeffs)
+            d_c = grad_coeffs(ref, taps, coeffs)
+            s_t = step_taps(ref, taps, coeffs, d_t)
+            s_c = step_coeffs(ref, taps, coeffs, d_c)
+            assert step_taps(ref, taps, coeffs, 2.0 * d_t) == s_t / 2.0
+            assert step_coeffs(ref, taps, coeffs, 2.0 * d_c) == s_c / 2.0
 
     def test_taps_step_beats_dense_scan(self):
         rng = np.random.default_rng(68)
@@ -142,13 +133,14 @@ class TestStepSizes:
             order = int(rng.integers(0, 4))
             inst = random_instance(rng, n=n, dim=dim, order=order)
             taps, coeffs = random_filters(rng, inst.cache, min(2, dim))
-            d = grad_taps(inst.cache, taps, coeffs)
-            step = step_size_taps(inst.cache, taps, coeffs, d)
+            ref = inst.ref
+            d = grad_taps(ref, taps, coeffs)
+            step = step_taps(ref, taps, coeffs, d)
             assert step > 0.0
-            best, spacing = scan_best_step(inst.cache, taps, coeffs, d, step, "taps")
+            best, spacing = scan_best_step(ref, taps, coeffs, d, step, "taps")
             assert abs(best - step) <= spacing
-            at_step = objective(inst.cache, taps - step * d, coeffs)
-            at_best = objective(inst.cache, taps - best * d, coeffs)
+            at_step = objective(ref, taps - step * d, coeffs)
+            at_best = objective(ref, taps - best * d, coeffs)
             assert at_step <= at_best + 1e-12 * (1.0 + at_best)
 
     def test_coeffs_step_beats_dense_scan(self):
@@ -159,27 +151,15 @@ class TestStepSizes:
             order = int(rng.integers(0, 4))
             inst = random_instance(rng, n=n, dim=dim, order=order)
             taps, coeffs = random_filters(rng, inst.cache, min(2, dim))
-            d = grad_coeffs(inst.cache, taps, coeffs)
-            step = step_size_coeffs(inst.cache, taps, coeffs, d)
+            ref = inst.ref
+            d = grad_coeffs(ref, taps, coeffs)
+            step = step_coeffs(ref, taps, coeffs, d)
             assert step > 0.0
-            best, spacing = scan_best_step(inst.cache, taps, coeffs, d, step, "coeffs")
+            best, spacing = scan_best_step(ref, taps, coeffs, d, step, "coeffs")
             assert abs(best - step) <= spacing
-            at_step = objective(inst.cache, taps, coeffs - step * d)
-            at_best = objective(inst.cache, taps, coeffs - best * d)
+            at_step = objective(ref, taps, coeffs - step * d)
+            at_best = objective(ref, taps, coeffs - best * d)
             assert at_step <= at_best + 1e-12 * (1.0 + at_best)
-
-    def test_direction_shape_validation(self):
-        rng = np.random.default_rng(70)
-        inst = random_instance(rng, n=5, dim=3, order=1)
-        taps, coeffs = random_filters(rng, inst.cache, 2)
-        with pytest.raises(DimensionMismatch):
-            step_size_taps(inst.cache, taps, coeffs, np.zeros((3, 2)))
-        with pytest.raises(DimensionMismatch):
-            step_size_taps(inst.cache, taps, coeffs, np.zeros((2, 3, 2)))
-        with pytest.raises(DimensionMismatch):
-            step_size_coeffs(inst.cache, taps, coeffs, np.zeros((3, 5)))
-        with pytest.raises(DimensionMismatch):
-            step_size_coeffs(inst.cache, taps, coeffs, np.zeros((2, 4)))
 
 
 class TestInit:
@@ -192,7 +172,7 @@ class TestInit:
             k = int(rng.integers(1, min(dim, n) + 1))
             inst = random_instance(rng, n=n, dim=dim, order=0)
             taps, coeffs = init_filters(pca_fit(inst.ds, k), inst.cache)
-            start = objective(inst.cache, taps, coeffs)
+            start = objective(inst.ref, taps, coeffs)
             baseline = pca_mse(inst.ds, pca_fit(inst.ds, k))
             assert start == pytest.approx(baseline, rel=1e-8, abs=1e-12)
 
@@ -214,7 +194,7 @@ class TestInit:
         with pytest.warns(RankDeficiencyWarning):
             taps, coeffs = init_filters(pca_fit(ds, 1), cache)
         assert np.array_equal(coeffs, np.zeros((1, 6)))
-        assert objective(cache, taps, coeffs) == 0.0
+        assert objective(reference(ds, spectrum, 1), taps, coeffs) == 0.0
 
 
 def rel(got, want):
@@ -249,6 +229,17 @@ class TestFit:
         final = result.objective_trace[-1]
         resid = stationarity_residual(result.model, inst.cache)
         assert resid <= 1e-6 * (1.0 + final)
+
+    def test_stationarity_residual_sums_the_reference_gradient_norms(self):
+        rng = np.random.default_rng(91)
+        for dim in (4, 20):
+            inst = random_instance(rng, n=7, dim=dim, order=2)
+            model = fit(inst.ds, inst.spectrum, k=2, order=2, max_iters=5).model
+            taps, coeffs = model.recon_taps, model.coeffs
+            want = np.linalg.norm(grad_taps(inst.ref, taps, coeffs)) + np.linalg.norm(
+                grad_coeffs(inst.ref, taps, coeffs)
+            )
+            assert stationarity_residual(model, inst.cache) == pytest.approx(want, rel=1e-10)
 
     def test_max_iters_zero_returns_start(self):
         rng = np.random.default_rng(76)
@@ -380,13 +371,14 @@ class TestFit:
 
     @staticmethod
     def follows_the_public_steps(inst, k, order, model):
-        """fit against the oracle loop over 15 iterations from ``model``'s
-        reseeding, or the PCA seed when it is None; returns the result."""
+        """fit against the reference descent over 15 iterations from
+        ``model``'s reseeding, or the PCA seed when it is None; returns the
+        result."""
         if model is None:
             taps, coeffs = init_filters(pca_fit(inst.ds, k), inst.cache)
         else:
             taps, coeffs = extend_order(model, inst.cache)
-        trace, taps, coeffs = descend_by_public_steps(inst.cache, taps, coeffs, 15)
+        trace, taps, coeffs = descend(inst.ref, taps, coeffs, 15)
 
         result = fit(
             inst.ds, inst.spectrum, k=k, order=order, max_iters=15, epsilon=1e-300, start=model
@@ -400,10 +392,10 @@ class TestFit:
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("start", ["cold", "warm", "foreign"])
     def test_tall_fit_follows_the_public_steps(self, order, start):
-        # dim > n: fit descends on the data's n-row coordinates, the oracle
-        # on all dim rows. A foreign start (trained on other data over the
-        # same graph) has taps outside the data's span, which the n rows
-        # cannot hold, so fit must train it on all dim rows too.
+        # dim > n: fit descends on the data's n-row coordinates, the
+        # reference on all dim rows. A foreign start (trained on other data
+        # over the same graph) has taps outside the data's span, which the
+        # n rows cannot hold, so fit must train it on all dim rows too.
         rng = np.random.default_rng(89)
         inst = random_instance(rng, n=12, dim=60, order=order)
         k = 3
@@ -439,7 +431,7 @@ class TestFit:
         result = fit(inst.ds, inst.spectrum, k=3, order=order, max_iters=500, epsilon=1e-300)
         assert result.iterations == 500
         model = result.model
-        fresh = objective(inst.cache, model.recon_taps, model.coeffs)
+        fresh = objective(inst.ref, model.recon_taps, model.coeffs)
         assert result.objective_trace[-1] == pytest.approx(fresh, rel=1e-12, abs=0.0)
 
 
@@ -474,6 +466,35 @@ class TestInvariances:
         assert np.allclose(b.objective_trace, 16.0 * a.objective_trace, rtol=1e-8)
 
 
+DIGITS, _ = synth_digits(4, 10, size=12)
+
+
+@lru_cache(maxsize=None)
+def digits_fit(order, perm=None):
+    """fit (100 iterations, k=3) and encoding of the 12x12 digits, their
+    columns taken in the order ``perm``, over their cosine knn=5 graph."""
+    X = DIGITS if perm is None else DIGITS[:, list(perm)]
+    spectrum = build_graph(X, SimilarityConfig(kernel=Kernel.COSINE, knn=5))
+    ds = center(X)
+    result = fit(ds, spectrum, k=3, order=order, max_iters=100, epsilon=1e-300)
+    return result, reduce(result.model, ds, spectrum).values
+
+
+class TestNodePermutation:
+
+    @settings(max_examples=4, deadline=None)
+    @given(perm=st.permutations(range(DIGITS.shape[1])))
+    def test_fit_commutes_with_relabelling_the_nodes(self, perm):
+        # a permutation P of the columns permutes the graph's nodes: the
+        # trace and the taps do not move, and the encoding is permuted
+        for order in (0, 1, 2):
+            plain, values = digits_fit(order)
+            moved, moved_values = digits_fit(order, tuple(perm))
+            assert rel(moved.objective_trace, plain.objective_trace) <= 1e-10
+            assert rel(moved.model.recon_taps, plain.model.recon_taps) <= 1e-10
+            assert np.abs(moved_values - values[:, perm]).max() <= 1e-10 * np.abs(values).max()
+
+
 class TestWarmStart:
 
     def test_reseeding_preserves_the_objective(self):
@@ -482,7 +503,7 @@ class TestWarmStart:
         low = fit(inst.ds, inst.spectrum, k=2, order=0, max_iters=30)
         cache_high = build_cache(inst.ds.centered, inst.spectrum, order=2)
         taps, coeffs = extend_order(low.model, cache_high)
-        carried = objective(cache_high, taps, coeffs)
+        carried = objective(reference(inst.ds, inst.spectrum, 2), taps, coeffs)
         final = low.objective_trace[-1]
         assert carried == pytest.approx(final, rel=1e-10, abs=1e-14)
         # reduced vectors survive the kernel change
