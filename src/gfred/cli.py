@@ -14,7 +14,7 @@ import numpy as np
 
 from . import codec, harness
 from .errors import DataError
-from .graph import build_graph
+from .graph import build_graph, connected_components
 from .optimizer import MAX_ITERS, fit
 from .pca import pca_fit, pca_mse
 from .spectral import center
@@ -93,6 +93,7 @@ def _cmd_graph(args) -> int:
     edges = int(np.count_nonzero(spectrum.adjacency)) // 2
     print(f"nodes: {spectrum.n}")
     print(f"edges: {edges}")
+    print(f"components: {len(connected_components(spectrum.adjacency))}")
     print(f"eigenvalue range: [{float(spectrum.eigvals[-1])!r}, {float(spectrum.eigvals[0])!r}]")
     return 0
 

@@ -69,5 +69,14 @@ class DataOverflow(DataError):
     """The centered data's sum of squares, or a data column's, is not a finite float64."""
 
 
+class DataUnderflow(DataError):
+    """A data column with a nonzero entry has a sum of squares that rounds to 0."""
+
+
+class NonFiniteStart(DataError, NonFiniteValue):
+    """A fit's starting point is not finite, as the PCA seed of data too
+    small for double precision is."""
+
+
 class RankDeficiencyWarning(UserWarning):
     """Requested components reach into the numerical null space."""

@@ -7,6 +7,11 @@ eigenvector matrix of the symmetric adjacency is the Fourier basis used by
 every other module, so this module pins down the conventions the rest of
 the package relies on: eigenvalues sorted in descending order, and each
 eigenvector scaled so that its largest-magnitude entry is nonnegative.
+The adjacency is block-diagonal up to a node permutation, one block per
+connected component, so :func:`eigendecompose` solves each component on
+its own: a tie in eigenvalue between components goes to the component
+with the smaller lowest node, and each eigenvector is exactly zero off
+its component.
 :func:`build_graph` also scales the graph to unit spectral radius. A
 polynomial of order L in A/rho is a polynomial of order L in A, so the
 filter family does not change; the eigenvalue powers stay within [-1, 1]
@@ -24,6 +29,7 @@ import numpy as np
 from .errors import (
     ConvergenceFailure,
     DataOverflow,
+    DataUnderflow,
     DimensionMismatch,
     KnnTooLarge,
     ZeroColumn,
@@ -126,7 +132,10 @@ def similarity_dense(X, cfg: SimilarityConfig) -> np.ndarray:
     cells of order 1e155 or a constant offset that large: the kernel would
     come out all zeros or NaN. The Gaussian kernel also raises it when two
     finite sums of squares add past the largest double, so that a squared
-    distance is not finite. It raises ValueError when ``alpha`` is so
+    distance is not finite. DataUnderflow is raised when a column that is
+    not zero has a sum of squares of 0, as a column of cells below about
+    1e-162 has; the cosine kernel raises ZeroColumn for a column of exact
+    zeros. The Gaussian kernel raises ValueError when ``alpha`` is so
     large that every off-diagonal similarity underflows to 0. The result
     has a zero diagonal and is exactly symmetric, as the product of a
     matrix with its own transpose is.
@@ -137,12 +146,16 @@ def similarity_dense(X, cfg: SimilarityConfig) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(sq))
     if bad.size:
         raise DataOverflow(f"column {bad[0]}'s sum of squares is {sq[bad[0]]}, not a finite number")
+    zero = np.flatnonzero(sq == 0.0)
+    tiny = zero[np.any(X[:, zero] != 0.0, axis=0)]  # cells below about 1e-162 square to 0
+    if tiny.size:
+        raise DataUnderflow(
+            f"column {tiny[0]}'s sum of squares underflows to 0, although the column is not zero"
+        )
     if cfg.kernel is Kernel.COSINE:
-        norms = np.sqrt(sq)
-        zero = np.flatnonzero(norms == 0.0)
         if zero.size:
             raise ZeroColumn(f"column {zero[0]} has zero norm, cosine undefined")
-        unit = X / norms
+        unit = X / np.sqrt(sq)
         sim = unit.T @ unit
         np.clip(sim, -1.0, 1.0, out=sim)
     else:
@@ -224,25 +237,69 @@ def canonical_signs(vectors: np.ndarray) -> np.ndarray:
     return _orient(np.array(vectors, dtype=np.float64, copy=True))
 
 
+def connected_components(adjacency) -> list[np.ndarray]:
+    """Node sets of the connected components of the pattern ``adjacency != 0``.
+
+    Each set is in ascending order, and the sets are ordered by their
+    smallest node. A frontier search labels one component at a time: the
+    next frontier is every unlabeled node that a row of the current one
+    reaches. Self-loops do not connect anything.
+    """
+    linked = np.asarray(adjacency) != 0
+    n = linked.shape[0]
+    labelled = np.zeros(n, dtype=bool)
+    components = []
+    for seed in range(n):
+        if labelled[seed]:
+            continue
+        labelled[seed] = True
+        members, frontier = [np.array([seed])], np.array([seed])
+        while frontier.size:
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & ~labelled)
+            labelled[frontier] = True
+            members.append(frontier)
+        components.append(np.sort(np.concatenate(members)))
+    return components
+
+
 def eigendecompose(adjacency) -> GraphSpectrum:
     """Full eigendecomposition of a symmetric adjacency matrix.
 
-    Eigenvalues come out in descending order (stable on ties) and
-    eigenvectors in the canonical sign orientation, so repeated runs on the
-    same matrix give identical spectra.
+    The matrix is block-diagonal up to a node permutation, one block per
+    connected component, and its spectrum is the union of the blocks'
+    spectra; so each component's block is solved on its own, with its
+    nodes in ascending order, and oriented there. Eigenvalues come out in
+    descending order, stable on ties: within a component by the solver's
+    order, between components by component order (that of their smallest
+    nodes). Eigenvectors are in the canonical sign orientation, and every
+    entry off an eigenvector's component is an exact zero. A connected
+    graph gives the arrays of one dense solve of the whole matrix, and
+    repeated runs on the same matrix give identical spectra.
     """
     S = np.asarray(adjacency, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DimensionMismatch(f"adjacency must be square, got {S.shape}")
     if not np.array_equal(S, S.T):
         raise ValueError("adjacency must be exactly symmetric")
+    components = connected_components(S)
+    vals, blocks, start = np.empty(S.shape[0]), [], 0
     try:
-        vals, vecs = np.linalg.eigh(S)
+        for nodes in components:
+            vals[start:start + nodes.size], vecs = np.linalg.eigh(S[np.ix_(nodes, nodes)])
+            # rows keep their order, so the argmax tie rule picks the same entry
+            blocks.append(_orient(vecs))
+            start += nodes.size
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"symmetric eigensolver failed: {exc}") from exc
     order = np.argsort(-vals, kind="stable")
-    # the reordering is the one copy of the eigenvectors; signs flip in it
-    return GraphSpectrum(eigvals=vals[order], eigvecs=_orient(vecs[:, order]), adjacency=S.copy())
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)  # where each solved column lands
+    eigvecs = np.zeros_like(S)
+    start = 0
+    for nodes, vecs in zip(components, blocks):
+        eigvecs[np.ix_(nodes, position[start:start + nodes.size])] = vecs
+        start += nodes.size
+    return GraphSpectrum(eigvals=vals[order], eigvecs=eigvecs, adjacency=S.copy())
 
 
 def build_graph(X, cfg: SimilarityConfig) -> GraphSpectrum:

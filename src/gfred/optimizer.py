@@ -67,7 +67,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, FingerprintMismatch, NonFiniteValue
+from .errors import DimensionMismatch, FingerprintMismatch, NonFiniteStart, NonFiniteValue
 from .graph import GraphSpectrum
 from .pca import PcaModel, pca_fit
 from .spectral import (
@@ -234,6 +234,8 @@ def fit(
     the fit computes ``pca_fit(ds, k)`` itself. A start of another ``k``
     or dimension raises DimensionMismatch. ``max_iters=0`` returns the
     starting point untouched. ``epsilon`` must be a finite number > 0.
+    A starting point that is not finite, as the PCA seed of data scaled
+    near 1e-155 is, raises NonFiniteStart.
 
     The descent runs on min(dim, n) rows: on tall data (dim > n) with a
     start in the span of the data's columns it trains the taps'
@@ -255,6 +257,13 @@ def fit(
         taps, coeffs = extend_order(start, cache)
         if start.spectrum_fingerprint != fingerprint:
             raise FingerprintMismatch("start model was trained on a different graph spectrum")
+    if not (np.isfinite(taps).all() and np.isfinite(coeffs).all()):
+        # data near 1e-155 has a kernel of subnormal numbers, and the
+        # seed's ridge solve against it gives NaN
+        raise NonFiniteStart(
+            "the fit's starting point is not finite (training kernel trace "
+            f"{float(np.trace(cache.kernel))!r}): rescale the data"
+        )
     if epsilon is None:
         epsilon = 1e-6 * (float(np.linalg.norm(taps)) + float(np.linalg.norm(coeffs)))
     elif not math.isfinite(epsilon):

@@ -185,6 +185,15 @@ def loop_canonical_signs(vectors):
     return out
 
 
+def dense_eigendecompose(adjacency):
+    """The whole matrix in one dense solve: ``eigh``, a stable descending
+    sort of the eigenvalues, and the canonical signs column by column.
+    Returns ``(eigvals, eigvecs)``."""
+    vals, vecs = np.linalg.eigh(np.asarray(adjacency, dtype=np.float64))
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], loop_canonical_signs(vecs[:, order])
+
+
 class Instance(NamedTuple):
     ds: CenteredDataset
     spectrum: GraphSpectrum

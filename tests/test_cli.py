@@ -75,6 +75,19 @@ class TestGraph:
         lo, hi = (float(v) for v in pairs["eigenvalue range"].strip("[]").split(", "))
         assert -1.0 <= lo < 0 < hi <= 1.0
         assert max(-lo, hi) == 1.0  # scaled to unit spectral radius
+        assert pairs["components"] == "1"
+        assert list(pairs).index("components") == list(pairs).index("edges") + 1
+
+    def test_counts_components(self, tmp_path, capsys):
+        # two clusters on disjoint rows: every cross-cluster cosine is 0, so
+        # each node's 3 strongest neighbours lie in its own cluster
+        rng = np.random.default_rng(16)
+        X = np.zeros((6, 12))
+        X[:3, :6] = rng.uniform(0.1, 1.0, size=(3, 6))
+        X[3:, 6:] = rng.uniform(0.1, 1.0, size=(3, 6))
+        save_csv_matrix(X, tmp_path / "d.csv")
+        assert main(["graph", "--data", str(tmp_path / "d.csv"), "--knn", "3"]) == 0
+        assert parse_kv(capsys.readouterr().out)["components"] == "2"
 
 
 class TestIdxImagesAlone:
@@ -368,6 +381,35 @@ class TestExitCodes:
         assert code == 3
         assert "data error:" in capsys.readouterr().err
         assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "scale, names",
+        [(1e-155, "starting point is not finite"), (1e-300, "sum of squares underflows")],
+        ids=["start", "sum-of-squares"],
+    )
+    def test_fit_on_underflowing_data_exits_3(self, tmp_path, capsys, scale, names):
+        # at 1e-155 the training kernel holds subnormal numbers and the PCA
+        # seed comes out NaN; at 1e-300 every column's sum of squares is 0
+        data = write_digits_csv(tmp_path / "tiny.csv", scale=scale)
+        model = tmp_path / "m.gfm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(
+                ["fit", "--data", str(data), "--format", "csv", "--k", "2", "--l", "1",
+                 "--knn", "3", "--max-iters", "50", "--model-out", str(model)]
+            )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and names in err
+        assert not model.exists()
+
+    def test_zero_column_stays_a_config_error(self, tmp_path, capsys):
+        images, _ = synth_digits(n_classes=4, per_class=10, size=12)
+        images[:, 5] = 0.0
+        save_csv_matrix(images, tmp_path / "zero.csv")
+        code = main(["graph", "--data", str(tmp_path / "zero.csv"), "--format", "csv"])
+        assert code == 2
+        assert "column 5 has zero norm" in capsys.readouterr().err
 
     def test_graph_on_overflowing_data_exits_3(self, tmp_path, capsys):
         data = write_digits_csv(tmp_path / "big.csv", scale=1e155)

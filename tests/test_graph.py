@@ -4,8 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gfred.errors import DataOverflow, DimensionMismatch, KnnTooLarge, ZeroColumn
+from gfred.errors import DataOverflow, DataUnderflow, DimensionMismatch, KnnTooLarge, ZeroColumn
 from gfred.graph import (
     GraphSpectrum,
     Kernel,
@@ -13,13 +15,14 @@ from gfred.graph import (
     Symmetrization,
     build_graph,
     canonical_signs,
+    connected_components,
     eigendecompose,
     knn_sparsify,
     similarity_dense,
 )
 from gfred.harness import synth_digits
 
-from oracles import brute_knn_marks, loop_canonical_signs
+from oracles import brute_knn_marks, dense_eigendecompose, loop_canonical_signs
 
 COSINE = SimilarityConfig(kernel=Kernel.COSINE, knn=1)
 GAUSS = SimilarityConfig(kernel=Kernel.GAUSSIAN, alpha=0.01, knn=1)
@@ -88,6 +91,16 @@ class TestSimilarityDense:
         cfg = SimilarityConfig(kernel=kernel, knn=3)
         with pytest.raises(DataOverflow, match="sum of squares"):
             build_graph(X, cfg)
+
+    @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda e: e.value)
+    def test_underflowing_columns_rejected(self, kernel):
+        # no column is zero, but every column's sum of squares rounds to 0
+        X = 1e-300 * np.random.default_rng(10).uniform(0.1, 1.0, size=(12, 9))
+        assert not np.any(np.sum(X * X, axis=0))
+        X[:, 0] = 0.0  # a zero column beside them does not hide the underflow
+        cfg = SimilarityConfig(kernel=kernel, knn=3)
+        with pytest.raises(DataUnderflow, match="column 1's sum of squares underflows"):
+            similarity_dense(X, cfg)
 
     def test_gaussian_distances_past_the_largest_double_rejected(self):
         # each column's sum of squares is finite (about 1.44e308), but two of
@@ -291,6 +304,89 @@ class TestEigendecompose:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
             eigendecompose(np.zeros((2, 3)))
+
+
+def block_graph(sizes, seed):
+    """A graph of one connected block per size, its nodes shuffled.
+
+    Each block joins its nodes in a random path and adds random further
+    edges, with weights of either sign. Returns the adjacency and each
+    node's block index.
+    """
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    S = np.zeros((n, n))
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    start = 0
+    for size in sizes:
+        nodes = start + rng.permutation(size)
+        signs = rng.choice([-1.0, 1.0], size=(size, size))
+        weights = rng.uniform(0.1, 1.0, size=(size, size)) * signs
+        extra = np.triu(rng.random((size, size)) < 0.3, 1)
+        extra[np.arange(size - 1), np.arange(1, size)] = True  # the path
+        upper = np.where(extra, weights, 0.0)
+        S[np.ix_(nodes, nodes)] = upper + upper.T
+        start += size
+    perm = rng.permutation(n)
+    return S[np.ix_(perm, perm)], block[perm]
+
+
+class TestComponents:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(sizes=[1, 1, 1, 1], seed=0)  # the edgeless graph
+    @example(sizes=[1], seed=0)
+    def test_spectrum_solved_block_by_block(self, sizes, seed):
+        S, block = block_graph(sizes, seed)
+        found = connected_components(S)
+        assert [list(nodes) for nodes in found] == sorted(
+            (list(np.flatnonzero(block == b)) for b in range(len(sizes))), key=lambda m: m[0]
+        )
+        spectrum = eigendecompose(S)
+        vals, vecs = spectrum.eigvals, spectrum.eigvecs
+        assert np.max(np.abs(vals - np.linalg.eigvalsh(S)[::-1])) <= 1e-12
+        assert np.max(np.abs(S @ vecs - vecs * vals)) <= 1e-12
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(S.shape[0]))) <= 1e-12
+        for column in vecs.T:
+            assert np.unique(block[column != 0.0]).size == 1  # exact zeros off one component
+        assert np.all(np.diff(vals) <= 0.0)
+        assert np.array_equal(vecs, loop_canonical_signs(vecs))
+
+    def test_tie_between_components_goes_to_component_order(self):
+        # 15 disjoint edges of equal weight on shuffled nodes: every
+        # component has the eigenvalues 1 and -1, and among equal
+        # eigenvalues the components come in the order of their smallest node
+        perm = np.random.default_rng(23).permutation(30)
+        S = np.zeros((30, 30))
+        S[perm[0::2], perm[1::2]] = S[perm[1::2], perm[0::2]] = 1.0
+        spectrum = eigendecompose(S)
+        assert np.array_equal(spectrum.eigvals, np.repeat([1.0, -1.0], 15))
+        support = [tuple(np.flatnonzero(column)) for column in spectrum.eigvecs.T]
+        pairs = sorted(tuple(sorted(edge)) for edge in zip(perm[0::2], perm[1::2]))
+        assert support == pairs + pairs
+
+    def test_self_loops_connect_nothing(self):
+        S = np.diag([1.0, 2.0, 3.0])
+        assert [list(nodes) for nodes in connected_components(S)] == [[0], [1], [2]]
+        assert np.array_equal(eigendecompose(S).eigvals, [3.0, 2.0, 1.0])
+
+    @pytest.mark.parametrize("source", ["digits", "random"])
+    def test_connected_graph_matches_one_dense_solve(self, source):
+        if source == "digits":
+            X, _ = synth_digits(4, 10, seed=0)
+            cfg = SimilarityConfig(knn=12)
+        else:
+            X = np.random.default_rng(22).normal(size=(20, 200))
+            cfg = SimilarityConfig(knn=5)
+        S = knn_sparsify(similarity_dense(X, cfg), cfg)
+        assert len(connected_components(S)) == 1
+        spectrum = eigendecompose(S)
+        vals, vecs = dense_eigendecompose(S)
+        assert np.array_equal(spectrum.eigvals, vals)
+        assert np.array_equal(spectrum.eigvecs, vecs)
 
 
 class TestConfigAndHelpers:

@@ -15,6 +15,7 @@ from gfred.codec import reduce
 from gfred.errors import (
     DimensionMismatch,
     FingerprintMismatch,
+    NonFiniteStart,
     NonFiniteValue,
     RankDeficiencyWarning,
 )
@@ -331,6 +332,15 @@ class TestFit:
         with np.errstate(invalid="ignore"):
             with pytest.raises(NonFiniteValue):
                 fit(inst.ds, inst.spectrum, k=1, order=1, start=start, max_iters=5)
+
+    def test_start_of_underflowing_data_raises(self):
+        # the kernel of digits scaled by 1e-155 holds subnormal numbers, and
+        # the PCA seed's ridge solve against it gives NaN
+        images, _ = synth_digits(4, 10, seed=0, size=12)
+        X = images * 1e-155
+        spectrum = build_graph(X, SimilarityConfig(knn=3))
+        with pytest.raises(NonFiniteStart, match="starting point is not finite"):
+            fit(center(X), spectrum, k=2, order=1, max_iters=50)
 
     def test_model_metadata(self):
         rng = np.random.default_rng(83)
