@@ -11,27 +11,38 @@ is the mean squared spectral-domain residual.
 Each iteration takes the exact gradient with respect to the tap bank,
 moves to the minimizer of the cost along that ray (the restriction is an
 exact quadratic in the step, so the minimizer is
-``-<resid, moved> / <moved, moved>``, with ``moved`` the ray's filtered
-output), then takes the coefficient gradient at the fresh taps and does
-the same along the coefficient ray. Both half-updates therefore never
-increase the cost. Iteration stops when the summed Frobenius norm of the
-two updates drops below ``epsilon`` or after ``max_iters`` sweeps.
+``<resid, out> / <out, out>``, with ``out`` the ray's filtered output),
+then takes the coefficient gradient at the fresh taps and does the same
+along the coefficient ray. Both half-updates therefore never increase the
+cost. Iteration stops when the summed Frobenius norm of the two updates
+drops below ``epsilon`` or after ``max_iters`` sweeps.
 
 :func:`fit` carries the reduced vectors V as their power stack
 ``Phi = [V diag(lam^0); ...; V diag(lam^L)]``
 (:func:`~gfred.spectral.power_stack`): the bank's output is the one
-product ``T @ Phi``. It carries Phi and the residual from step to step
-(a step of size c along a ray adds ``c * moved`` to the residual), and
-each trace entry is the carried residual's mean squared norm. An
-iteration makes six matrix products: the tap gradient
-``-2/n * resid @ Phi'`` and its ray's output, the back projection
-``T' @ resid`` (:func:`~gfred.spectral.power_sum` adds its power weights
-in after the product, on k-row blocks) and its kernel product, and the
-coefficient ray's kernel product and output. Every power weighting acts
-on an (L+1)k-row array. The gradients, steps and cost are internal to
-:func:`fit` (and :func:`stationarity_residual`); the test suite's
-``tests/oracles.py`` computes them again, one frequency at a time, as
-the reference the trainer is checked against.
+product ``T @ Phi``. The loop never forms that output or the dim x n
+residual ``resid = Xt - T @ Phi``. It carries the moments
+``M = Xt @ Phi'`` and ``G = Phi @ Phi'``, recomputed after a coefficient
+step, and the taps' ``T' @ Xt`` and ``T' @ T``, recomputed after a tap
+step. From them:
+
+- tap half: ``F = M - T @ G`` is ``resid @ Phi'``, the tap gradient times
+  ``-n/2``; the exact step along F is ``|F|^2 / <F @ G, F>``;
+- coefficient half: ``W = T' @ Xt - (T' @ T) @ Phi`` is ``T' @ resid``;
+  the descent direction is ``g = power_sum(W) @ kernel``
+  (:func:`~gfred.spectral.power_sum` adds the power weights in on k-row
+  blocks), its ray moves Phi by ``S = power_stack(g @ kernel)``, and the
+  exact step is ``<W, S> / <(T' @ T) @ S, S>``.
+
+The first trace entry is the starting residual's mean squared norm, and
+every later one the entry before it less the exact step's decrease,
+``step * slope / n``, the slope being the step's numerator. An iteration
+makes two dim-sized products (``T' @ Xt`` and ``Xt @ Phi'``, each
+dim x n x (L+1)k) and two kernel products; the rest act on (L+1)k-row
+arrays. The gradients, steps and cost are internal to :func:`fit` (and
+:func:`stationarity_residual`, which uses the same moments); the test
+suite's ``tests/oracles.py`` computes them again, one frequency at a
+time, as the reference the trainer is checked against.
 
 :func:`fit`'s loop runs on min(dim, n) rows. On tall data (dim > n) it
 takes the thin QR factorization ``Xt = Q R`` of the transformed data;
@@ -58,7 +69,8 @@ zero.
 
 Nonpositive optimal steps are clamped to zero (the stopping test then
 sees a zero update), and so is the step along a direction whose filtered
-energy is below 1e-300.
+energy is below 1e-300. A step that leaves an iterate not finite shows
+as an update whose size is not finite, and raises NonFiniteValue.
 """
 from __future__ import annotations
 
@@ -130,8 +142,11 @@ def _checked(cache: SpectralCache, taps, coeffs):
 
 
 # The formulas below take the reduced vectors as their power stack
-# ``phi = power_stack(reduced, pows)``, so that every filter application
-# is one matrix product.
+# ``phi = power_stack(reduced, pows)``, so that the bank's output is the
+# one product ``taps @ phi``. They never form that output or the residual
+# ``resid = Xt - taps @ phi``: every product of the residual they need
+# comes from the moments ``Xt @ phi'`` and ``phi @ phi'`` and from the
+# taps' own ``taps' @ Xt`` and ``taps' @ taps``.
 
 
 def _reduced_powers(cache: SpectralCache, coeffs) -> np.ndarray:
@@ -139,21 +154,34 @@ def _reduced_powers(cache: SpectralCache, coeffs) -> np.ndarray:
     return power_stack(coeffs @ cache.kernel, cache.eig_pows)
 
 
-def _residual(cache: SpectralCache, taps, phi) -> np.ndarray:
-    return cache.gft_data - taps @ phi
+def _tap_descent(taps, data_moment, gram) -> np.ndarray:
+    """``resid @ phi'`` from the moments ``Xt @ phi'`` and ``phi @ phi'``:
+    the tap gradient times ``-n/2``."""
+    return data_moment - taps @ gram
 
 
-def _cost(cache: SpectralCache, resid) -> float:
-    return float(np.vdot(resid, resid)) / cache.n
+def _coeff_descent(cache: SpectralCache, back) -> np.ndarray:
+    """The coefficient gradient times ``-n/2``, from the back projection
+    ``back = taps' @ resid``."""
+    return power_sum(back, cache.eig_pows) @ cache.kernel
 
 
-def _tap_gradient(cache: SpectralCache, phi, resid) -> np.ndarray:
-    return (-2.0 / cache.n) * (resid @ phi.T)
+def _exact_step(slope: float, curvature: float, n: int) -> float:
+    """The clamped minimizer ``slope / curvature`` of the cost along a ray.
 
-
-def _coeff_gradient(cache: SpectralCache, taps, resid) -> np.ndarray:
-    back = power_sum(taps.T @ resid, cache.eig_pows)
-    return (-2.0 / cache.n) * (back @ cache.kernel)
+    Along a ray whose filtered output ``out`` moves the prediction by
+    ``c * out``, the cost is the exact quadratic
+    ``(|resid|^2 - 2c <resid, out> + c^2 |out|^2) / n`` with
+    ``slope = <resid, out>`` and ``curvature = |out|^2``. A nonpositive
+    step means no descent along the ray, and a ray whose gradient's
+    filtered energy (``(2/n)^2 * curvature / n``, the ray's output scaled
+    to the gradient's length) is below 1e-300 has none to give: either way
+    the step is 0.0.
+    """
+    if not 4.0 * curvature / n**3 > _ENERGY_FLOOR:
+        return 0.0
+    step = slope / curvature
+    return step if step > 0.0 else 0.0
 
 
 def init_filters(pca: PcaModel, cache: SpectralCache):
@@ -187,28 +215,6 @@ def init_filters(pca: PcaModel, cache: SpectralCache):
         cache.kernel + ridge * np.eye(cache.n), xt.T @ pca.basis
     ).T
     return taps, coeffs
-
-
-def _step_along(cache, resid, moved) -> float:
-    """Take the clamped exact step along a ray and return its size.
-
-    The cost along a ray whose filtered output moves the prediction by
-    ``-c * moved`` is an exact quadratic in ``c``, minimized at
-    ``-<resid, moved> / <moved, moved>``. ``moved`` is scaled by the step
-    and added to the carried ``resid``, both in place. A nonpositive
-    optimal step means no descent along the ray, and a direction whose
-    filtered energy is below 1e-300 has none to give: either way the step
-    is 0.0 and nothing moves.
-    """
-    quad = float(np.vdot(moved, moved)) / cache.n
-    if not quad > _ENERGY_FLOOR:
-        return 0.0
-    step = -(float(np.vdot(resid, moved)) / cache.n) / quad
-    if not step > 0.0:
-        return 0.0
-    moved *= step
-    resid += moved
-    return step
 
 
 def fit(
@@ -281,37 +287,48 @@ def fit(
             basis, taps, cache = q, inside, replace(cache, gft_data=r)
     start_taps = taps
 
+    xt = cache.gft_data
     phi = _reduced_powers(cache, coeffs)
-    resid = _residual(cache, taps, phi)
-    moved = np.empty_like(resid)  # each ray's filtered output, in turn
-    trace = [_cost(cache, resid)]
+    resid = taps @ phi  # the one dim x n array, for the starting cost
+    resid -= xt
+    trace = [float(np.vdot(resid, resid)) / cache.n]
+    del resid
+    data_moment, gram = xt @ phi.T, phi @ phi.T
+    back_data, tap_gram = taps.T @ xt, taps.T @ taps
     iterations = 0
     converged = False
     for _ in range(max_iters):
         # taps and coeffs are rebound only on a step, so that `taps is
-        # start_taps` tells a fit that never stepped
-        direction_t = _tap_gradient(cache, phi, resid)
-        np.matmul(direction_t, phi, out=moved)
-        step_t = _step_along(cache, resid, moved)
+        # start_taps` tells a fit that never stepped. An exact step lowers
+        # the cost by step * slope / n, and moves its iterate by
+        # step * |descent|, which is not finite when the iterate is not
+        descent_t = _tap_descent(taps, data_moment, gram)
+        slope_t = float(np.vdot(descent_t, descent_t))
+        step_t = _exact_step(slope_t, float(np.vdot(descent_t @ gram, descent_t)), cache.n)
+        cost, delta = trace[-1], 0.0
         if step_t:
-            taps = taps - step_t * direction_t
-        trace.append(_cost(cache, resid))
+            taps = taps + step_t * descent_t
+            back_data, tap_gram = taps.T @ xt, taps.T @ taps
+            cost -= step_t * slope_t / cache.n
+            delta += step_t * math.sqrt(slope_t)
+        trace.append(cost)
 
-        direction_c = _coeff_gradient(cache, taps, resid)
-        shift = _reduced_powers(cache, direction_c)
-        np.matmul(taps, shift, out=moved)
-        step_c = _step_along(cache, resid, moved)
+        back = back_data - tap_gram @ phi
+        descent_c = _coeff_descent(cache, back)
+        shift = _reduced_powers(cache, descent_c)
+        slope_c = float(np.vdot(back, shift))
+        step_c = _exact_step(slope_c, float(np.vdot(tap_gram @ shift, shift)), cache.n)
         if step_c:
-            coeffs = coeffs - step_c * direction_c
+            coeffs = coeffs + step_c * descent_c
             shift *= step_c
-            phi -= shift
-        trace.append(_cost(cache, resid))
+            phi += shift
+            data_moment, gram = xt @ phi.T, phi @ phi.T
+            cost -= step_c * slope_c / cache.n
+            delta += step_c * math.sqrt(float(np.vdot(descent_c, descent_c)))
+        trace.append(cost)
 
-        delta = step_t * float(np.linalg.norm(direction_t)) + step_c * float(
-            np.linalg.norm(direction_c)
-        )
         iterations += 1
-        if not (np.isfinite(taps).all() and np.isfinite(coeffs).all()):
+        if not math.isfinite(delta):
             raise NonFiniteValue(f"non-finite iterate at iteration {iterations}")
         if delta < epsilon:
             converged = True
@@ -339,11 +356,11 @@ def fit(
 def stationarity_residual(model: FilterModel, cache: SpectralCache) -> float:
     """Summed Frobenius norms of both gradients at the model's iterate."""
     taps, coeffs = _checked(cache, model.recon_taps, model.coeffs)
+    xt = cache.gft_data
     phi = _reduced_powers(cache, coeffs)
-    resid = _residual(cache, taps, phi)
-    g_taps = _tap_gradient(cache, phi, resid)
-    g_coeffs = _coeff_gradient(cache, taps, resid)
-    return float(np.linalg.norm(g_taps)) + float(np.linalg.norm(g_coeffs))
+    descent_t = _tap_descent(taps, xt @ phi.T, phi @ phi.T)
+    descent_c = _coeff_descent(cache, taps.T @ xt - (taps.T @ taps) @ phi)
+    return 2.0 / cache.n * (float(np.linalg.norm(descent_t)) + float(np.linalg.norm(descent_c)))
 
 
 def extend_order(model: FilterModel, cache: SpectralCache):

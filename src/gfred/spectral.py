@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataOverflow, DimensionMismatch, SpectralOverflow
+from .errors import DataOverflow, DataUnderflow, DimensionMismatch, SpectralOverflow
 from .graph import GraphSpectrum
 
 _POWER_LIMIT = 1e150
@@ -36,7 +36,10 @@ def center(X) -> CenteredDataset:
 
     Raises DataOverflow when the centered data's sum of squares is not
     finite: every cost, kernel and PCA energy is built from it, so finite
-    cells that large would surface as NaN further down.
+    cells that large would surface as NaN further down. Raises
+    DataUnderflow when that sum of squares is 0 although the centered data
+    are not all zero, as for cells below about 1e-162: every cost and
+    energy would read 0 and every reduced vector come out zero.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -50,6 +53,11 @@ def center(X) -> CenteredDataset:
         energy = float(np.dot(flat, flat))
     if not math.isfinite(energy):
         raise DataOverflow(f"the centered data's sum of squares is {energy}, not a finite number")
+    if energy == 0.0 and flat.any():
+        raise DataUnderflow(
+            "the centered data's sum of squares underflows to 0, "
+            "although the columns are not all equal"
+        )
     return CenteredDataset(centered=centered, mean=mean, dim=X.shape[0], n=X.shape[1])
 
 

@@ -535,6 +535,31 @@ class TestExitCodes:
         assert "data error:" in captured.err
         assert "reconstruction_mse" not in captured.out
 
+    @pytest.mark.parametrize("command", ["encode", "eval"])
+    def test_reading_underflowing_data_exits_3(self, tmp_path, capsys, command):
+        # neither command builds a graph: centering finds the sum of squares
+        # that rounds to 0, instead of a zero reduction and an MSE of 0.0
+        model = tmp_path / "m.gfm"
+        assert main(
+            ["fit", "--data", str(write_digits_csv(tmp_path / "d.csv")), "--format", "csv",
+             "--k", "3", "--l", "1", "--max-iters", "5", "--model-out", str(model)]
+        ) == 0
+        capsys.readouterr()
+        data = write_digits_csv(tmp_path / "tiny.csv", scale=1e-300)
+        out = tmp_path / "reduced.csv"
+        argv = [command, "--model", str(model), "--data", str(data), "--format", "csv"]
+        if command == "encode":
+            argv += ["--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error:")
+        assert "sum of squares underflows" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_usage_errors_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -3,6 +3,7 @@ steps vs dense scans, fit against the reference descent, monotone descent,
 starting-point quality, and the warm-start reseeding."""
 
 import dataclasses
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -358,7 +359,7 @@ class TestFit:
     def test_two_power_weightings_per_iteration(self, monkeypatch, dim):
         # one power stack for the start, then per iteration the coefficient
         # gradient's back projection and the coefficient ray: the loop
-        # carries its residual and the reduced vectors' power stack instead
+        # carries the reduced vectors' power stack and its moments instead
         # of recomputing the model output
         rng = np.random.default_rng(84)
         inst = random_instance(rng, n=8, dim=dim, order=2)
@@ -378,6 +379,43 @@ class TestFit:
         assert result.iterations > 0
         assert len(calls) == 1 + 2 * result.iterations
         assert "reduce_response" not in calls
+
+    def test_loop_holds_no_dim_by_n_array(self, monkeypatch):
+        # the loop works on the moments Xt Phi' and Phi Phi' and on the
+        # taps' Gram products, never on the dim x n residual or a ray's
+        # output. The first power stack is the start's, before the loop;
+        # traced memory from the first one inside the loop to the end
+        # stays within one dim x n array of the memory held at the first
+        rng = np.random.default_rng(92)
+        inst = random_instance(rng, n=400, dim=200, order=2)
+        pca = pca_fit(inst.ds, 5)
+        dim_by_n = inst.ds.centered.nbytes
+        held = []
+
+        def sampling(vectors, eig_pows):
+            if len(held) == 1:
+                tracemalloc.reset_peak()
+            held.append(tracemalloc.get_traced_memory()[0])
+            return power_stack(vectors, eig_pows)
+
+        def peak(max_iters):
+            held.clear()
+            tracemalloc.start()
+            try:
+                result = fit(inst.ds, inst.spectrum, k=5, order=2, max_iters=max_iters,
+                             epsilon=1e-300, start=pca)
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _, setup_peak = peak(0)
+        monkeypatch.setattr(optimizer, "power_stack", sampling)
+        result, loop_peak = peak(50)
+        assert result.iterations == 50
+        assert loop_peak - held[0] < dim_by_n
+        monkeypatch.undo()
+        _, whole_peak = peak(50)
+        assert whole_peak - setup_peak < dim_by_n
 
     @staticmethod
     def follows_the_public_steps(inst, k, order, model):
