@@ -111,6 +111,7 @@ def _cmd_fit(args) -> int:
     codec.save_model(result.model, spectrum, reduced, args.model_out)
     baseline = pca_mse(ds, pca)
     print(f"iterations: {result.iterations}")
+    print(f"converged: {result.converged}")
     print(f"final_mse: {float(result.objective_trace[-1])!r}")
     print(f"pca_mse: {float(baseline)!r}")
     print(f"model: {args.model_out}")

@@ -80,19 +80,12 @@ class StorageBudget:
 def compression_bound(n: int, dim: int, order: int) -> int:
     """Largest k whose stored scalar count is strictly below the raw data's.
 
-    Equals floor(n * (dim - (n+1)/2) / (2n + (order+1) * dim)) except at
-    exact integer crossings, where the strict inequality drops the bound by
-    one. Returns 0 when no k >= 1 compresses.
+    Returns 0 when no k >= 1 compresses.
     """
     if n < 1 or dim < 1 or order < 0:
         raise ValueError(f"invalid dims n={n}, dim={dim}, order={order}")
-    # stored(k) < raw  <=>  k * (2n + (order+1) dim) < n dim - n(n+1)/2, integer arithmetic
-    per_k = 2 * n + (order + 1) * dim
-    headroom = 2 * n * dim - n * (n + 1)  # twice the right-hand side, keeps everything integral
-    bound = headroom // (2 * per_k)
-    if bound * 2 * per_k == headroom:
-        bound -= 1
-    return max(bound, 0)
+    # stored(k) < raw  <=>  k * (2n + (order+1) dim) <= n dim - n(n+1)/2 - 1, all integers
+    return max((n * dim - n * (n + 1) // 2 - 1) // (2 * n + (order + 1) * dim), 0)
 
 
 def _check_fingerprint(model: FilterModel, spectrum: GraphSpectrum):

@@ -36,13 +36,13 @@ step. From them:
 
 The first trace entry is the starting residual's mean squared norm, and
 every later one the entry before it less the exact step's decrease,
-``step * slope / n``, the slope being the step's numerator. An iteration
-makes two dim-sized products (``T' @ Xt`` and ``Xt @ Phi'``, each
-dim x n x (L+1)k) and two kernel products; the rest act on (L+1)k-row
-arrays. The gradients, steps and cost are internal to :func:`fit` (and
-:func:`stationarity_residual`, which uses the same moments); the test
-suite's ``tests/oracles.py`` computes them again, one frequency at a
-time, as the reference the trainer is checked against.
+``step * slope / n``, the slope being the step's numerator, and never
+below 0. An iteration makes two dim-sized products (``T' @ Xt`` and
+``Xt @ Phi'``, each dim x n x (L+1)k) and two kernel products; the rest
+act on (L+1)k-row arrays. The gradients, steps and cost are internal to
+:func:`fit` (and :func:`stationarity_residual`, which uses the same
+moments); the test suite's ``tests/oracles.py`` computes them again, one
+frequency at a time, as the reference the trainer is checked against.
 
 :func:`fit`'s loop runs on min(dim, n) rows. On tall data (dim > n) it
 takes the thin QR factorization ``Xt = Q R`` of the transformed data;
@@ -70,7 +70,9 @@ zero.
 Nonpositive optimal steps are clamped to zero (the stopping test then
 sees a zero update), and so is the step along a direction whose filtered
 energy is below 1e-300. A step that leaves an iterate not finite shows
-as an update whose size is not finite, and raises NonFiniteValue.
+as an update whose size is not finite, and raises NonFiniteValue. An
+iteration whose slope or curvature is not finite still stops the loop
+when its update is small, but the fit does not report convergence.
 """
 from __future__ import annotations
 
@@ -300,16 +302,18 @@ def fit(
     for _ in range(max_iters):
         # taps and coeffs are rebound only on a step, so that `taps is
         # start_taps` tells a fit that never stepped. An exact step lowers
-        # the cost by step * slope / n, and moves its iterate by
+        # the cost by step * slope / n (at most to 0: at a cost of rounding
+        # size the decrease can exceed it), and moves its iterate by
         # step * |descent|, which is not finite when the iterate is not
         descent_t = _tap_descent(taps, data_moment, gram)
         slope_t = float(np.vdot(descent_t, descent_t))
-        step_t = _exact_step(slope_t, float(np.vdot(descent_t @ gram, descent_t)), cache.n)
+        curvature_t = float(np.vdot(descent_t @ gram, descent_t))
+        step_t = _exact_step(slope_t, curvature_t, cache.n)
         cost, delta = trace[-1], 0.0
         if step_t:
             taps = taps + step_t * descent_t
             back_data, tap_gram = taps.T @ xt, taps.T @ taps
-            cost -= step_t * slope_t / cache.n
+            cost = max(cost - step_t * slope_t / cache.n, 0.0)
             delta += step_t * math.sqrt(slope_t)
         trace.append(cost)
 
@@ -317,13 +321,14 @@ def fit(
         descent_c = _coeff_descent(cache, back)
         shift = _reduced_powers(cache, descent_c)
         slope_c = float(np.vdot(back, shift))
-        step_c = _exact_step(slope_c, float(np.vdot(tap_gram @ shift, shift)), cache.n)
+        curvature_c = float(np.vdot(tap_gram @ shift, shift))
+        step_c = _exact_step(slope_c, curvature_c, cache.n)
         if step_c:
             coeffs = coeffs + step_c * descent_c
             shift *= step_c
             phi += shift
             data_moment, gram = xt @ phi.T, phi @ phi.T
-            cost -= step_c * slope_c / cache.n
+            cost = max(cost - step_c * slope_c / cache.n, 0.0)
             delta += step_c * math.sqrt(float(np.vdot(descent_c, descent_c)))
         trace.append(cost)
 
@@ -331,7 +336,9 @@ def fit(
         if not math.isfinite(delta):
             raise NonFiniteValue(f"non-finite iterate at iteration {iterations}")
         if delta < epsilon:
-            converged = True
+            # a step clamped because its slope or curvature overflowed is
+            # small for want of a step, not of a gradient: stop, unconverged
+            converged = all(map(math.isfinite, (slope_t, curvature_t, slope_c, curvature_c)))
             break
 
     if basis is not None:

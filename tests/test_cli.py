@@ -47,6 +47,13 @@ def write_digits_csv(path, scale=1.0, offset=0.0):
     return path
 
 
+def write_digit_pair_csv(path):
+    """The first two 12x12 digits: a fit of k=1 on them ends at a cost of rounding size."""
+    images, _ = synth_digits(n_classes=4, per_class=10, size=12)
+    save_csv_matrix(images[:, :2], path)
+    return path
+
+
 class TestBound:
 
     def test_reference_dims(self, capsys):
@@ -123,29 +130,41 @@ class TestIdxImagesAlone:
 
 class TestModelPipeline:
 
-    def run_fit(self, tmp_path, capsys):
-        data = write_matrix_csv(tmp_path / "d.csv")
-        model = tmp_path / "model.gfm"
+    # "wide" data (dim 6, n 12) trains on all dim rows, "tall" data (the
+    # 12x12 digits, dim 144, n 40) on the data's n-row QR coordinates
+    FITS = {
+        "wide": (write_matrix_csv, ["--k", "2", "--kernel", "gaussian", "--alpha", "0.5",
+                                    "--knn", "3", "--max-iters", "80"]),
+        "tall": (write_digits_csv, ["--k", "3", "--max-iters", "50"]),
+        "pair": (write_digit_pair_csv, ["--k", "1", "--knn", "1", "--max-iters", "50"]),
+    }
+
+    def run_fit(self, tmp_path, capsys, data_set="wide"):
+        write, flags = self.FITS[data_set]
+        data = write(tmp_path / f"{data_set}.csv")
+        model = tmp_path / f"{data_set}.gfm"
         code = main(
-            [
-                "fit", "--data", str(data), "--format", "csv",
-                "--k", "2", "--l", "1", "--model-out", str(model),
-                "--kernel", "gaussian", "--alpha", "0.5", "--knn", "3",
-                "--max-iters", "80",
-            ]
+            ["fit", "--data", str(data), "--format", "csv", "--l", "1",
+             "--model-out", str(model)] + flags
         )
         assert code == 0
         return data, model, parse_kv(capsys.readouterr().out)
 
     def test_fit_reports_and_saves(self, tmp_path, capsys):
-        data, model, pairs = self.run_fit(tmp_path, capsys)
-        assert model.exists()
-        final = float(pairs["final_mse"])
-        baseline = float(pairs["pca_mse"])
-        assert 0.0 <= final <= baseline * (1.0 + 1e-8)
-        assert int(pairs["iterations"]) <= 80
-        bundle = load_model(model)
-        assert bundle.model.k == 2 and bundle.model.order == 1
+        # on the digit pair each exact step's carried decrease exceeds the
+        # cost of rounding size it starts from; the printed cost stays >= 0
+        for data_set, k, converged in (("wide", 2, "False"), ("pair", 1, "True")):
+            _, model, pairs = self.run_fit(tmp_path, capsys, data_set)
+            assert model.exists()
+            final = float(pairs["final_mse"])
+            baseline = float(pairs["pca_mse"])
+            assert 0.0 <= final <= baseline * (1.0 + 1e-8), data_set
+            assert int(pairs["iterations"]) <= 80
+            assert pairs["converged"] == converged, data_set
+            keys = list(pairs)
+            assert keys.index("converged") == keys.index("iterations") + 1
+            bundle = load_model(model)
+            assert bundle.model.k == k and bundle.model.order == 1
 
     def test_fit_computes_one_pca(self, tmp_path, capsys, monkeypatch):
         # the PCA seeds the fit and gives the printed baseline
@@ -161,36 +180,41 @@ class TestModelPipeline:
         assert calls == [2]
 
     def test_encode_decode_eval_round_trip(self, tmp_path, capsys):
-        data, model, fit_pairs = self.run_fit(tmp_path, capsys)
-        reduced_out = tmp_path / "reduced.csv"
-        assert main(
-            ["encode", "--model", str(model), "--data", str(data),
-             "--format", "csv", "--out", str(reduced_out)]
-        ) == 0
-        capsys.readouterr()
-        reduced = load_csv_matrix(reduced_out)
-        assert reduced.shape == (2, 12)
-        # encode on the training data reproduces the stored reduction
-        stored = load_model(model).reduced
-        assert np.allclose(reduced, stored.values, rtol=1e-9, atol=1e-12)
+        # fit carries its final MSE through the loop; eval computes it from
+        # the reconstruction, on either training path
+        for data_set, shape in (("wide", (2, 12)), ("tall", (3, 40))):
+            data, model, fit_pairs = self.run_fit(tmp_path, capsys, data_set)
+            reduced_out = tmp_path / "reduced.csv"
+            assert main(
+                ["encode", "--model", str(model), "--data", str(data),
+                 "--format", "csv", "--out", str(reduced_out)]
+            ) == 0
+            capsys.readouterr()
+            reduced = load_csv_matrix(reduced_out)
+            assert reduced.shape == shape
+            # encode on the training data reproduces the stored reduction
+            stored = load_model(model).reduced
+            assert np.allclose(reduced, stored.values, rtol=1e-9, atol=1e-12)
 
-        recon_out = tmp_path / "recon.csv"
-        assert main(["decode", "--model", str(model), "--out", str(recon_out)]) == 0
-        capsys.readouterr()
-        recon = load_csv_matrix(recon_out)
-        original = load_csv_matrix(data)
-        assert recon.shape == original.shape
-        err = float(np.sum((recon - original) ** 2)) / original.shape[1]
-        assert err == pytest.approx(float(fit_pairs["final_mse"]), rel=1e-6, abs=1e-12)
+            recon_out = tmp_path / "recon.csv"
+            assert main(["decode", "--model", str(model), "--out", str(recon_out)]) == 0
+            capsys.readouterr()
+            recon = load_csv_matrix(recon_out)
+            original = load_csv_matrix(data)
+            assert recon.shape == original.shape
+            err = float(np.sum((recon - original) ** 2)) / original.shape[1]
+            assert err == pytest.approx(float(fit_pairs["final_mse"]), rel=1e-6, abs=1e-12)
 
-        assert main(
-            ["eval", "--model", str(model), "--data", str(data), "--format", "csv"]
-        ) == 0
-        pairs = parse_kv(capsys.readouterr().out)
-        assert float(pairs["reconstruction_mse"]) == pytest.approx(
-            float(fit_pairs["final_mse"]), rel=1e-9
-        )
-        assert float(pairs["pca_mse"]) == pytest.approx(float(fit_pairs["pca_mse"]), rel=1e-12)
+            assert main(
+                ["eval", "--model", str(model), "--data", str(data), "--format", "csv"]
+            ) == 0
+            pairs = parse_kv(capsys.readouterr().out)
+            assert float(pairs["reconstruction_mse"]) == pytest.approx(
+                float(fit_pairs["final_mse"]), rel=1e-9
+            ), data_set
+            assert float(pairs["pca_mse"]) == pytest.approx(
+                float(fit_pairs["pca_mse"]), rel=1e-12
+            )
 
     def test_encode_rejects_wrong_dimension(self, tmp_path, capsys):
         _, model, _ = self.run_fit(tmp_path, capsys)  # 6 x 12 training data
@@ -393,7 +417,7 @@ class TestExitCodes:
         data = write_digits_csv(tmp_path / "tiny.csv", scale=scale)
         model = tmp_path / "m.gfm"
         with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("error")
             code = main(
                 ["fit", "--data", str(data), "--format", "csv", "--k", "2", "--l", "1",
                  "--knn", "3", "--max-iters", "50", "--model-out", str(model)]
@@ -446,7 +470,7 @@ class TestExitCodes:
         data = write_digits_csv(tmp_path / "offset.csv", scale=1e140, offset=1e153)
         model = tmp_path / "m.gfm"
         with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("error")
             code = main(["graph", "--data", str(data), "--format", "csv", "--kernel", "gaussian"])
             assert code == 3
             captured = capsys.readouterr()
@@ -484,7 +508,7 @@ class TestExitCodes:
         model = tmp_path / "m.gfm"
         flags = ["--kernel", "gaussian", "--alpha", alpha]
         with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("error")
             assert main(["graph", "--data", str(data), "--format", "csv"] + flags) == 2
             captured = capsys.readouterr()
             assert "config error:" in captured.err and "alpha" in captured.err

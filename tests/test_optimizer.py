@@ -343,6 +343,22 @@ class TestFit:
         with pytest.raises(NonFiniteStart, match="starting point is not finite"):
             fit(center(X), spectrum, k=2, order=1, max_iters=50)
 
+    @pytest.mark.parametrize("scale", [1e40, 1e55])
+    def test_overflowing_line_search_does_not_report_convergence(self, scale):
+        # the coefficient curvature grows as scale^10 and the tap curvature
+        # as scale^6: from about 1e31 the coefficient step clamps to 0 on an
+        # inf curvature, from about 1e51 the tap step too, so the update is
+        # small for want of a step and the stop rule ends an unconverged fit
+        images, _ = synth_digits(4, 10, seed=0, size=12)
+        X = images * scale
+        spectrum = build_graph(X, SimilarityConfig(knn=3))
+        result = fit(center(X), spectrum, k=2, order=1, max_iters=200)
+        assert not result.converged
+        assert result.iterations < 200
+        if scale == 1e55:
+            assert result.iterations == 1
+            assert np.all(result.objective_trace == result.objective_trace[0])
+
     def test_model_metadata(self):
         rng = np.random.default_rng(83)
         inst = random_instance(rng, n=7, dim=4, order=2)
