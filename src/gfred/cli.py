@@ -3,7 +3,8 @@
 Exit codes: 0 on success; 2 for configuration problems, argparse usage
 errors included, and for a data file whose shape does not fit the model;
 3 for data that is unreadable, malformed or unrepresentable (a sum of
-squares that overflows a double).
+squares that overflows a double, a model file with a non-finite value or
+an eigenvalue whose filter-order power passes 1e150).
 """
 from __future__ import annotations
 
@@ -32,11 +33,21 @@ def _set_keys(args, keys) -> dict:
     return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
-def _load_matrix(path: str, fmt: str):
-    """A data file's matrix; an IDX image file is read without its labels."""
-    if fmt == "idx":
-        return harness.load_idx_images(path)
-    return harness.load_csv_matrix(path)
+def _add_data_flags(parser: argparse.ArgumentParser, **format_kwargs):
+    """``--data``, and ``--format`` with the values of :class:`~gfred.harness.DataFormat`."""
+    parser.add_argument("--data", required=True)
+    parser.add_argument("--format", choices=[f.value for f in harness.DataFormat], **format_kwargs)
+
+
+def _graph_input(args):
+    """The ``--data`` matrix, then the similarity that the key flags set."""
+    X = harness.load_matrix(args.data, args.format)
+    return X, harness.similarity_from_mapping(_set_keys(args, harness.SIMILARITY_KEYS))
+
+
+def _model_and_data(args):
+    """The ``--model`` file, then the ``--data`` matrix centred on its own mean."""
+    return codec.load_model(args.model), center(harness.load_matrix(args.data, args.format))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,13 +55,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_graph = sub.add_parser("graph", help="build a similarity graph and print its spectrum")
-    p_graph.add_argument("--data", required=True)
-    p_graph.add_argument("--format", choices=["idx", "csv"], default="csv")
+    _add_data_flags(p_graph, default="csv")
     _add_key_flags(p_graph, harness.SIMILARITY_KEYS)
 
     p_fit = sub.add_parser("fit", help="train a filter pair on a whole dataset")
-    p_fit.add_argument("--data", required=True)
-    p_fit.add_argument("--format", choices=["idx", "csv"], required=True)
+    _add_data_flags(p_fit, required=True)
     p_fit.add_argument("--k", type=int, required=True)
     p_fit.add_argument("--l", type=int, required=True)
     p_fit.add_argument("--model-out", required=True)
@@ -60,8 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_enc = sub.add_parser("encode", help="reduce a dataset with a trained model")
     p_enc.add_argument("--model", required=True)
-    p_enc.add_argument("--data", required=True)
-    p_enc.add_argument("--format", choices=["idx", "csv"], required=True)
+    _add_data_flags(p_enc, required=True)
     p_enc.add_argument("--out", required=True)
 
     p_dec = sub.add_parser("decode", help="reconstruct from a model file's reduced data")
@@ -70,8 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="report reconstruction MSE of a model on a dataset")
     p_eval.add_argument("--model", required=True)
-    p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--format", choices=["idx", "csv"], required=True)
+    _add_data_flags(p_eval, required=True)
 
     p_sweep = sub.add_parser("sweep", help="run a (trial, k, L) grid from a config file")
     p_sweep.add_argument("--config", required=True)
@@ -87,8 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_graph(args) -> int:
-    X = _load_matrix(args.data, args.format)
-    similarity = harness.similarity_from_mapping(_set_keys(args, harness.SIMILARITY_KEYS))
+    X, similarity = _graph_input(args)
     spectrum = build_graph(X, similarity)
     edges = int(np.count_nonzero(spectrum.adjacency)) // 2
     print(f"nodes: {spectrum.n}")
@@ -99,8 +105,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    X = _load_matrix(args.data, args.format)
-    similarity = harness.similarity_from_mapping(_set_keys(args, harness.SIMILARITY_KEYS))
+    X, similarity = _graph_input(args)
     ds = center(X)
     spectrum = build_graph(X, similarity)
     pca = pca_fit(ds, args.k)  # the fit's seed and the printed baseline
@@ -119,8 +124,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    bundle = codec.load_model(args.model)
-    ds = center(_load_matrix(args.data, args.format))
+    bundle, ds = _model_and_data(args)
     reduced = codec.reduce(bundle.model, ds, bundle.spectrum)
     harness.save_csv_matrix(reduced.values, args.out)
     print(f"reduced: {reduced.values.shape[0]} x {reduced.values.shape[1]} -> {args.out}")
@@ -136,8 +140,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    bundle = codec.load_model(args.model)
-    ds = center(_load_matrix(args.data, args.format))
+    bundle, ds = _model_and_data(args)
     mse = codec.reconstruction_mse(bundle.model, ds, bundle.spectrum)
     baseline = pca_mse(ds, pca_fit(ds, bundle.model.k))
     print(f"reconstruction_mse: {float(mse)!r}")

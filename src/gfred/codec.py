@@ -20,14 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CorruptFile,
-    DimensionMismatch,
-    FingerprintMismatch,
-    VersionMismatch,
-)
+from .errors import CorruptFile, DimensionMismatch, VersionMismatch
 from .graph import GraphSpectrum
-from .optimizer import FilterModel
+from .optimizer import FilterModel, check_spectrum
 from .spectral import (
     CenteredDataset,
     apply_response,
@@ -53,10 +48,6 @@ class ReducedData:
 class StorageBudget:
     """Scalar counts for one stored model versus raw data and plain PCA."""
 
-    n: int
-    dim: int
-    k: int
-    order: int
     stored_scalars: int
     raw_scalars: int
     pca_scalars: int
@@ -66,15 +57,7 @@ class StorageBudget:
         if min(n, dim, k) < 1 or order < 0:
             raise ValueError(f"invalid dims n={n}, dim={dim}, k={k}, order={order}")
         stored = k * (order + 1) * dim + 2 * k * n + n * (n + 1) // 2
-        return cls(
-            n=n,
-            dim=dim,
-            k=k,
-            order=order,
-            stored_scalars=stored,
-            raw_scalars=n * dim,
-            pca_scalars=k * dim + k * n,
-        )
+        return cls(stored_scalars=stored, raw_scalars=n * dim, pca_scalars=k * dim + k * n)
 
 
 def compression_bound(n: int, dim: int, order: int) -> int:
@@ -88,11 +71,6 @@ def compression_bound(n: int, dim: int, order: int) -> int:
     return max((n * dim - n * (n + 1) // 2 - 1) // (2 * n + (order + 1) * dim), 0)
 
 
-def _check_fingerprint(model: FilterModel, spectrum: GraphSpectrum):
-    if model.spectrum_fingerprint != spectrum.fingerprint():
-        raise FingerprintMismatch("model was trained on a different graph spectrum")
-
-
 def reduce(model: FilterModel, ds: CenteredDataset, spectrum: GraphSpectrum) -> ReducedData:
     """Reduced vertex-domain vectors for every node of the training graph.
 
@@ -100,7 +78,7 @@ def reduce(model: FilterModel, ds: CenteredDataset, spectrum: GraphSpectrum) -> 
     the n x n training kernel. On data other than the training set these
     are not the taps the model was trained with.
     """
-    _check_fingerprint(model, spectrum)
+    check_spectrum(model, spectrum)
     if ds.dim != model.dim:
         raise DimensionMismatch(f"data has dimension {ds.dim}, the model expects {model.dim}")
     xt = gft(ds.centered, spectrum)
@@ -110,7 +88,7 @@ def reduce(model: FilterModel, ds: CenteredDataset, spectrum: GraphSpectrum) -> 
 
 def reconstruct(model: FilterModel, reduced: ReducedData, spectrum: GraphSpectrum) -> np.ndarray:
     """Reconstruction in the original (uncentered) coordinates."""
-    _check_fingerprint(model, spectrum)
+    check_spectrum(model, spectrum)
     if reduced.values.shape != (model.k, spectrum.n):
         raise DimensionMismatch(
             f"reduced data {reduced.values.shape} does not match k={model.k}, n={spectrum.n}"
@@ -139,7 +117,7 @@ def reconstruction_mse(model: FilterModel, ds: CenteredDataset, spectrum: GraphS
 # coefficient matrix (k x n), and the reduced data (k x n). The header
 # records dims, a CRC-32 of the payload, the reduced data's domain (always
 # "vertex"), and the three scalar counts of StorageBudget, which the loader
-# recomputes and verifies.
+# recomputes and verifies. Every payload value is finite.
 
 _COUNTS = ("stored_scalars", "raw_scalars", "pca_scalars")
 
@@ -154,7 +132,7 @@ def save_model(model: FilterModel, spectrum: GraphSpectrum, reduced: ReducedData
     The written bytes are a pure function of the arguments, and a
     save/load round trip is bit exact.
     """
-    _check_fingerprint(model, spectrum)
+    check_spectrum(model, spectrum)
     arrays = [
         model.mean, spectrum.eigvals, spectrum.eigvecs, model.recon_taps, model.coeffs,
         reduced.values,
@@ -190,7 +168,8 @@ class ModelFile:
 
 
 def load_model(path) -> ModelFile:
-    """Read a model file back, verifying structure, checksum, and budget.
+    """Read a model file back, verifying structure, checksum, and budget,
+    and that every payload value is finite.
 
     Arrays come back as read-only views of one aligned payload buffer, and
     the spectrum's adjacency is ``None``: nothing is derived on load."""
@@ -241,7 +220,10 @@ def load_model(path) -> ModelFile:
         raise CorruptFile(f"{path}: checksum mismatch")
 
     payload.flags.writeable = False
-    flat = np.split(payload.view("<f8"), np.cumsum(sizes)[:-1])
+    values = payload.view("<f8")
+    if not np.isfinite(values).all():
+        raise CorruptFile(f"{path}: payload holds a value that is not finite")
+    flat = np.split(values, np.cumsum(sizes)[:-1])
     mean, eigvals, eigvecs, taps, coeffs, reduced_values = (
         part.reshape(shape, order="F") for part, shape in zip(flat, shapes)
     )

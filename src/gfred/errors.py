@@ -17,10 +17,6 @@ class ConvergenceFailure(RuntimeError):
     """The dense symmetric eigensolver did not converge."""
 
 
-class SpectralOverflow(ArithmeticError):
-    """An eigenvalue power grew past 1e150 (build_graph's unit-radius graphs never do)."""
-
-
 class NonFiniteValue(ArithmeticError):
     """An iterate picked up NaN or infinity."""
 
@@ -71,6 +67,11 @@ class DataOverflow(DataError):
 
 class DataUnderflow(DataError):
     """A data column with a nonzero entry has a sum of squares that rounds to 0."""
+
+
+class SpectralOverflow(DataError, ArithmeticError):
+    """An eigenvalue power grew past 1e150, as in a model file whose
+    eigenvalues are that large (build_graph's unit-radius graphs never do)."""
 
 
 class NonFiniteStart(DataError, NonFiniteValue):

@@ -42,6 +42,9 @@ from .spectral import center
 
 
 class DataFormat(Enum):
+    """The data file formats :func:`load_matrix` reads; the values are the
+    choices of ``--format`` and of the ``dataset_format`` config key."""
+
     IDX = "idx"
     CSV = "csv"
 
@@ -243,6 +246,21 @@ def load_csv_matrix(path, first_row_labels: bool = False):
     return matrix[1:], labels.astype(np.int64)
 
 
+def load_matrix(path, fmt: DataFormat | str, labels: bool = False):
+    """A data file's matrix, one data vector per column, in the format
+    ``fmt`` (a :class:`DataFormat` or its value); with ``labels`` the pair
+    ``(matrix, labels)``.
+
+    Labels come from a CSV file's first row (:func:`load_csv_matrix`) or
+    from the IDX labels file beside the images (:func:`load_idx`). Without
+    ``labels`` an IDX image file is read alone, and a CSV file's every row
+    is data.
+    """
+    if DataFormat(fmt) is DataFormat.CSV:
+        return load_csv_matrix(path, first_row_labels=labels)
+    return load_idx(path) if labels else load_idx_images(path)
+
+
 def save_csv_matrix(matrix, path):
     """Write a 2-d matrix as CSV, one row per line, with shortest
     round-trip float formatting.
@@ -300,12 +318,6 @@ def sample_subset(images, labels, cfg: ExperimentConfig, trial_index: int) -> np
 
 
 # --- sweep ------------------------------------------------------------------
-
-
-def _load_dataset(cfg: ExperimentConfig):
-    if cfg.dataset_format is DataFormat.IDX:
-        return load_idx(cfg.dataset_path)
-    return load_csv_matrix(cfg.dataset_path, first_row_labels=True)
 
 
 def _run_trial(cfg: ExperimentConfig, images, labels, trial: int, clock):
@@ -367,7 +379,7 @@ def run_sweep(cfg: ExperimentConfig, *, timer=None, force_serial: bool = False) 
     thread pool.
     """
     clock = timer if timer is not None else time.perf_counter
-    images, labels = _load_dataset(cfg)
+    images, labels = load_matrix(cfg.dataset_path, cfg.dataset_format, labels=True)
     dim = images.shape[0]
     subset_n = cfg.classes_to_pick * cfg.images_per_class
     for k in cfg.k_list:

@@ -120,6 +120,12 @@ class FilterModel:
         return self.coeffs.shape[1]
 
 
+def check_spectrum(model: FilterModel, spectrum: GraphSpectrum):
+    """Raise FingerprintMismatch unless ``model`` was trained on ``spectrum``."""
+    if model.spectrum_fingerprint != spectrum.fingerprint():
+        raise FingerprintMismatch("model was trained on a different graph spectrum")
+
+
 @dataclass(frozen=True)
 class FitResult:
     model: FilterModel
@@ -254,7 +260,6 @@ def fit(
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     cache = build_cache(ds.centered, spectrum, order)
-    fingerprint = spectrum.fingerprint()
     if start is None:
         start = pca_fit(ds, k)
     if start.k != k:
@@ -262,9 +267,9 @@ def fit(
     if isinstance(start, PcaModel):
         taps, coeffs = init_filters(start, cache)
     else:
+        # a start of another size raises DimensionMismatch here, before the graph check
         taps, coeffs = extend_order(start, cache)
-        if start.spectrum_fingerprint != fingerprint:
-            raise FingerprintMismatch("start model was trained on a different graph spectrum")
+        check_spectrum(start, spectrum)
     if not (np.isfinite(taps).all() and np.isfinite(coeffs).all()):
         # data near 1e-155 has a kernel of subnormal numbers, and the
         # seed's ridge solve against it gives NaN
@@ -350,7 +355,7 @@ def fit(
         recon_taps=taps,
         coeffs=coeffs,
         mean=ds.mean.copy(),
-        spectrum_fingerprint=fingerprint,
+        spectrum_fingerprint=spectrum.fingerprint(),
     )
     return FitResult(
         model=model,

@@ -61,24 +61,24 @@ def center(X) -> CenteredDataset:
     return CenteredDataset(centered=centered, mean=mean, dim=X.shape[0], n=X.shape[1])
 
 
-def gft(values, spectrum: GraphSpectrum) -> np.ndarray:
-    """Graph Fourier transform of per-node columns (right-multiply by U)."""
+def _per_node(values, spectrum: GraphSpectrum) -> np.ndarray:
+    """``values`` as a float matrix, after checking it has one column per node."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != spectrum.n:
         raise DimensionMismatch(
             f"expected {spectrum.n} columns for this graph, got shape {values.shape}"
         )
-    return values @ spectrum.eigvecs
+    return values
+
+
+def gft(values, spectrum: GraphSpectrum) -> np.ndarray:
+    """Graph Fourier transform of per-node columns (right-multiply by U)."""
+    return _per_node(values, spectrum) @ spectrum.eigvecs
 
 
 def igft(values, spectrum: GraphSpectrum) -> np.ndarray:
     """Inverse transform; exact inverse of :func:`gft` up to roundoff."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] != spectrum.n:
-        raise DimensionMismatch(
-            f"expected {spectrum.n} columns for this graph, got shape {values.shape}"
-        )
-    return values @ spectrum.eigvecs.T
+    return _per_node(values, spectrum) @ spectrum.eigvecs.T
 
 
 def eig_power_table(eigvals, order: int) -> np.ndarray:

@@ -10,8 +10,10 @@ import pytest
 
 from gfred import cli, optimizer, pca
 from gfred.cli import main
-from gfred.codec import load_model
+from gfred.codec import ReducedData, load_model, save_model
+from gfred.graph import GraphSpectrum
 from gfred.harness import load_csv_matrix, save_csv_matrix, synth_digits
+from gfred.optimizer import FilterModel
 
 from test_harness import write_labeled_csv
 
@@ -52,6 +54,27 @@ def write_digit_pair_csv(path):
     images, _ = synth_digits(n_classes=4, per_class=10, size=12)
     save_csv_matrix(images[:, :2], path)
     return path
+
+
+def write_small_model(path, eigvals, tap=0.5):
+    """A model file with a valid checksum: n=5, D=3, k=1, L=2, the given
+    eigenvalues with identity eigenvectors, and ``tap`` as its first tap entry."""
+    spectrum = GraphSpectrum(eigvals=np.asarray(eigvals, dtype=np.float64), eigvecs=np.eye(5))
+    taps = np.full((3, 3), 0.5)
+    taps[0, 0] = tap
+    model = FilterModel(
+        order=2, k=1, recon_taps=taps, coeffs=np.ones((1, 5)), mean=np.zeros(3),
+        spectrum_fingerprint=spectrum.fingerprint(),
+    )
+    save_model(model, spectrum, ReducedData(values=np.ones((1, 5))), path)
+    return path
+
+
+def run_gfred(argv):
+    """The command in a fresh interpreter that turns every warning into an error."""
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "gfred", *argv], capture_output=True, text=True
+    )
 
 
 class TestBound:
@@ -582,6 +605,40 @@ class TestExitCodes:
         assert captured.err.startswith("data error:")
         assert "sum of squares underflows" in captured.err
         assert captured.out == ""
+        assert not out.exists()
+
+    def test_model_with_overflowing_eigenvalue_powers_exits_3(self, tmp_path):
+        # a whole file whose largest eigenvalue, squared at L=2, passes 1e150
+        model = write_small_model(tmp_path / "m.gfm", [1e80, 2.0, 1.0, 0.0, -1.0])
+        data = write_matrix_csv(tmp_path / "d.csv", dim=3, n=5)
+        outs = {"decode": tmp_path / "recon.csv", "encode": tmp_path / "reduced.csv"}
+        for argv in (
+            ["decode", "--model", str(model), "--out", str(outs["decode"])],
+            ["eval", "--model", str(model), "--data", str(data), "--format", "csv"],
+            ["encode", "--model", str(model), "--data", str(data), "--format", "csv",
+             "--out", str(outs["encode"])],
+        ):
+            proc = run_gfred(argv)
+            assert proc.returncode == 3, (argv[0], proc.stderr)
+            assert proc.stderr.startswith("data error:"), argv[0]
+            assert "1e+150" in proc.stderr and "Traceback" not in proc.stderr, argv[0]
+            assert proc.stdout == "", argv[0]
+        assert not any(out.exists() for out in outs.values())
+
+    def test_model_with_a_non_finite_tap_exits_3(self, tmp_path, capsys):
+        # the checksum holds, so only the loader's finiteness check stops a
+        # decode that would write nan cells and an eval that would print nan
+        model = write_small_model(tmp_path / "m.gfm", [1.0, 0.5, 0.0, -0.5, -1.0], tap=np.nan)
+        data = write_matrix_csv(tmp_path / "d.csv", dim=3, n=5)
+        out = tmp_path / "recon.csv"
+        for argv in (
+            ["decode", "--model", str(model), "--out", str(out)],
+            ["eval", "--model", str(model), "--data", str(data), "--format", "csv"],
+        ):
+            assert main(argv) == 3, argv[0]
+            captured = capsys.readouterr()
+            assert captured.err.startswith("data error:"), argv[0]
+            assert "not finite" in captured.err and captured.out == "", argv[0]
         assert not out.exists()
 
     def test_usage_errors_exit_2(self):

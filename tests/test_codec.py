@@ -1,6 +1,7 @@
 """Encode/decode paths against the literal vertex-domain filter bank,
 storage accounting, and the model file format."""
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -455,6 +456,27 @@ class TestCorruption:
         (tmp_path / "flip.gfm").write_bytes(bytes(blob))
         with pytest.raises(CorruptFile):
             load_model(tmp_path / "flip.gfm")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("recon_taps", np.nan), ("mean", np.inf), ("reduced", -np.inf)],
+        ids=["nan-tap", "inf-mean", "inf-reduced"],
+    )
+    def test_non_finite_payload_value(self, tmp_path, field, value):
+        # written through save_model, so the checksum covers the bad value
+        inst, model, reduced, _ = saved_fixture(tmp_path)
+        if field == "reduced":
+            values = reduced.values.copy()
+            values[1, 2] = value
+            reduced = ReducedData(values=values)
+        else:
+            array = getattr(model, field).copy()
+            array.flat[0] = value
+            model = dataclasses.replace(model, **{field: array})
+        path = tmp_path / "nonfinite.gfm"
+        save_model(model, inst.spectrum, reduced, path)
+        with pytest.raises(CorruptFile, match="not finite"):
+            load_model(path)
 
     def test_unreadable_header(self, tmp_path):
         _, _, _, path = saved_fixture(tmp_path)

@@ -33,6 +33,7 @@ from gfred.harness import (
     emit_svg,
     load_csv_matrix,
     load_idx,
+    load_matrix,
     parse_config_text,
     run_sweep,
     sample_subset,
@@ -345,6 +346,32 @@ class TestCsv:
         save_csv_matrix(matrix, a)
         save_csv_matrix(matrix, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestLoadMatrix:
+    """The one loader behind every command's --data and the sweep's dataset."""
+
+    @pytest.mark.parametrize("fmt", [DataFormat.IDX, "idx"])
+    def test_idx_images_with_and_without_their_labels(self, tmp_path, fmt):
+        images_path, labels_path = write_idx_pair(tmp_path)
+        images, labels = load_idx(images_path)
+        paired = load_matrix(images_path, fmt, labels=True)
+        assert np.array_equal(paired[0], images) and np.array_equal(paired[1], labels)
+        labels_path.unlink()  # the images alone need no labels file
+        assert np.array_equal(load_matrix(images_path, fmt), images)
+
+    @pytest.mark.parametrize("fmt", [DataFormat.CSV, "csv"])
+    def test_csv_with_and_without_a_label_row(self, tmp_path, fmt):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1,1\n0.5,0.25,0.125\n1,2,3\n")
+        matrix, labels = load_matrix(path, fmt, labels=True)
+        assert labels.tolist() == [0, 1, 1]
+        assert np.array_equal(matrix, [[0.5, 0.25, 0.125], [1.0, 2.0, 3.0]])
+        assert np.array_equal(load_matrix(path, fmt), load_csv_matrix(path))
+
+    def test_unknown_format_is_a_value_error(self, tmp_path):
+        with pytest.raises(ValueError):
+            load_matrix(tmp_path / "m.npy", "npy")
 
 
 def csv_matrices():

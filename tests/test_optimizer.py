@@ -21,7 +21,7 @@ from gfred.errors import (
     RankDeficiencyWarning,
 )
 from gfred.graph import GraphSpectrum, Kernel, SimilarityConfig, build_graph
-from gfred.harness import synth_digits
+from gfred.harness import ExperimentConfig, sample_subset, synth_digits
 from gfred.optimizer import extend_order, fit, init_filters, stationarity_residual
 from gfred.pca import pca_fit, pca_mse
 from gfred.spectral import build_cache, center, power_stack, power_sum, reduce_response
@@ -37,6 +37,7 @@ from oracles import (
     random_instance,
     reference,
     scan_best_step,
+    stacked_kernel,
     step_coeffs,
     step_taps,
 )
@@ -594,3 +595,28 @@ class TestWarmStart:
         cache_low = build_cache(inst.ds.centered, inst.spectrum, order=1)
         with pytest.raises(DimensionMismatch):
             extend_order(result.model, cache_low)
+
+
+class TestTrainingKernel:
+
+    def test_rank_on_the_acceptance_draws(self):
+        # the 5 draws of the acceptance protocol (n=40, D=784, cosine knn=12).
+        # The stacked feature kernel K lacks only the centring direction at
+        # L=0, and has full rank n at L=1 and 2, so there some coefficients C
+        # give C K = V for any reduced vectors V: on the training nodes the
+        # reducing filter constrains nothing
+        images, labels = synth_digits(10, 30, seed=0)
+        cfg = ExperimentConfig(dataset_path="", classes_to_pick=4, images_per_class=10, seed=0)
+        similarity = SimilarityConfig(kernel=Kernel.COSINE, knn=12)
+        for trial in range(5):
+            X = sample_subset(images, labels, cfg, trial)
+            spectrum = build_graph(X, similarity)
+            xt = center(X).centered @ spectrum.eigvecs
+            kernels = [stacked_kernel(xt, spectrum.eigvals, order) for order in (0, 1, 2)]
+            assert [np.linalg.matrix_rank(K) for K in kernels] == [39, 40, 40], trial
+            # by a wide margin, not by rounding: at L=0 the 39th singular value
+            # is about 1e-3 of the largest, at L >= 1 the condition numbers are
+            # 9.5e2-1.03e4
+            values = np.linalg.svd(kernels[0], compute_uv=False)
+            assert values[-2] > 1e-6 * values[0], trial
+            assert all(np.linalg.cond(K) < 1e5 for K in kernels[1:]), trial
