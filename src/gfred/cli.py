@@ -4,7 +4,8 @@ Exit codes: 0 on success; 2 for configuration problems, argparse usage
 errors included, and for a data file whose shape does not fit the model;
 3 for data that is unreadable, malformed or unrepresentable (a sum of
 squares that overflows a double, a model file with a non-finite value or
-an eigenvalue whose filter-order power passes 1e150).
+an eigenvalue whose filter-order power passes 1e150), and for data on
+which an eigensolver or SVD does not converge.
 """
 from __future__ import annotations
 

@@ -13,10 +13,6 @@ class KnnTooLarge(ValueError):
     """Neighbor count must satisfy knn <= n - 1."""
 
 
-class ConvergenceFailure(RuntimeError):
-    """The dense symmetric eigensolver did not converge."""
-
-
 class NonFiniteValue(ArithmeticError):
     """An iterate picked up NaN or infinity."""
 
@@ -67,6 +63,11 @@ class DataOverflow(DataError):
 
 class DataUnderflow(DataError):
     """A data column with a nonzero entry has a sum of squares that rounds to 0."""
+
+
+class ConvergenceFailure(DataError, RuntimeError):
+    """An eigensolver or SVD did not converge on the data: the graph's,
+    the covariance's or the centered data's."""
 
 
 class SpectralOverflow(DataError, ArithmeticError):

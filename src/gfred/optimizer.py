@@ -45,20 +45,24 @@ moments); the test suite's ``tests/oracles.py`` computes them again, one
 frequency at a time, as the reference the trainer is checked against.
 
 :func:`fit`'s loop runs on min(dim, n) rows. On tall data (dim > n) it
-takes the thin QR factorization ``Xt = Q R`` of the transformed data;
-the n orthonormal columns of ``Q`` span a space that holds every data
-column. Every tap gradient is a sum of residual x reduced-vector
-products, and the residual is the data minus the taps' output, so taps
-that start in that space never leave it (the representer-theorem argument
-behind the coefficient parameterization). When the start lies there, as
-the PCA seed (k up to the data's rank) and every model :func:`fit`
+reads the factorization ``Xt = Q R`` of the transformed data from the
+dataset's cached thin SVD ``Xbar = W diag(s) V'``
+(:meth:`~gfred.spectral.CenteredDataset.svd`, the one PCA's basis comes
+from): ``Q = W`` and ``R = gft(diag(s) V')``, the n x n matrix
+``diag(s) V' U``. The n orthonormal columns of ``Q`` span a space that
+holds every data column. Every tap gradient is a sum of residual x
+reduced-vector products, and the residual is the data minus the taps'
+output, so taps that start in that space never leave it (the
+representer-theorem argument behind the coefficient parameterization).
+When the start lies there, as the PCA seed and every model :func:`fit`
 trained on the same data do, the loop trains the coordinates ``Q' taps``
 against ``R`` in place of ``Xt`` and maps the result back with ``Q``.
 This is the same iteration, not an approximation: ``R' R = Xt' Xt``
 leaves the kernel unchanged and ``Q`` keeps every inner product and norm,
 so each cost, step, update size and stopping decision is the one the
 dim-row loop computes, up to rounding. A start with taps outside that
-space trains on all dim rows.
+space trains on all dim rows. The dataset is factorized once, however
+many widths and orders are fitted on it.
 
 :func:`fit` builds the cache for the order it trains. It starts from the
 PCA seed of :func:`init_filters` (from a given PCA model of the data, or
@@ -88,6 +92,7 @@ from .spectral import (
     CenteredDataset,
     SpectralCache,
     build_cache,
+    gft,
     power_stack,
     power_sum,
     reduce_response,
@@ -253,9 +258,11 @@ def fit(
 
     The descent runs on min(dim, n) rows: on tall data (dim > n) with a
     start in the span of the data's columns it trains the taps'
-    coordinates in an orthonormal basis of that span, which computes the
-    same iterates (see the module docstring). The start and the returned
-    model live in the data's own dim rows either way.
+    coordinates in the left singular vectors of ``ds``, from the SVD that
+    ``ds`` computes once and caches, which gives the same iterates (see
+    the module docstring). The start and the returned model live in the
+    data's own dim rows either way. A failed SVD raises
+    ConvergenceFailure.
     """
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
@@ -284,14 +291,16 @@ def fit(
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
 
-    # taps that start in the span of Q, for Xt = QR, stay there (module
-    # docstring): on tall data train their coordinates against R
+    # taps that start in the span of the data's left singular vectors W
+    # stay there (module docstring): on tall data train their coordinates
+    # against R = gft(diag(s) V'), for which W R = Xt
     given_taps, basis = taps, None
     if cache.dim > cache.n:
-        q, r = np.linalg.qr(cache.gft_data)
-        inside = q.T @ taps
-        if np.linalg.norm(q @ inside - taps) <= _SPAN_TOL * np.linalg.norm(taps):
-            basis, taps, cache = q, inside, replace(cache, gft_data=r)
+        left, sing, right_t = ds.svd()
+        inside = left.T @ taps
+        if np.linalg.norm(left @ inside - taps) <= _SPAN_TOL * np.linalg.norm(taps):
+            r = gft(sing[:, None] * right_t, spectrum)
+            basis, taps, cache = left, inside, replace(cache, gft_data=r)
     start_taps = taps
 
     xt = cache.gft_data

@@ -29,14 +29,18 @@ def pca_fit(ds: CenteredDataset, k: int) -> PcaModel:
 
     For tall data (dim > n) the spectrum is taken from the thin SVD of the
     centered matrix, which has the same nonzero eigenvalues as the
-    covariance without ever forming the dim x dim matrix. Warns with
+    covariance without ever forming the dim x dim matrix. That SVD is the
+    dataset's own (:meth:`~gfred.spectral.CenteredDataset.svd`), computed
+    once and shared by every width: the basis of width k is the leading k
+    columns of any wider one. Wide data (dim <= n) take the eigenpairs of
+    the dim x dim covariance on each call. Warns with
     RankDeficiencyWarning when the k-th eigenvalue is at numerical zero.
+    Raises ConvergenceFailure when the eigensolver or SVD fails.
     """
     if not 1 <= k <= min(ds.dim, ds.n):
         raise DimensionMismatch(f"k={k} out of range for dim={ds.dim}, n={ds.n}")
-    xb = ds.centered
     if ds.dim <= ds.n:
-        cov = (xb @ xb.T) / ds.n
+        cov = (ds.centered @ ds.centered.T) / ds.n
         try:
             vals, vecs = np.linalg.eigh(cov)
         except np.linalg.LinAlgError as exc:
@@ -45,10 +49,7 @@ def pca_fit(ds: CenteredDataset, k: int) -> PcaModel:
         eigvals = vals[order]
         basis = vecs[:, order[:k]]
     else:
-        try:
-            left, sing, _ = np.linalg.svd(xb, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"svd failed: {exc}") from exc
+        left, sing, _ = ds.svd()
         eigvals = sing * sing / ds.n
         basis = left[:, :k]
     basis = canonical_signs(basis)

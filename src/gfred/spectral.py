@@ -13,11 +13,17 @@ term (the geometric series has no safe closed form at lam_i lam_j = 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataOverflow, DataUnderflow, DimensionMismatch, SpectralOverflow
+from .errors import (
+    ConvergenceFailure,
+    DataOverflow,
+    DataUnderflow,
+    DimensionMismatch,
+    SpectralOverflow,
+)
 from .graph import GraphSpectrum
 
 _POWER_LIMIT = 1e150
@@ -25,10 +31,40 @@ _POWER_LIMIT = 1e150
 
 @dataclass(frozen=True)
 class CenteredDataset:
+    """Centered data columns and the mean they were centered on.
+
+    ``centered`` is held as a read-only view, and :meth:`svd` computes its
+    thin SVD on first use and caches the factors, read-only too: nothing
+    can change what was factorized, so the cache cannot go stale. On tall
+    data (dim > n) that one factorization is the only one: the PCA basis
+    of every width and every fit's narrowing to n rows are read from it.
+    """
+
     centered: np.ndarray  # (dim, n), rows sum to zero
     mean: np.ndarray      # (dim,)
     dim: int
     n: int
+    _svd: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        view = np.asarray(self.centered, dtype=np.float64).view()
+        view.flags.writeable = False
+        object.__setattr__(self, "centered", view)
+
+    def svd(self) -> tuple:
+        """The thin SVD ``(left, sing, right_t)`` of ``centered``:
+        ``left * sing @ right_t`` is the centered data, with
+        min(dim, n) singular values in descending order. Raises
+        ConvergenceFailure when the SVD does not converge."""
+        if self._svd is None:
+            try:
+                factors = tuple(np.linalg.svd(self.centered, full_matrices=False))
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceFailure(f"svd of the centered data failed: {exc}") from exc
+            for factor in factors:
+                factor.flags.writeable = False
+            object.__setattr__(self, "_svd", factors)
+        return self._svd
 
 
 def center(X) -> CenteredDataset:

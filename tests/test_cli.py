@@ -154,7 +154,8 @@ class TestIdxImagesAlone:
 class TestModelPipeline:
 
     # "wide" data (dim 6, n 12) trains on all dim rows, "tall" data (the
-    # 12x12 digits, dim 144, n 40) on the data's n-row QR coordinates
+    # 12x12 digits, dim 144, n 40) on its n-row coordinates in the left
+    # singular vectors of the centered data
     FITS = {
         "wide": (write_matrix_csv, ["--k", "2", "--kernel", "gaussian", "--alpha", "0.5",
                                     "--knn", "3", "--max-iters", "80"]),
@@ -487,6 +488,42 @@ class TestExitCodes:
         assert "data error:" in captured.err
         assert "final_mse" not in captured.out
         assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "command, solver",
+        [("graph", "eigh"), ("fit", "eigh"), ("eval", "eigh"), ("fit", "svd")],
+        ids=["graph", "fit", "eval", "tall-fit-svd"],
+    )
+    def test_failed_solver_exits_3(self, tmp_path, capsys, monkeypatch, command, solver):
+        # eigh fails on the graph (graph, fit) or on the wide data's
+        # covariance (eval, after a model was trained); svd fails on the
+        # tall digits' centered data, which the PCA seed and fit share
+        wide = ["--kernel", "gaussian", "--alpha", "0.5", "--knn", "3"]
+        if solver == "svd":
+            data, flags = write_digits_csv(tmp_path / "tall.csv"), ["--k", "3"]
+        else:
+            data, flags = write_matrix_csv(tmp_path / "wide.csv"), ["--k", "2"] + wide
+        model = tmp_path / "m.gfm"
+        fit_argv = ["fit", "--data", str(data), "--format", "csv", "--l", "1",
+                    "--max-iters", "5", "--model-out", str(model)] + flags
+        argv = {
+            "graph": ["graph", "--data", str(data), "--format", "csv"] + wide,
+            "fit": fit_argv,
+            "eval": ["eval", "--model", str(model), "--data", str(data), "--format", "csv"],
+        }[command]
+        if command == "eval":
+            assert main(fit_argv) == 0
+            capsys.readouterr()
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError(f"{solver} did not converge")
+
+        monkeypatch.setattr(np.linalg, solver, failing)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("data error:")
+        assert captured.out == ""
+        assert (command == "eval") == model.exists()
 
     def test_gaussian_distances_past_the_largest_double_exit_3(self, tmp_path, capsys):
         # finite column sums of squares (about 1.44e308) that add past the largest double

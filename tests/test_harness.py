@@ -591,6 +591,29 @@ def sweep_config(path, **kwargs) -> ExperimentConfig:
 
 class TestRunSweep:
 
+    def test_one_factorization_per_tall_dataset(self, tmp_path, monkeypatch):
+        # a trial's three PCA widths and six fits on tall data (dim 144,
+        # n 24) read one SVD of the centered data, and no fit takes a QR
+        images, labels = synth_digits(n_classes=4, per_class=8, size=12)
+        data = tmp_path / "tall.csv"
+        save_csv_matrix(np.vstack([labels[None, :], images]), data)
+        calls = []
+
+        def counting(name, solver):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return solver(*args, **kwargs)
+            return wrapper
+
+        for name in ("svd", "qr"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        cfg = sweep_config(data, classes_to_pick=3, images_per_class=8, trials=1,
+                           k_list=(5, 10, 20), L_list=(0, 1), max_iters=20)
+        report = run_sweep(cfg, timer=lambda: 0.0)
+        assert not report.failures
+        assert len(report.rows) == 6
+        assert calls == ["svd"]
+
     def test_grid_rows_and_invariants(self, tmp_path):
         data = tmp_path / "d.csv"
         write_labeled_csv(data)

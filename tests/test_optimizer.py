@@ -477,6 +477,25 @@ class TestFit:
                 weights, *_ = np.linalg.lstsq(inst.ds.centered, tap, rcond=None)
                 assert rel(inst.ds.centered @ weights, tap) <= 1e-10
 
+    def test_tall_dataset_reused_across_widths_and_orders(self):
+        # the sweep's grid on one dataset, whose SVD every PCA and every
+        # fit's narrowing share, against a fresh dataset per call: equal
+        # bit for bit, so the cached factorization changes no result
+        X = np.random.default_rng(93).normal(size=(60, 12))
+        spectrum = build_graph(X, SimilarityConfig(kernel=Kernel.GAUSSIAN, alpha=1 / 60, knn=3))
+        ds = center(X)
+        for k in (2, 3, 5):
+            shared, fresh = pca_fit(ds, k), pca_fit(center(X), k)
+            assert np.array_equal(shared.basis, fresh.basis)
+            for order in (0, 1, 2):
+                a = fit(ds, spectrum, k, order, max_iters=20, start=shared)
+                b = fit(center(X), spectrum, k, order, max_iters=20, start=fresh)
+                assert a.iterations == b.iterations and a.converged == b.converged
+                assert np.array_equal(a.objective_trace, b.objective_trace)
+                assert np.array_equal(a.model.recon_taps, b.model.recon_taps)
+                assert np.array_equal(a.model.coeffs, b.model.coeffs)
+                shared, fresh = a.model, b.model
+
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("start", ["cold", "warm"])
     def test_wide_fit_follows_the_public_steps(self, order, start):

@@ -83,6 +83,15 @@ class TestFit:
         assert pca_mse(ds, model) == pytest.approx(direct, rel=1e-9)
         assert np.allclose(model.eigvals[:3], vals[order[:3]], rtol=1e-9, atol=1e-12)
 
+    def test_tall_widths_share_one_factorization(self):
+        # every width reads the dataset's one SVD: a basis is the leading
+        # columns of any wider one, bit for bit
+        ds = center(np.random.default_rng(46).normal(size=(30, 9)))
+        models = {k: pca_fit(ds, k) for k in (8, 2, 5)}
+        for k, model in models.items():
+            assert np.array_equal(model.basis, models[8].basis[:, :k])
+            assert np.array_equal(model.eigvals, models[8].eigvals)
+
     def test_recovers_planted_spike(self):
         rng = np.random.default_rng(48)
         u = np.array([3.0, 0.0, 4.0]) / 5.0

@@ -68,6 +68,22 @@ class TestCenter:
         with pytest.raises(DimensionMismatch):
             center(np.ones((2, 2, 2)))
 
+    def test_centered_data_and_their_svd_are_read_only(self):
+        # the SVD is computed once and cached, so nothing may write into
+        # what it factorized or into the factors it hands out
+        rng = np.random.default_rng(4)
+        ds = center(rng.normal(size=(9, 5)))
+        with pytest.raises(ValueError):
+            ds.centered[0, 0] = 1.0
+        factors = ds.svd()
+        assert ds.svd() is factors
+        left, sing, right_t = factors
+        assert left.shape == (9, 5) and sing.shape == (5,) and right_t.shape == (5, 5)
+        assert np.allclose(left * sing @ right_t, ds.centered, rtol=0.0, atol=1e-12)
+        for factor in factors:
+            with pytest.raises(ValueError):
+                factor[0] = 0.0
+
 
 class TestTransformPair:
 
