@@ -5,7 +5,7 @@ errors included, and for a data file whose shape does not fit the model;
 3 for data that is unreadable, malformed or unrepresentable (a sum of
 squares that overflows a double, a model file with a non-finite value or
 an eigenvalue whose filter-order power passes 1e150), and for data on
-which an eigensolver or SVD does not converge.
+which an eigensolver, SVD or the fit's starting solve fails.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import codec, harness
 from .errors import DataError
-from .graph import build_graph, connected_components
+from .graph import GraphSpectrum, build_graph, connected_components
 from .optimizer import MAX_ITERS, fit
 from .pca import pca_fit, pca_mse
 from .spectral import center
@@ -109,6 +109,10 @@ def _cmd_fit(args) -> int:
     X, similarity = _graph_input(args)
     ds = center(X)
     spectrum = build_graph(X, similarity)
+    # the fit reads the centred data and the eigenpairs only: drop the raw
+    # matrix and the adjacency before the n x n training kernel is built
+    del X
+    spectrum = GraphSpectrum(eigvals=spectrum.eigvals, eigvecs=spectrum.eigvecs)
     pca = pca_fit(ds, args.k)  # the fit's seed and the printed baseline
     result = fit(
         ds, spectrum, args.k, args.l, epsilon=args.epsilon, max_iters=args.max_iters, start=pca

@@ -95,15 +95,22 @@ def reconstruct(model: FilterModel, reduced: ReducedData, spectrum: GraphSpectru
         )
     pows = eig_power_table(spectrum.eigvals, model.order)
     recon_spec = apply_response(model.recon_taps, pows, gft(reduced.values, spectrum))
-    return igft(recon_spec, spectrum) + model.mean[:, None]
+    recon = igft(recon_spec, spectrum)
+    recon += model.mean[:, None]
+    return recon
 
 
 def reconstruction_mse(model: FilterModel, ds: CenteredDataset, spectrum: GraphSpectrum) -> float:
-    """Mean squared vertex-domain error of encode followed by decode."""
-    reduced = reduce(model, ds, spectrum)
-    recon = reconstruct(model, reduced, spectrum) - model.mean[:, None]
-    resid = ds.centered - recon
-    return float(np.sum(resid * resid)) / ds.n
+    """Mean squared vertex-domain error of encode followed by decode.
+
+    The residual is formed in the reconstruction's own dim x n buffer,
+    subtracted and squared in place.
+    """
+    resid = reconstruct(model, reduce(model, ds, spectrum), spectrum)
+    resid -= model.mean[:, None]
+    resid -= ds.centered
+    resid *= resid
+    return float(resid.sum()) / ds.n
 
 
 # --- model file format -----------------------------------------------------
@@ -130,7 +137,11 @@ def save_model(model: FilterModel, spectrum: GraphSpectrum, reduced: ReducedData
     """Write a model, its spectrum, and reduced data to one binary file.
 
     The written bytes are a pure function of the arguments, and a
-    save/load round trip is bit exact.
+    save/load round trip is bit exact. The checksum is taken over, and the
+    payload written from, column-major views of the arrays: no n x n
+    temporary is made for the column-major eigenvectors of
+    :func:`~gfred.graph.eigendecompose` or of a loaded model, and no
+    joined copy of the payload for any array.
     """
     check_spectrum(model, spectrum)
     arrays = [
@@ -140,7 +151,12 @@ def save_model(model: FilterModel, spectrum: GraphSpectrum, reduced: ReducedData
     shapes = _payload_shapes(spectrum.n, model.dim, model.k, model.order)
     if [a.shape for a in arrays] != shapes:
         raise DimensionMismatch(f"arrays of shapes {[a.shape for a in arrays]}, expected {shapes}")
-    payload = b"".join(np.asarray(a, dtype="<f8").tobytes(order="F") for a in arrays)
+    # the transpose of a column-major array is row-major: its buffer holds
+    # the column-major bytes
+    views = [np.asfortranarray(a, dtype="<f8").T for a in arrays]
+    checksum = 0
+    for view in views:
+        checksum = zlib.crc32(view, checksum)
     budget = StorageBudget.from_dims(spectrum.n, model.dim, model.k, model.order)
     header = {
         "version": _VERSION,
@@ -148,7 +164,7 @@ def save_model(model: FilterModel, spectrum: GraphSpectrum, reduced: ReducedData
         "D": model.dim,
         "k": model.k,
         "L": model.order,
-        "checksum": zlib.crc32(payload),
+        "checksum": checksum,
         "domain": _DOMAIN,
         **{name: getattr(budget, name) for name in _COUNTS},
     }
@@ -157,7 +173,8 @@ def save_model(model: FilterModel, spectrum: GraphSpectrum, reduced: ReducedData
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(payload)
+        for view in views:
+            fh.write(view)
 
 
 @dataclass(frozen=True)

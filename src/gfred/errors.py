@@ -66,8 +66,9 @@ class DataUnderflow(DataError):
 
 
 class ConvergenceFailure(DataError, RuntimeError):
-    """An eigensolver or SVD did not converge on the data: the graph's,
-    the covariance's or the centered data's."""
+    """An eigensolver or SVD did not converge on the data (the graph's,
+    the covariance's or the centered data's), or a fit's starting
+    coefficients could not be solved for against the training kernel."""
 
 
 class SpectralOverflow(DataError, ArithmeticError):

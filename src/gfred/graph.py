@@ -81,7 +81,9 @@ class GraphSpectrum:
 
     The arrays are held as read-only views, so the eigenpair hash of
     :meth:`fingerprint` is computed once and cached: nothing can change
-    what it hashed.
+    what it hashed. The eigenvectors of :func:`eigendecompose` and of a
+    loaded model file are column-major, which is the order the hash reads
+    them in: hashing them makes no copy.
     """
 
     eigvals: np.ndarray    # (n,), descending
@@ -274,7 +276,10 @@ def eigendecompose(adjacency) -> GraphSpectrum:
     nodes). Eigenvectors are in the canonical sign orientation, and every
     entry off an eigenvector's component is an exact zero. A connected
     graph gives the arrays of one dense solve of the whole matrix, and
-    repeated runs on the same matrix give identical spectra.
+    repeated runs on the same matrix give identical spectra. The
+    eigenvector matrix is column-major (F-contiguous), the order in which
+    the model file stores it and :meth:`GraphSpectrum.fingerprint` hashes
+    it, so neither copies it.
     """
     S = np.asarray(adjacency, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -294,7 +299,7 @@ def eigendecompose(adjacency) -> GraphSpectrum:
     order = np.argsort(-vals, kind="stable")
     position = np.empty_like(order)
     position[order] = np.arange(order.size)  # where each solved column lands
-    eigvecs = np.zeros_like(S)
+    eigvecs = np.zeros(S.shape, order="F")  # the model file's and the fingerprint's order
     start = 0
     for nodes, vecs in zip(components, blocks):
         eigvecs[np.ix_(nodes, position[start:start + nodes.size])] = vecs

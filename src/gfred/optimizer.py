@@ -85,7 +85,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, FingerprintMismatch, NonFiniteStart, NonFiniteValue
+from .errors import (
+    ConvergenceFailure,
+    DimensionMismatch,
+    FingerprintMismatch,
+    NonFiniteStart,
+    NonFiniteValue,
+)
 from .graph import GraphSpectrum
 from .pca import PcaModel, pca_fit
 from .spectral import (
@@ -206,8 +212,11 @@ def init_filters(pca: PcaModel, cache: SpectralCache):
     eigenvalue scale (at order 0 the kernel is the spectral data Gram and
     the start ties PCA exactly). The ridge weight is 1e-10 times the
     kernel's mean diagonal, so rank-deficient data still yields a finite
-    start. A basis whose dimension is not the cache's raises
-    DimensionMismatch.
+    start. The ridge is added to the kernel's own diagonal for the solve
+    and the saved diagonal written back afterwards, also when the solve
+    fails, so no second n x n system is made and ``cache.kernel`` comes
+    back bit-identical. A basis whose dimension is not the cache's raises
+    DimensionMismatch, and a failed solve raises ConvergenceFailure.
     """
     if pca.basis.shape[0] != cache.dim:
         raise DimensionMismatch(
@@ -224,9 +233,14 @@ def init_filters(pca: PcaModel, cache: SpectralCache):
     if trace == 0.0:
         return taps, np.zeros((k, cache.n))
     ridge = _INIT_RIDGE * trace / cache.n
-    coeffs = np.linalg.solve(
-        cache.kernel + ridge * np.eye(cache.n), xt.T @ pca.basis
-    ).T
+    diagonal = cache.kernel.diagonal().copy()
+    try:
+        cache.kernel.flat[:: cache.n + 1] += ridge
+        coeffs = np.linalg.solve(cache.kernel, xt.T @ pca.basis).T
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"the seed's ridge solve failed: {exc}") from exc
+    finally:
+        cache.kernel.flat[:: cache.n + 1] = diagonal
     return taps, coeffs
 
 
@@ -395,6 +409,7 @@ def extend_order(model: FilterModel, cache: SpectralCache):
     (least squares, exact when the kernel has full rank). When the cache
     is built on the model's own graph, the reseeded (taps, coeffs) pair
     reproduces the model's objective value; :func:`fit` checks the graph.
+    A failed least-squares solve raises ConvergenceFailure.
     """
     if cache.order < model.order:
         raise DimensionMismatch(
@@ -408,5 +423,8 @@ def extend_order(model: FilterModel, cache: SpectralCache):
     taps = np.zeros((model.dim, (cache.order + 1) * model.k))
     taps[:, : model.recon_taps.shape[1]] = model.recon_taps
     reduced = reduce_response(model.coeffs, cache.gft_data, cache.eig_pows[:, : model.order + 1])
-    solved, *_ = np.linalg.lstsq(cache.kernel, reduced.T, rcond=None)
+    try:
+        solved, *_ = np.linalg.lstsq(cache.kernel, reduced.T, rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"the reseeded coefficients' least squares failed: {exc}") from exc
     return taps, solved.T

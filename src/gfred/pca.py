@@ -61,11 +61,16 @@ def pca_fit(ds: CenteredDataset, k: int) -> PcaModel:
 
 
 def pca_mse(ds: CenteredDataset, model: PcaModel) -> float:
-    """Mean squared residual of projecting onto the model's basis."""
+    """Mean squared residual of projecting onto the model's basis.
+
+    The residual is formed in the projection's own dim x n buffer,
+    subtracted and squared in place.
+    """
     if model.basis.shape[0] != ds.dim:
         raise DimensionMismatch(
             f"model dim {model.basis.shape[0]} does not match data dim {ds.dim}"
         )
-    scores = model.basis.T @ ds.centered
-    resid = ds.centered - model.basis @ scores
-    return float(np.sum(resid * resid)) / ds.n
+    resid = model.basis @ (model.basis.T @ ds.centered)
+    resid -= ds.centered
+    resid *= resid
+    return float(resid.sum()) / ds.n

@@ -27,6 +27,7 @@ from .errors import (
 from .graph import GraphSpectrum
 
 _POWER_LIMIT = 1e150
+_KERNEL_BLOCK_ROWS = 32  # rows of P P' that build_cache holds at once
 
 
 @dataclass(frozen=True)
@@ -161,14 +162,28 @@ def build_cache(xbar, spectrum: GraphSpectrum, order: int) -> SpectralCache:
     """Precompute the transformed data, power table, and feature kernel.
 
     The kernel is built in place as ``(Xt' Xt) * (P P')``, P the power
-    table: both factors are Gram products, which come out exactly
-    symmetric, so their Hadamard product is too and needs no averaging
-    with its transpose.
+    table. ``P P'`` is made one band of ``_KERNEL_BLOCK_ROWS`` rows at a
+    time, in one reused buffer, so no n x n temporary is made: the kernel
+    and the transformed data are the only arrays of their size. ``Xt' Xt``
+    and each band's diagonal block are Gram products, which come out
+    exactly symmetric. The rest of a band is a general product, which may
+    round an entry differently from its mirror in another band, so each
+    band's part left of the diagonal is copied from the finished rows
+    above it. The kernel is exactly symmetric and needs no averaging with
+    its transpose.
     """
     xt = gft(xbar, spectrum)
     pows = eig_power_table(spectrum.eigvals, order)
     kernel = xt.T @ xt
-    kernel *= pows @ pows.T  # term-by-term geometric sums
+    n = kernel.shape[0]
+    buffer = np.empty((min(_KERNEL_BLOCK_ROWS, n), n))
+    for lo in range(0, n, _KERNEL_BLOCK_ROWS):  # term-by-term geometric sums
+        rows = pows[lo : lo + _KERNEL_BLOCK_ROWS]
+        hi = lo + rows.shape[0]
+        band = np.matmul(rows, pows.T, out=buffer[: hi - lo])
+        band[:, lo:hi] = rows @ rows.T
+        kernel[lo:hi] *= band
+        kernel[lo:hi, :lo] = kernel[:lo, lo:hi].T
     return SpectralCache(gft_data=xt, eig_pows=pows, kernel=kernel, order=order)
 
 

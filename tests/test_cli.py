@@ -491,13 +491,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command, solver",
-        [("graph", "eigh"), ("fit", "eigh"), ("eval", "eigh"), ("fit", "svd")],
-        ids=["graph", "fit", "eval", "tall-fit-svd"],
+        [("graph", "eigh"), ("fit", "eigh"), ("eval", "eigh"), ("fit", "svd"), ("fit", "solve")],
+        ids=["graph", "fit", "eval", "tall-fit-svd", "fit-solve"],
     )
     def test_failed_solver_exits_3(self, tmp_path, capsys, monkeypatch, command, solver):
         # eigh fails on the graph (graph, fit) or on the wide data's
         # covariance (eval, after a model was trained); svd fails on the
-        # tall digits' centered data, which the PCA seed and fit share
+        # tall digits' centered data, which the PCA seed and fit share;
+        # solve fails in the seed's ridge solve against the training kernel.
+        # No command but eval, which reads it, leaves a model file
         wide = ["--kernel", "gaussian", "--alpha", "0.5", "--knn", "3"]
         if solver == "svd":
             data, flags = write_digits_csv(tmp_path / "tall.csv"), ["--k", "3"]

@@ -1,0 +1,128 @@
+"""Memory that the fit's n x n stages and the residual costs hold, counted
+with tracemalloc.
+
+numpy reports every array buffer it allocates to tracemalloc, so these
+counts repeat exactly from run to run. The scratch that LAPACK works in
+during a solve is allocated outside numpy's allocator and is not counted.
+Bounds are stated in arrays: ``SQUARE`` is one n x n array of float64.
+"""
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+from gfred import cli, codec, harness
+from gfred.errors import ConvergenceFailure
+from gfred.graph import Kernel, SimilarityConfig, build_graph
+from gfred.optimizer import fit, init_filters
+from gfred.pca import pca_fit, pca_mse
+from gfred.spectral import build_cache
+
+from oracles import random_instance
+
+N, DIM, K, ORDER = 200, 20, 3, 2
+SQUARE = 8 * N * N
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the most bytes its allocations held at once."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        out = call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - start
+
+
+@pytest.fixture
+def inst():
+    return random_instance(np.random.default_rng(23), N, DIM, ORDER)
+
+
+def test_build_graph_eigenvectors_are_column_major():
+    X = np.random.default_rng(4).normal(size=(DIM, N))
+    spectrum = build_graph(X, SimilarityConfig(kernel=Kernel.GAUSSIAN, alpha=1.0 / DIM, knn=3))
+    assert spectrum.eigvecs.flags.f_contiguous
+
+
+def test_fingerprint_copies_no_eigenvectors():
+    X = np.random.default_rng(4).normal(size=(DIM, N))
+    spectrum = build_graph(X, SimilarityConfig(kernel=Kernel.GAUSSIAN, alpha=1.0 / DIM, knn=3))
+    _, peak = traced_peak(spectrum.fingerprint)
+    assert peak < spectrum.eigvecs.nbytes
+
+
+def test_build_cache_makes_no_square_temporary(inst):
+    cache, peak = traced_peak(build_cache, inst.ds.centered, inst.spectrum, ORDER)
+    assert np.array_equal(cache.kernel, inst.cache.kernel)
+    assert peak < cache.kernel.nbytes + cache.gft_data.nbytes + SQUARE // 2
+
+
+def test_init_filters_makes_no_square_system(inst):
+    pca = pca_fit(inst.ds, K)
+    _, peak = traced_peak(init_filters, pca, inst.cache)
+    assert peak < SQUARE
+
+
+def test_init_filters_gives_the_kernel_back_bit_identical(inst, monkeypatch):
+    before = inst.cache.kernel.tobytes()
+    pca = pca_fit(inst.ds, K)
+    init_filters(pca, inst.cache)
+    assert inst.cache.kernel.tobytes() == before
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    with pytest.raises(ConvergenceFailure):
+        init_filters(pca, inst.cache)
+    assert inst.cache.kernel.tobytes() == before
+
+
+def test_save_model_copies_no_eigenvectors(inst, tmp_path):
+    result = fit(inst.ds, inst.spectrum, K, ORDER, max_iters=2)
+    reduced = codec.reduce(result.model, inst.ds, inst.spectrum)
+    path = tmp_path / "m.gfm"
+    _, peak = traced_peak(codec.save_model, result.model, inst.spectrum, reduced, path)
+    assert peak < inst.spectrum.eigvecs.nbytes
+
+
+def test_residual_costs_hold_one_data_sized_buffer():
+    # one dim x n array is the residual, and reconstruction_mse also holds
+    # the spectral reconstruction that the inverse transform reads; dim is
+    # large next to n and k, so the data-sized arrays dominate
+    inst = random_instance(np.random.default_rng(23), 60, 400, ORDER)
+    data_sized = inst.ds.centered.nbytes
+    _, peak = traced_peak(pca_mse, inst.ds, pca_fit(inst.ds, K))
+    assert peak < 1.5 * data_sized
+    model = fit(inst.ds, inst.spectrum, K, ORDER, max_iters=2).model
+    _, peak = traced_peak(codec.reconstruction_mse, model, inst.ds, inst.spectrum)
+    assert peak < 2.5 * data_sized
+
+
+def test_fit_command_trains_without_the_adjacency_or_the_raw_matrix(tmp_path, monkeypatch):
+    data = tmp_path / "data.csv"
+    harness.save_csv_matrix(np.random.default_rng(5).uniform(0.1, 1.0, size=(6, 40)), data)
+    loaded, seen = [], {}
+    load_matrix, train = harness.load_matrix, cli.fit
+
+    def load_and_watch(*args, **kwargs):
+        matrix = load_matrix(*args, **kwargs)
+        loaded.append(weakref.ref(matrix))
+        return matrix
+
+    def fit_and_look(ds, spectrum, *args, **kwargs):
+        seen["adjacency"] = spectrum.adjacency
+        seen["raw matrix alive"] = loaded[0]() is not None
+        return train(ds, spectrum, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "load_matrix", load_and_watch)
+    monkeypatch.setattr(cli, "fit", fit_and_look)
+    argv = ["fit", "--data", str(data), "--format", "csv", "--k", "2", "--l", "1",
+            "--max-iters", "5", "--model-out", str(tmp_path / "m.gfm")]
+    assert cli.main(argv) == 0
+    assert seen == {"adjacency": None, "raw matrix alive": False}

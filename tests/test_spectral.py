@@ -180,9 +180,11 @@ class TestCache:
 
     def test_kernel_symmetric_exactly(self):
         # both Gram factors are exactly symmetric, so their product is, with
-        # no averaging against the transpose; wide and tall data alike
+        # no averaging against the transpose; wide and tall data alike, and
+        # at sizes where the power products span bands of rows, the last
+        # band one row high (a matrix-vector product)
         rng = np.random.default_rng(22)
-        for n, dim, order in ((10, 4, 3), (60, 20, 2), (60, 120, 2)):
+        for n, dim, order in ((10, 4, 3), (60, 20, 2), (60, 120, 2), (77, 10, 3), (97, 10, 5)):
             inst = random_instance(rng, n=n, dim=dim, order=order)
             assert np.array_equal(inst.cache.kernel, inst.cache.kernel.T), (n, dim)
 
