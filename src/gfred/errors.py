@@ -1,4 +1,7 @@
 """Exception and warning types shared across the package."""
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class DimensionMismatch(ValueError):
@@ -68,7 +71,9 @@ class DataUnderflow(DataError):
 class ConvergenceFailure(DataError, RuntimeError):
     """An eigensolver or SVD did not converge on the data (the graph's,
     the covariance's or the centered data's), or a fit's starting
-    coefficients could not be solved for against the training kernel."""
+    coefficients could not be solved for against the training kernel.
+    Raised through :func:`solver_failure`, so it exits 3 as every data
+    error does."""
 
 
 class SpectralOverflow(DataError, ArithmeticError):
@@ -83,3 +88,14 @@ class NonFiniteStart(DataError, NonFiniteValue):
 
 class RankDeficiencyWarning(UserWarning):
     """Requested components reach into the numerical null space."""
+
+
+@contextmanager
+def solver_failure(what: str):
+    """Turn a ``np.linalg.LinAlgError`` raised inside the block into
+    ``ConvergenceFailure(f"{what} failed: {exc}")``, chained to it: a
+    LAPACK solver that fails on the data is a data error."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"{what} failed: {exc}") from exc

@@ -27,12 +27,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    ConvergenceFailure,
     DataOverflow,
     DataUnderflow,
     DimensionMismatch,
     KnnTooLarge,
     ZeroColumn,
+    solver_failure,
 )
 
 
@@ -77,7 +77,9 @@ class SimilarityConfig:
 @dataclass(frozen=True)
 class GraphSpectrum:
     """Full eigendecomposition of a symmetric adjacency. ``adjacency`` is
-    ``None`` on a spectrum loaded from a model file, which stores eigenpairs only.
+    ``None`` on a spectrum from :func:`eigendecompose` or a model file,
+    which hold eigenpairs only; :func:`build_graph` attaches the one
+    scaled adjacency it built.
 
     The arrays are held as read-only views, so the eigenpair hash of
     :meth:`fingerprint` is computed once and cached: nothing can change
@@ -279,7 +281,9 @@ def eigendecompose(adjacency) -> GraphSpectrum:
     repeated runs on the same matrix give identical spectra. The
     eigenvector matrix is column-major (F-contiguous), the order in which
     the model file stores it and :meth:`GraphSpectrum.fingerprint` hashes
-    it, so neither copies it.
+    it, so neither copies it. The spectrum holds the eigenpairs only
+    (``adjacency`` is None): the caller keeps the matrix it passed in.
+    A failed solve raises ConvergenceFailure.
     """
     S = np.asarray(adjacency, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -288,14 +292,12 @@ def eigendecompose(adjacency) -> GraphSpectrum:
         raise ValueError("adjacency must be exactly symmetric")
     components = connected_components(S)
     vals, blocks, start = np.empty(S.shape[0]), [], 0
-    try:
+    with solver_failure("symmetric eigensolver"):
         for nodes in components:
             vals[start:start + nodes.size], vecs = np.linalg.eigh(S[np.ix_(nodes, nodes)])
             # rows keep their order, so the argmax tie rule picks the same entry
             blocks.append(_orient(vecs))
             start += nodes.size
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"symmetric eigensolver failed: {exc}") from exc
     order = np.argsort(-vals, kind="stable")
     position = np.empty_like(order)
     position[order] = np.arange(order.size)  # where each solved column lands
@@ -304,24 +306,21 @@ def eigendecompose(adjacency) -> GraphSpectrum:
     for nodes, vecs in zip(components, blocks):
         eigvecs[np.ix_(nodes, position[start:start + nodes.size])] = vecs
         start += nodes.size
-    return GraphSpectrum(eigvals=vals[order], eigvecs=eigvecs, adjacency=S.copy())
+    return GraphSpectrum(eigvals=vals[order], eigvecs=eigvecs)
 
 
 def build_graph(X, cfg: SimilarityConfig) -> GraphSpectrum:
     """similarity_dense -> knn_sparsify -> eigendecompose, in one call.
 
-    The adjacency and eigenvalues are then divided by the spectral radius,
-    taken from the one eigendecomposition, so the largest eigenvalue
-    magnitude is exactly 1; the eigenvectors do not change. A zero radius
-    (a graph with no edges) leaves them as they are. The returned spectrum
-    is built from the scaled arrays.
+    The kNN matrix is the one adjacency: it is divided in place, and the
+    eigenvalues with it, by the spectral radius taken from the one
+    eigendecomposition, so the largest eigenvalue magnitude is exactly 1;
+    the eigenvectors do not change. A graph with no edges has radius 0
+    and is divided by 1, which leaves it as it is. The returned spectrum
+    holds the scaled adjacency.
     """
-    spectrum = eigendecompose(knn_sparsify(similarity_dense(X, cfg), cfg))
-    radius = max(abs(float(spectrum.eigvals[0])), abs(float(spectrum.eigvals[-1])))
-    if radius == 0.0:
-        return spectrum
-    return GraphSpectrum(
-        eigvals=spectrum.eigvals / radius,
-        eigvecs=spectrum.eigvecs,
-        adjacency=spectrum.adjacency / radius,
-    )
+    adjacency = knn_sparsify(similarity_dense(X, cfg), cfg)
+    spectrum = eigendecompose(adjacency)
+    radius = max(abs(float(spectrum.eigvals[0])), abs(float(spectrum.eigvals[-1]))) or 1.0
+    adjacency /= radius
+    return GraphSpectrum(spectrum.eigvals / radius, spectrum.eigvecs, adjacency)

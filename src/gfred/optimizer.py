@@ -86,11 +86,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    ConvergenceFailure,
     DimensionMismatch,
     FingerprintMismatch,
     NonFiniteStart,
     NonFiniteValue,
+    solver_failure,
 )
 from .graph import GraphSpectrum
 from .pca import PcaModel, pca_fit
@@ -235,10 +235,9 @@ def init_filters(pca: PcaModel, cache: SpectralCache):
     ridge = _INIT_RIDGE * trace / cache.n
     diagonal = cache.kernel.diagonal().copy()
     try:
-        cache.kernel.flat[:: cache.n + 1] += ridge
-        coeffs = np.linalg.solve(cache.kernel, xt.T @ pca.basis).T
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"the seed's ridge solve failed: {exc}") from exc
+        with solver_failure("the seed's ridge solve"):
+            cache.kernel.flat[:: cache.n + 1] += ridge
+            coeffs = np.linalg.solve(cache.kernel, xt.T @ pca.basis).T
     finally:
         cache.kernel.flat[:: cache.n + 1] = diagonal
     return taps, coeffs
@@ -423,8 +422,6 @@ def extend_order(model: FilterModel, cache: SpectralCache):
     taps = np.zeros((model.dim, (cache.order + 1) * model.k))
     taps[:, : model.recon_taps.shape[1]] = model.recon_taps
     reduced = reduce_response(model.coeffs, cache.gft_data, cache.eig_pows[:, : model.order + 1])
-    try:
+    with solver_failure("the reseeded coefficients' least squares"):
         solved, *_ = np.linalg.lstsq(cache.kernel, reduced.T, rcond=None)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"the reseeded coefficients' least squares failed: {exc}") from exc
     return taps, solved.T

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, RankDeficiencyWarning
+from .errors import DimensionMismatch, RankDeficiencyWarning, solver_failure
 from .graph import canonical_signs
 from .spectral import CenteredDataset
 
@@ -41,10 +41,8 @@ def pca_fit(ds: CenteredDataset, k: int) -> PcaModel:
         raise DimensionMismatch(f"k={k} out of range for dim={ds.dim}, n={ds.n}")
     if ds.dim <= ds.n:
         cov = (ds.centered @ ds.centered.T) / ds.n
-        try:
+        with solver_failure("covariance eigendecomposition"):
             vals, vecs = np.linalg.eigh(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"covariance eigendecomposition failed: {exc}") from exc
         order = np.argsort(-vals, kind="stable")
         eigvals = vals[order]
         basis = vecs[:, order[:k]]

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ConvergenceFailure,
     DataOverflow,
     DataUnderflow,
     DimensionMismatch,
     SpectralOverflow,
+    solver_failure,
 )
 from .graph import GraphSpectrum
 
@@ -58,10 +58,8 @@ class CenteredDataset:
         min(dim, n) singular values in descending order. Raises
         ConvergenceFailure when the SVD does not converge."""
         if self._svd is None:
-            try:
+            with solver_failure("svd of the centered data"):
                 factors = tuple(np.linalg.svd(self.centered, full_matrices=False))
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceFailure(f"svd of the centered data failed: {exc}") from exc
             for factor in factors:
                 factor.flags.writeable = False
             object.__setattr__(self, "_svd", factors)

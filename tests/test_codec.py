@@ -49,10 +49,12 @@ from oracles import (
 def raw_instance(rng, n, dim, order) -> Instance:
     """A kNN graph left at its raw scale (top eigenvalue above 1), as in
     model files written before build_graph scaled every graph to unit
-    spectral radius; the codec must still serve them."""
+    spectral radius; the codec must still serve them. The spectrum carries
+    that unscaled kNN matrix as its adjacency for the Kronecker oracles."""
     X = rng.uniform(0.1, 1.0, size=(dim, n))
     cfg = SimilarityConfig(kernel=Kernel.COSINE, knn=3)
-    spectrum = eigendecompose(knn_sparsify(similarity_dense(X, cfg), cfg))
+    adjacency = knn_sparsify(similarity_dense(X, cfg), cfg)
+    spectrum = dataclasses.replace(eigendecompose(adjacency), adjacency=adjacency)
     assert spectrum.eigvals[0] > 1.0
     ds = center(X)
     return Instance(ds, spectrum, build_cache(ds.centered, spectrum, order))

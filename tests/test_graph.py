@@ -248,8 +248,35 @@ class TestKnnSparsify:
         assert np.all(spectrum.eigvals == 0.0)
         assert np.all(spectrum.adjacency == 0.0)
 
+    @staticmethod
+    def assert_scaled_composition(X, cfg):
+        """build_graph gives, bit for bit, the kNN matrix and the eigenpairs
+        of eigendecompose, the matrix and eigenvalues divided by one radius
+        (1.0 for a graph with no edges)."""
+        sparse = knn_sparsify(similarity_dense(X, cfg), cfg)
+        plain = eigendecompose(sparse)
+        radius = float(np.max(np.abs(plain.eigvals))) or 1.0
+        spectrum = build_graph(X, cfg)
+        assert spectrum.eigvals.tobytes() == (plain.eigvals / radius).tobytes()
+        assert spectrum.eigvecs.tobytes() == plain.eigvecs.tobytes()
+        assert spectrum.adjacency.tobytes() == (sparse / radius).tobytes()
+
+    @pytest.mark.parametrize("kernel", list(Kernel), ids=lambda e: e.value)
+    @pytest.mark.parametrize("mode", list(Symmetrization), ids=lambda e: e.value)
+    def test_build_graph_is_the_scaled_composition(self, kernel, mode):
+        X = np.random.default_rng(7).normal(size=(4, 10))
+        self.assert_scaled_composition(X, SimilarityConfig(kernel=kernel, knn=3, symmetrization=mode))
+
+    def test_edgeless_build_graph_is_the_composition(self):
+        self.assert_scaled_composition(np.eye(5), SimilarityConfig(kernel=Kernel.COSINE, knn=2))
+
 
 class TestEigendecompose:
+    def test_holds_eigenpairs_only(self):
+        # the caller owns the matrix it passed; build_graph attaches its own
+        S = np.array([[0.0, 2.0], [2.0, 0.0]])
+        assert eigendecompose(S).adjacency is None
+
     def test_two_node_path(self):
         spectrum = eigendecompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(spectrum.eigvals, [1.0, -1.0], atol=1e-15)

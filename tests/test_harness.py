@@ -710,6 +710,26 @@ class TestRunSweep:
         assert len(report.failures) == 2 * 2 * 2
         assert all(f.message.startswith("DataOverflow:") for f in report.failures)
 
+    def test_failed_reseed_fails_only_the_warm_cells(self, tmp_path, monkeypatch):
+        # every L=1 cell starts from extend_order's least squares; when it
+        # fails, the L=0 rows stand and each L=1 cell is one failure
+        data = tmp_path / "d.csv"
+        write_labeled_csv(data)
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", failing)
+        report = run_sweep(sweep_config(data), timer=lambda: 0.0)
+        assert [(r.trial, r.k, r.L) for r in report.rows] == [
+            (trial, k, 0) for trial in (0, 1) for k in (2, 3)
+        ]
+        assert [(f.trial, f.k, f.L) for f in report.failures] == [
+            (trial, k, 1) for trial in (0, 1) for k in (2, 3)
+        ]
+        prefix = "ConvergenceFailure: the reseeded coefficients' least squares failed"
+        assert all(f.message.startswith(prefix) for f in report.failures)
+
     def test_gaussian_that_underflows_fails_every_trial(self, tmp_path):
         data = tmp_path / "d.csv"
         write_labeled_csv(data)

@@ -14,7 +14,7 @@ import pytest
 
 from gfred import cli, codec, harness
 from gfred.errors import ConvergenceFailure
-from gfred.graph import Kernel, SimilarityConfig, build_graph
+from gfred.graph import Kernel, SimilarityConfig, build_graph, connected_components
 from gfred.optimizer import fit, init_filters
 from gfred.pca import pca_fit, pca_mse
 from gfred.spectral import build_cache
@@ -47,6 +47,17 @@ def test_build_graph_eigenvectors_are_column_major():
     X = np.random.default_rng(4).normal(size=(DIM, N))
     spectrum = build_graph(X, SimilarityConfig(kernel=Kernel.GAUSSIAN, alpha=1.0 / DIM, knn=3))
     assert spectrum.eigvecs.flags.f_contiguous
+
+
+def test_build_graph_holds_one_adjacency():
+    # four components, so eigendecompose's blocks are small and the peak
+    # is the similarity and kNN stage: the kNN matrix is scaled in place
+    # into the one adjacency, with no copy of it
+    X, _ = harness.synth_digits(4, 75, seed=0, size=12)
+    n = X.shape[1]
+    spectrum, peak = traced_peak(build_graph, X, SimilarityConfig(kernel=Kernel.COSINE, knn=8))
+    assert len(connected_components(spectrum.adjacency)) == 4
+    assert peak < 2.8 * 8 * n * n
 
 
 def test_fingerprint_copies_no_eigenvectors():

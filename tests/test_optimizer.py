@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from gfred import optimizer
 from gfred.codec import reduce
 from gfred.errors import (
+    ConvergenceFailure,
+    DataError,
     DimensionMismatch,
     FingerprintMismatch,
     NonFiniteStart,
@@ -614,6 +616,26 @@ class TestWarmStart:
         cache_low = build_cache(inst.ds.centered, inst.spectrum, order=1)
         with pytest.raises(DimensionMismatch):
             extend_order(result.model, cache_low)
+
+    def test_failed_least_squares_is_a_data_error(self, monkeypatch):
+        # the CLI never warm-starts, so only a sweep reaches this solver
+        rng = np.random.default_rng(89)
+        inst = random_instance(rng, n=8, dim=4, order=0)
+        low = fit(inst.ds, inst.spectrum, k=2, order=0, max_iters=5)
+        cache_high = build_cache(inst.ds.centered, inst.spectrum, order=1)
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", failing)
+        with pytest.raises(ConvergenceFailure) as caught:
+            extend_order(low.model, cache_high)
+        assert isinstance(caught.value, DataError)
+        assert str(caught.value) == (
+            "the reseeded coefficients' least squares failed: "
+            "SVD did not converge in Linear Least Squares"
+        )
+        assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestTrainingKernel:
