@@ -101,16 +101,12 @@ def reconstruct(model: FilterModel, reduced: ReducedData, spectrum: GraphSpectru
 
 
 def reconstruction_mse(model: FilterModel, ds: CenteredDataset, spectrum: GraphSpectrum) -> float:
-    """Mean squared vertex-domain error of encode followed by decode.
-
-    The residual is formed in the reconstruction's own dim x n buffer,
-    subtracted and squared in place.
-    """
-    resid = reconstruct(model, reduce(model, ds, spectrum), spectrum)
-    resid -= model.mean[:, None]
-    resid -= ds.centered
-    resid *= resid
-    return float(resid.sum()) / ds.n
+    """Mean squared vertex-domain error of encode followed by decode, taken
+    by :meth:`~gfred.spectral.CenteredDataset.mse` in the reconstruction's
+    own dim x n buffer, once the model's mean is subtracted there."""
+    recon = reconstruct(model, reduce(model, ds, spectrum), spectrum)
+    recon -= model.mean[:, None]
+    return ds.mse(recon)
 
 
 # --- model file format -----------------------------------------------------

@@ -25,7 +25,10 @@ class FingerprintMismatch(ValueError):
 
 
 class ConfigError(ValueError):
-    """An experiment configuration value is missing or invalid."""
+    """A setting is missing or invalid: a sweep configuration's value, or
+    a fit's stopping settings (``epsilon``, ``max_iters``), which
+    ``optimizer.check_stopping`` checks for a fit and a sweep alike. The
+    CLI exits 2 on it."""
 
 
 class DataError(Exception):

@@ -35,7 +35,7 @@ from .errors import (
     TruncatedFile,
 )
 from .graph import Kernel, SimilarityConfig, Symmetrization, build_graph
-from .optimizer import MAX_ITERS, fit
+from .optimizer import MAX_ITERS, check_stopping, fit
 from .pca import pca_fit, pca_mse
 from .rng import CounterRng
 from .spectral import center
@@ -54,7 +54,8 @@ class ExperimentConfig:
     """Settings for one sweep; a config key left out keeps the default here.
 
     ``epsilon`` is each fit's stopping threshold: a positive finite number,
-    or None for the fit's own default.
+    or None for the fit's own default. ``epsilon`` and ``max_iters`` are
+    checked by :func:`~gfred.optimizer.check_stopping`, as :func:`fit`'s are.
     """
 
     dataset_path: str
@@ -80,10 +81,7 @@ class ExperimentConfig:
             raise ConfigError(f"every k must be >= 1, got {self.k_list}")
         if not self.L_list or any(L < 0 for L in self.L_list):
             raise ConfigError(f"every L must be >= 0, got {self.L_list}")
-        if self.max_iters < 0:
-            raise ConfigError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ConfigError(f"epsilon must be a finite number > 0, got {self.epsilon}")
+        check_stopping(self.epsilon, self.max_iters)
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     FingerprintMismatch,
     NonFiniteStart,
@@ -135,6 +136,17 @@ def check_spectrum(model: FilterModel, spectrum: GraphSpectrum):
     """Raise FingerprintMismatch unless ``model`` was trained on ``spectrum``."""
     if model.spectrum_fingerprint != spectrum.fingerprint():
         raise FingerprintMismatch("model was trained on a different graph spectrum")
+
+
+def check_stopping(epsilon: float | None, max_iters: int):
+    """Raise ConfigError unless the stopping settings of a fit are valid:
+    ``max_iters`` >= 0, and ``epsilon`` either None (the fit's default) or
+    a finite number > 0. :func:`fit` and every sweep configuration check
+    their settings here."""
+    if max_iters < 0:
+        raise ConfigError(f"max_iters must be >= 0, got {max_iters}")
+    if epsilon is not None and not (math.isfinite(epsilon) and epsilon > 0):
+        raise ConfigError(f"epsilon must be a finite number > 0, got {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -256,7 +268,8 @@ def fit(
     """Train a filter pair by alternating exact-line-search descent.
 
     ``epsilon`` defaults to 1e-6 times the summed Frobenius norms of the
-    starting point. ``start`` may be a model trained on the same graph,
+    starting point, which is > 0 whenever the start has a nonzero tap, as
+    the PCA seed does. ``start`` may be a model trained on the same graph,
     with the same ``k`` and an order no higher than ``order``; the run
     resumes from
     :func:`extend_order` of it, which keeps its reduced vectors. It may
@@ -265,7 +278,8 @@ def fit(
     wants the PCA baseline computes the PCA once. With ``start=None``
     the fit computes ``pca_fit(ds, k)`` itself. A start of another ``k``
     or dimension raises DimensionMismatch. ``max_iters=0`` returns the
-    starting point untouched. ``epsilon`` must be a finite number > 0.
+    starting point untouched. Invalid stopping settings raise ConfigError
+    (:func:`check_stopping`) before any work is done.
     A starting point that is not finite, as the PCA seed of data scaled
     near 1e-155 is, raises NonFiniteStart.
 
@@ -277,8 +291,7 @@ def fit(
     data's own dim rows either way. A failed SVD raises
     ConvergenceFailure.
     """
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    check_stopping(epsilon, max_iters)
     cache = build_cache(ds.centered, spectrum, order)
     if start is None:
         start = pca_fit(ds, k)
@@ -299,10 +312,6 @@ def fit(
         )
     if epsilon is None:
         epsilon = 1e-6 * (float(np.linalg.norm(taps)) + float(np.linalg.norm(coeffs)))
-    elif not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be a finite number > 0, got {epsilon}")
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
 
     # taps that start in the span of the data's left singular vectors W
     # stay there (module docstring): on tall data train their coordinates
@@ -401,27 +410,27 @@ def extend_order(model: FilterModel, cache: SpectralCache):
     """Re-seed a fit at the cache's order from a trained model of that
     order or lower.
 
-    The tap bank is zero-padded. The model's reducing filter, applied to
-    the cache's data, gives every node's reduced vector; because the
-    coefficients act through the order-dependent kernel, they are re-solved
-    so the node keeps that vector: ``coeffs_new @ cache.kernel = reduced``
-    (least squares, exact when the kernel has full rank). When the cache
-    is built on the model's own graph, the reseeded (taps, coeffs) pair
-    reproduces the model's objective value; :func:`fit` checks the graph.
-    A failed least-squares solve raises ConvergenceFailure.
+    The tap bank is zero-padded, and the padded bank and the model's
+    coefficients are checked against the cache as every pair is
+    (DimensionMismatch unless the bank is dim x (order+1)k and the
+    coefficients k x n); an order above the cache's raises it too. The
+    model's reducing filter, applied to the cache's data, gives every
+    node's reduced vector; because the coefficients act through the
+    order-dependent kernel, they are re-solved so the node keeps that
+    vector: ``coeffs_new @ cache.kernel = reduced`` (least squares, exact
+    when the kernel has full rank). When the cache is built on the model's
+    own graph, the reseeded (taps, coeffs) pair reproduces the model's
+    objective value; :func:`fit` checks the graph. A failed least-squares
+    solve raises ConvergenceFailure.
     """
     if cache.order < model.order:
         raise DimensionMismatch(
             f"cannot extend order {model.order} model into order {cache.order} cache"
         )
-    if model.dim != cache.dim or model.n != cache.n:
-        raise DimensionMismatch(
-            f"model of dim {model.dim}, n={model.n} does not fit "
-            f"data of dim {cache.dim}, n={cache.n}"
-        )
     taps = np.zeros((model.dim, (cache.order + 1) * model.k))
     taps[:, : model.recon_taps.shape[1]] = model.recon_taps
-    reduced = reduce_response(model.coeffs, cache.gft_data, cache.eig_pows[:, : model.order + 1])
+    taps, coeffs = _checked(cache, taps, model.coeffs)
+    reduced = reduce_response(coeffs, cache.gft_data, cache.eig_pows[:, : model.order + 1])
     with solver_failure("the reseeded coefficients' least squares"):
         solved, *_ = np.linalg.lstsq(cache.kernel, reduced.T, rcond=None)
     return taps, solved.T

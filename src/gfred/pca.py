@@ -59,16 +59,11 @@ def pca_fit(ds: CenteredDataset, k: int) -> PcaModel:
 
 
 def pca_mse(ds: CenteredDataset, model: PcaModel) -> float:
-    """Mean squared residual of projecting onto the model's basis.
-
-    The residual is formed in the projection's own dim x n buffer,
-    subtracted and squared in place.
-    """
+    """Mean squared residual of projecting onto the model's basis, taken by
+    :meth:`~gfred.spectral.CenteredDataset.mse` in the projection's own
+    dim x n buffer."""
     if model.basis.shape[0] != ds.dim:
         raise DimensionMismatch(
             f"model dim {model.basis.shape[0]} does not match data dim {ds.dim}"
         )
-    resid = model.basis @ (model.basis.T @ ds.centered)
-    resid -= ds.centered
-    resid *= resid
-    return float(resid.sum()) / ds.n
+    return ds.mse(model.basis @ (model.basis.T @ ds.centered))

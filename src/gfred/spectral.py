@@ -39,6 +39,8 @@ class CenteredDataset:
     can change what was factorized, so the cache cannot go stale. On tall
     data (dim > n) that one factorization is the only one: the PCA basis
     of every width and every fit's narrowing to n rows are read from it.
+    :meth:`mse` is the one mean squared error against ``centered``, which
+    PCA's and the codec's reconstruction errors are.
     """
 
     centered: np.ndarray  # (dim, n), rows sum to zero
@@ -64,6 +66,16 @@ class CenteredDataset:
                 factor.flags.writeable = False
             object.__setattr__(self, "_svd", factors)
         return self._svd
+
+    def mse(self, approx: np.ndarray) -> float:
+        """Mean squared error of the dim x n array ``approx`` against
+        ``centered``: the squared residual summed and divided by n.
+        ``approx`` must be a fresh buffer the caller gives up: the residual
+        is subtracted and squared in it, in place, so the error takes no
+        second data-sized array."""
+        approx -= self.centered
+        approx *= approx
+        return float(approx.sum()) / self.n
 
 
 def center(X) -> CenteredDataset:

@@ -312,3 +312,23 @@ def csv_floats(text: str) -> np.ndarray:
     """``float()`` of every cell of a CSV text's non-blank lines, row by row."""
     lines = [line for line in text.split("\n") if line.strip() != ""]
     return np.array([list(map(float, line.split(","))) for line in lines], dtype=np.float64)
+
+
+def planted(spectrum, dim, k, order, sigma, seed):
+    """Data that an order-``order`` filter pair of width ``k`` on
+    ``spectrum`` reproduces exactly, and a noisy copy of them.
+
+    From ``np.random.default_rng(seed)`` draws the taps T_0 ... T_L
+    (dim x k each) and the spectral scores Z (k x n) as N(0, 1), then the
+    noise. The clean data are ``(sum_l T_l Z diag(lam^l)) U'``, centred;
+    the noisy data add Gaussian noise of std ``sigma * clean.std()``.
+    Returns ``(clean, noisy)``, both dim x n.
+    """
+    rng = np.random.default_rng(seed)
+    taps = [rng.standard_normal((dim, k)) for _ in range(order + 1)]
+    scores = rng.standard_normal((k, spectrum.n))
+    lam = np.asarray(spectrum.eigvals, dtype=np.float64)
+    clean = sum((tap @ scores) * lam**ell for ell, tap in enumerate(taps)) @ spectrum.eigvecs.T
+    clean -= clean.mean(axis=1, keepdims=True)
+    noisy = clean + sigma * clean.std() * rng.standard_normal(clean.shape)
+    return clean, noisy

@@ -22,7 +22,7 @@ from gfred.codec import (
     reduce,
     save_model,
 )
-from gfred.graph import Kernel, SimilarityConfig
+from gfred.graph import Kernel, SimilarityConfig, build_graph
 from gfred.harness import (
     DataFormat,
     ExperimentConfig,
@@ -33,7 +33,7 @@ from gfred.harness import (
 )
 from gfred.optimizer import FilterModel, fit, init_filters, stationarity_residual
 from gfred.pca import pca_fit, pca_mse
-from gfred.spectral import igft, reducing_taps
+from gfred.spectral import center, igft, reducing_taps
 
 from oracles import (
     descend,
@@ -43,6 +43,7 @@ from oracles import (
     grad_taps,
     kron_reconstruct,
     kron_reduce,
+    planted,
     random_filters,
     random_instance,
     scan_best_step,
@@ -342,3 +343,45 @@ def test_deterministic_outputs(capsys, tmp_path):
         assert np.array_equal(loaded.reduced.values, reduced.values)
         save_model(loaded.model, loaded.spectrum, loaded.reduced, second)
         assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def digit_graph():
+    """The cosine knn=12 graph of 40 digits: classes 0, 3, 5 and 8 of
+    ``synth_digits(10, 30, seed=0)``, the first 10 images of each."""
+    images, labels = synth_digits(10, 30, seed=0)
+    chosen = np.concatenate([np.flatnonzero(labels == c)[:10] for c in (0, 3, 5, 8)])
+    return build_graph(images[:, chosen], SimilarityConfig(kernel=Kernel.COSINE, knn=12))
+
+
+def planted_ratios(spectrum, sigma, max_iters):
+    """Per seed 0, 1, 2: the squared error against the clean planted data
+    (k=3, L=1) of a k=3, L=1 fit of the noisy data on the given graph,
+    over that of PCA(3)'s projection of the noisy data. Both are taken
+    after removing the noisy data's mean."""
+    ratios = []
+    for seed in (0, 1, 2):
+        clean, noisy = planted(spectrum, 784, 3, 1, sigma, seed)
+        ds = center(noisy)
+        pca = pca_fit(ds, 3)
+        model = fit(ds, spectrum, k=3, order=1, max_iters=max_iters, start=pca).model
+        recon = reconstruct(model, reduce(model, ds, spectrum), spectrum) - ds.mean[:, None]
+        projection = pca.basis @ (pca.basis.T @ ds.centered)
+        ratios.append(float(np.sum((recon - clean) ** 2) / np.sum((projection - clean) ** 2)))
+    return ratios
+
+
+def test_planted_noise_free_model_is_recovered(capsys, digit_graph):
+    # data an order-1, k=3 filter pair makes exactly on a given graph:
+    # 500 iterations end far below PCA(3) (0.088, 0.007, 0.065 measured)
+    with criterion(capsys, "noise-free planted data: fit error below 0.15 of PCA's"):
+        ratios = planted_ratios(digit_graph, 0.0, 500)
+        assert max(ratios) < 0.15, ratios
+
+
+def test_planted_noisy_model_beats_pca(capsys, digit_graph):
+    # the same data with noise of 0.5 x their std: after 50 iterations the
+    # fit is closer to the clean data than PCA(3) (0.805, 0.418, 0.828)
+    with criterion(capsys, "planted data at sigma=0.5: fit error below PCA's"):
+        ratios = planted_ratios(digit_graph, 0.5, 50)
+        assert max(ratios) < 1.0, ratios

@@ -418,6 +418,18 @@ class TestExitCodes:
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "m.gfm").exists()
 
+    def test_negative_epsilon_exits_2(self, tmp_path, capsys):
+        data = write_matrix_csv(tmp_path / "d.csv")
+        code = main(
+            ["fit", "--data", str(data), "--format", "csv", "--k", "2", "--l", "1",
+             "--model-out", str(tmp_path / "m.gfm"), "--knn", "3", "--epsilon", "-1"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: epsilon must be a finite number > 0, got -1.0\n"
+        )
+        assert not (tmp_path / "m.gfm").exists()
+
     @pytest.mark.parametrize("epsilon", [[], ["--epsilon", "1e-6"]], ids=["default", "given"])
     def test_fit_on_overflowing_data_exits_3(self, tmp_path, capsys, epsilon):
         data = write_digits_csv(tmp_path / "big.csv", scale=1e155)

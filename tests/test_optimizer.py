@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from gfred import optimizer
 from gfred.codec import reduce
 from gfred.errors import (
+    ConfigError,
     ConvergenceFailure,
     DataError,
     DimensionMismatch,
@@ -324,6 +325,23 @@ class TestFit:
             fit(inst.ds, inst.spectrum, k=1, order=0, epsilon=0.0)
         with pytest.raises(ValueError):
             fit(inst.ds, inst.spectrum, k=1, order=0, epsilon=np.inf)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [{"max_iters": -1}, {"epsilon": 0.0}, {"epsilon": -1e-6},
+         {"epsilon": float("nan")}, {"epsilon": float("inf")}],
+        ids=["max_iters=-1", "epsilon=0", "epsilon=-1e-6", "epsilon=nan", "epsilon=inf"],
+    )
+    def test_fit_and_sweep_config_share_one_stopping_rule(self, settings):
+        inst = random_instance(np.random.default_rng(81), n=5, dim=3, order=0)
+        with pytest.raises(ConfigError) as from_fit:
+            fit(inst.ds, inst.spectrum, k=1, order=0, **settings)
+        with pytest.raises(ConfigError) as from_config:
+            ExperimentConfig(dataset_path="x", classes_to_pick=2, images_per_class=5, **settings)
+        assert str(from_fit.value) == str(from_config.value)
+        [(name, value)] = settings.items()
+        rule = "must be >= 0" if name == "max_iters" else "must be a finite number > 0"
+        assert str(from_fit.value) == f"{name} {rule}, got {value}"
 
     def test_non_finite_start_raises(self):
         rng = np.random.default_rng(82)
