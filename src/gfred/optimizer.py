@@ -15,7 +15,7 @@ exact quadratic in the step, so the minimizer is
 then takes the coefficient gradient at the fresh taps and does the same
 along the coefficient ray. Both half-updates therefore never increase the
 cost. Iteration stops when the summed Frobenius norm of the two updates
-drops below ``epsilon`` or after ``max_iters`` sweeps.
+is at most ``epsilon`` or after ``max_iters`` sweeps.
 
 :func:`fit` carries the reduced vectors V as their power stack
 ``Phi = [V diag(lam^0); ...; V diag(lam^L)]``
@@ -269,7 +269,9 @@ def fit(
 
     ``epsilon`` defaults to 1e-6 times the summed Frobenius norms of the
     starting point, which is > 0 whenever the start has a nonzero tap, as
-    the PCA seed does. ``start`` may be a model trained on the same graph,
+    the PCA seed does; a start of all-zero taps and coefficients has no
+    gradient and a default of 0, and stops converged after one iteration
+    with no step. ``start`` may be a model trained on the same graph,
     with the same ``k`` and an order no higher than ``order``; the run
     resumes from
     :func:`extend_order` of it, which keeps its reduced vectors. It may
@@ -371,7 +373,7 @@ def fit(
         iterations += 1
         if not math.isfinite(delta):
             raise NonFiniteValue(f"non-finite iterate at iteration {iterations}")
-        if delta < epsilon:
+        if delta <= epsilon:
             # a step clamped because its slope or curvature overflowed is
             # small for want of a step, not of a gradient: stop, unconverged
             converged = all(map(math.isfinite, (slope_t, curvature_t, slope_c, curvature_c)))

@@ -343,6 +343,18 @@ class TestFit:
         rule = "must be >= 0" if name == "max_iters" else "must be a finite number > 0"
         assert str(from_fit.value) == f"{name} {rule}, got {value}"
 
+    def test_all_zero_start_stops_converged_at_once(self):
+        # no gradient and a default epsilon of 0: the fit stops, not spins
+        inst = random_instance(np.random.default_rng(83), n=5, dim=3, order=1)
+        model = fit(inst.ds, inst.spectrum, k=1, order=1, max_iters=0).model
+        start = dataclasses.replace(
+            model, recon_taps=np.zeros_like(model.recon_taps), coeffs=np.zeros_like(model.coeffs)
+        )
+        result = fit(inst.ds, inst.spectrum, k=1, order=1, start=start, max_iters=50)
+        assert result.iterations == 1
+        assert result.converged
+        assert not result.model.recon_taps.any() and not result.model.coeffs.any()
+
     def test_non_finite_start_raises(self):
         rng = np.random.default_rng(82)
         inst = random_instance(rng, n=5, dim=3, order=1)

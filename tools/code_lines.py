@@ -4,7 +4,7 @@ A code line is a non-blank line that is not a comment and not part of a
 docstring (a module's, class's or function's, found through ``ast``).
 Prints one line per module of ``src/gfred`` and the total.
 
-Usage: python tools/code_lines.py [package_dir]
+Usage: python tools/code_lines.py
 """
 import ast
 import sys
@@ -34,10 +34,9 @@ def code_lines(path: Path) -> int:
     )
 
 
-def main(argv) -> int:
-    package = Path(argv[1]) if len(argv) > 1 else PACKAGE
+def main() -> int:
     total = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         count = code_lines(path)
         total += count
         print(f"{path.name:<16} {count:>5}")
@@ -46,4 +45,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
