@@ -84,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a (trial, k, L) grid from a config file")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out-csv", required=True)
-    p_sweep.add_argument("--out-svg", default=None)
     _add_key_flags(p_sweep, harness.CONFIG_KEYS)
 
     p_bound = sub.add_parser("bound", help="largest k that still compresses")
@@ -161,9 +160,6 @@ def _cmd_sweep(args) -> int:
     report = harness.run_sweep(cfg)
     harness.emit_csv(report, args.out_csv)
     print(f"rows: {len(report.rows)} -> {args.out_csv}")
-    if args.out_svg:
-        harness.emit_svg(report, args.out_svg)
-        print(f"chart: {args.out_svg}")
     if report.failures:
         for failure in report.failures:
             print(

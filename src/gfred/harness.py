@@ -119,6 +119,8 @@ class SweepFailure:
 @dataclass(frozen=True)
 class SweepReport:
     rows: tuple[SweepRow, ...]        # sorted by (trial, k, L)
+    # its one reader is the benchmark's sweep check; it goes once that
+    # check computes its means from the rows (ROADMAP items 1a and 15)
     aggregates: tuple[SweepAggregate, ...]
     failures: tuple[SweepFailure, ...]
 
@@ -409,7 +411,7 @@ def run_sweep(cfg: ExperimentConfig, *, timer=None, force_serial: bool = False) 
     return SweepReport(rows=tuple(rows), aggregates=tuple(aggregates), failures=tuple(failures))
 
 
-# --- report emitters --------------------------------------------------------
+# --- report emitter ---------------------------------------------------------
 
 
 def emit_csv(report: SweepReport, path):
@@ -419,89 +421,6 @@ def emit_csv(report: SweepReport, path):
     lines.extend(",".join(map(repr, astuple(row))) for row in report.rows)
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-
-
-_SVG_PALETTE = (
-    "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
-    "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f",
-)
-
-
-# the chart's elements, with coordinates to two decimals
-def _svg_line(x1, y1, x2, y2, stroke="#333333", width=1) -> str:
-    return (
-        f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-        f'stroke="{stroke}" stroke-width="{width}"/>'
-    )
-
-
-def _svg_text(x, y, label, size, anchor=None, transform=None) -> str:
-    """A sans-serif label; an int ``x`` is written as it is."""
-    left = x if isinstance(x, int) else f"{x:.2f}"
-    anchored = f' text-anchor="{anchor}"' if anchor else ""
-    transformed = f' transform="{transform}"' if transform else ""
-    return (
-        f'<text x="{left}" y="{y:.2f}"{anchored} font-family="sans-serif" '
-        f'font-size="{size}"{transformed}>{label}</text>'
-    )
-
-
-def emit_svg(report: SweepReport, path):
-    """Line chart of mean final MSE against k, one polyline per order.
-
-    Hand-assembled SVG with fixed float formatting, so the bytes are a pure
-    function of the report. An empty report yields axes only.
-    """
-    width, height = 640.0, 420.0
-    ml, mr, mt, mb = 64.0, 150.0, 28.0, 52.0
-    plot_w, plot_h = width - ml - mr, height - mt - mb
-    mid = mt + plot_h / 2
-
-    ks = sorted({a.k for a in report.aggregates})
-    orders = sorted({a.L for a in report.aggregates})
-    means = {(a.k, a.L): a.mean_final_mse for a in report.aggregates}
-
-    k_lo, k_hi = (ks[0], ks[-1]) if ks else (0, 1)
-    if k_lo == k_hi:
-        k_lo, k_hi = k_lo - 1, k_hi + 1
-    y_hi = max((a.mean_final_mse for a in report.aggregates), default=1.0)
-    y_hi = y_hi * 1.06 if y_hi > 0 else 1.0
-
-    def px(k):
-        return ml + (k - k_lo) / (k_hi - k_lo) * plot_w
-
-    def py(v):
-        return mt + (1.0 - v / y_hi) * plot_h
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
-        f'viewBox="0 0 {width:.0f} {height:.0f}">',
-        f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>',
-        _svg_line(ml, mt + plot_h, ml + plot_w, mt + plot_h),
-        _svg_line(ml, mt, ml, mt + plot_h),
-        _svg_text(ml + plot_w / 2, height - 14, "reduced dimension k", 13, "middle"),
-        _svg_text(16, mid, "mean final MSE", 13, "middle", f"rotate(-90 16 {mid:.2f})"),
-    ]
-    for k in ks:
-        parts.append(_svg_line(px(k), mt + plot_h, px(k), mt + plot_h + 4))
-        parts.append(_svg_text(px(k), mt + plot_h + 18, k, 11, "middle"))
-    for tick in range(5):
-        value = y_hi * tick / 4
-        parts.append(_svg_line(ml - 4, py(value), ml, py(value)))
-        parts.append(_svg_text(ml - 8, py(value) + 4, f"{value:.4g}", 11, "end"))
-    for idx, L in enumerate(orders):
-        color = _SVG_PALETTE[idx % len(_SVG_PALETTE)]
-        # every order has a point: orders are taken from the aggregates
-        points = [(px(k), py(means[(k, L)])) for k in ks if (k, L) in means]
-        joined = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-        parts.append(f'<polyline points="{joined}" fill="none" stroke="{color}" stroke-width="2"/>')
-        parts.extend(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}"/>' for x, y in points)
-        ly = mt + 14 + 18 * idx
-        parts.append(_svg_line(ml + plot_w + 12, ly, ml + plot_w + 34, ly, color, 2))
-        parts.append(_svg_text(ml + plot_w + 40, ly + 4, f"L={L}", 12))
-    parts.append("</svg>")
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(parts) + "\n").encode("utf-8"))
 
 
 # --- synthetic fixture ------------------------------------------------------

@@ -1,7 +1,6 @@
 """Data loading, deterministic sampling, sweeps, and report emitters."""
 
 import decimal
-import hashlib
 import os
 import struct
 import warnings
@@ -25,12 +24,10 @@ from gfred.graph import Kernel, SimilarityConfig, Symmetrization
 from gfred.harness import (
     DataFormat,
     ExperimentConfig,
-    SweepAggregate,
     SweepReport,
     SweepRow,
     config_from_mapping,
     emit_csv,
-    emit_svg,
     load_csv_matrix,
     load_idx,
     load_matrix,
@@ -691,13 +688,11 @@ class TestRunSweep:
         assert report.rows == ()
         assert len(report.failures) == 2 * 2 * 2
         assert all("ZeroColumn" in f.message for f in report.failures)
-        # emitters still work on an all-failure report
+        # the emitter still works on an all-failure report
         emit_csv(report, tmp_path / "empty.csv")
-        emit_svg(report, tmp_path / "empty.svg")
         assert (tmp_path / "empty.csv").read_text().strip() == (
             "trial,k,L,iters,initial_mse,final_mse,pca_mse,wall_time_ms"
         )
-        assert b"polyline" not in (tmp_path / "empty.svg").read_bytes()
 
     def test_offset_pool_fails_every_trial(self, tmp_path):
         # every cell is finite and the centred data is small, but a column's
@@ -859,40 +854,6 @@ class TestEmitters:
             b"0,5,0,1,0.1,0.1,0.1,0.0\n"
             b"1,20,2,500,1e-300,2.5,3.0000000000000004,12.75\n"
         )
-
-    def test_svg_structure(self, tmp_path):
-        report = self.build_report(tmp_path)
-        out = tmp_path / "chart.svg"
-        emit_svg(report, out)
-        text = out.read_text()
-        assert text.startswith("<svg ")
-        assert text.rstrip().endswith("</svg>")
-        assert text.count("<polyline") == 2  # one per order
-        assert ">L=0</text>" in text and ">L=1</text>" in text
-        again = tmp_path / "chart2.svg"
-        emit_svg(report, again)
-        assert out.read_bytes() == again.read_bytes()
-
-    @pytest.mark.parametrize(
-        "aggregates, digest",
-        [
-            (
-                tuple(
-                    SweepAggregate(k=k, L=L, trials=2, mean_final_mse=mse, std_final_mse=0.01,
-                                   mean_pca_mse=0.5)
-                    for k, L, mse in [(4, 0, 0.5), (4, 1, 0.4375), (4, 2, 0.40625),
-                                      (8, 0, 0.25), (8, 1, 0.21875), (8, 2, 0.2)]
-                ),
-                "d03227c9dca1c7ae876a0533bdd134892084ce9fadefc6821b217038e36740cd",
-            ),
-            ((), "a1b4d0e203f20fad4016c88e415f0818e3783881596dad59e00954c391ec1c2a"),
-        ],
-        ids=["k4-8_L0-2", "empty"],
-    )
-    def test_svg_bytes_of_a_built_report(self, tmp_path, aggregates, digest):
-        out = tmp_path / "chart.svg"
-        emit_svg(SweepReport(rows=(), aggregates=aggregates, failures=()), out)
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestSynthDigits:

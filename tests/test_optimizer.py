@@ -316,16 +316,6 @@ class TestFit:
         with pytest.raises(DimensionMismatch):
             fit(inst.ds, inst.spectrum, k=k, order=1, start=start)
 
-    def test_parameter_validation(self):
-        rng = np.random.default_rng(81)
-        inst = random_instance(rng, n=5, dim=3, order=0)
-        with pytest.raises(ValueError):
-            fit(inst.ds, inst.spectrum, k=1, order=0, max_iters=-1)
-        with pytest.raises(ValueError):
-            fit(inst.ds, inst.spectrum, k=1, order=0, epsilon=0.0)
-        with pytest.raises(ValueError):
-            fit(inst.ds, inst.spectrum, k=1, order=0, epsilon=np.inf)
-
     @pytest.mark.parametrize(
         "settings",
         [{"max_iters": -1}, {"epsilon": 0.0}, {"epsilon": -1e-6},
