@@ -160,13 +160,12 @@ def _cmd_sweep(args) -> int:
     report = harness.run_sweep(cfg)
     harness.emit_csv(report, args.out_csv)
     print(f"rows: {len(report.rows)} -> {args.out_csv}")
-    if report.failures:
-        for failure in report.failures:
-            print(
-                f"failed cell trial={failure.trial} k={failure.k} L={failure.L}: "
-                f"{failure.message}",
-                file=sys.stderr,
-            )
+    for failure in report.failures:
+        print(
+            f"failed cell trial={failure.trial} k={failure.k} L={failure.L}: "
+            f"{failure.message}",
+            file=sys.stderr,
+        )
     return 0
 
 

@@ -86,27 +86,30 @@ def reduce(model: FilterModel, ds: CenteredDataset, spectrum: GraphSpectrum) -> 
     return ReducedData(values=igft(reduce_response(model.coeffs, xt, pows), spectrum))
 
 
-def reconstruct(model: FilterModel, reduced: ReducedData, spectrum: GraphSpectrum) -> np.ndarray:
-    """Reconstruction in the original (uncentered) coordinates."""
+def _centered_reconstruction(model: FilterModel, reduced: ReducedData, spectrum: GraphSpectrum):
+    """Reconstruction in the model's centred coordinates, a fresh dim x n array."""
     check_spectrum(model, spectrum)
     if reduced.values.shape != (model.k, spectrum.n):
         raise DimensionMismatch(
             f"reduced data {reduced.values.shape} does not match k={model.k}, n={spectrum.n}"
         )
     pows = eig_power_table(spectrum.eigvals, model.order)
-    recon_spec = apply_response(model.recon_taps, pows, gft(reduced.values, spectrum))
-    recon = igft(recon_spec, spectrum)
+    return igft(apply_response(model.recon_taps, pows, gft(reduced.values, spectrum)), spectrum)
+
+
+def reconstruct(model: FilterModel, reduced: ReducedData, spectrum: GraphSpectrum) -> np.ndarray:
+    """Reconstruction in the original (uncentered) coordinates."""
+    recon = _centered_reconstruction(model, reduced, spectrum)
     recon += model.mean[:, None]
     return recon
 
 
 def reconstruction_mse(model: FilterModel, ds: CenteredDataset, spectrum: GraphSpectrum) -> float:
     """Mean squared vertex-domain error of encode followed by decode, taken
-    by :meth:`~gfred.spectral.CenteredDataset.mse` in the reconstruction's
-    own dim x n buffer, once the model's mean is subtracted there."""
-    recon = reconstruct(model, reduce(model, ds, spectrum), spectrum)
-    recon -= model.mean[:, None]
-    return ds.mse(recon)
+    by :meth:`~gfred.spectral.CenteredDataset.mse` on the centred
+    reconstruction: the model's mean is never added, so an offset in the
+    data costs no digits of the error."""
+    return ds.mse(_centered_reconstruction(model, reduce(model, ds, spectrum), spectrum))
 
 
 # --- model file format -----------------------------------------------------

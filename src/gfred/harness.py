@@ -9,10 +9,13 @@ PCA of (trial, k), the same PCA the baseline column reports; above it a
 cell starts from the model of the highest lower order that fitted for the
 same (trial, k), so the grid is monotone in L. Each fit builds the spectral
 cache for its own order, so a trial builds one cache per cell: |k_list|
-builds per order. A cell that cannot be trained (its iterate turns
-non-finite, say) fails only itself. A sweep's settings come as flat
-string keys, from a config file or ``gfred sweep`` flags, parsed through
-one key table into :class:`ExperimentConfig`.
+builds per order. Each cell is its own failure scope: a cell that cannot
+be trained (its iterate turns non-finite, say) fails only itself, and a
+width whose PCA fails fails each of its cells with the PCA's message. A
+trial whose subset, centring or graph fails fails every cell of the
+trial. A sweep's settings come as flat string keys, from a config file
+or ``gfred sweep`` flags, parsed through one key table into
+:class:`ExperimentConfig`.
 """
 from __future__ import annotations
 
@@ -314,59 +317,12 @@ def sample_subset(images, labels, cfg: ExperimentConfig, trial_index: int) -> np
                 f"class {label} has {members.size} images, need {cfg.images_per_class}"
             )
         columns.extend(members[i] for i in rng.sample(members.size, cfg.images_per_class))
-    return images[:, columns].copy()
+    # one C-order copy: images[:, columns] is a new array too, but Fortran-ordered,
+    # and a layout change moves every later sum by rounding
+    return np.take(images, columns, axis=1)
 
 
 # --- sweep ------------------------------------------------------------------
-
-
-def _run_trial(cfg: ExperimentConfig, images, labels, trial: int, clock):
-    rows: list[SweepRow] = []
-    failures: list[SweepFailure] = []
-    orders = sorted(set(cfg.L_list))
-    ks = sorted(set(cfg.k_list))
-
-    def failed(exc, cells):  # every (k, L) cell in ``cells`` fails with exc
-        message = f"{type(exc).__name__}: {exc}"
-        failures.extend(SweepFailure(trial=trial, k=k, L=L, message=message) for k, L in cells)
-
-    try:
-        X = sample_subset(images, labels, cfg, trial)
-        ds = center(X)
-        spectrum = build_graph(X, cfg.similarity)
-    except Exception as exc:  # whole-trial failure marks every cell
-        failed(exc, [(k, L) for k in ks for L in orders])
-        return rows, failures
-    for k in ks:
-        try:
-            pca = pca_fit(ds, k)
-            baseline = pca_mse(ds, pca)
-        except Exception as exc:
-            failed(exc, [(k, L) for L in orders])
-            continue
-        previous = pca  # the cold seed, then the model of the last order that fit
-        for L in orders:
-            started = clock()
-            try:
-                # an order-L bank contains the order below with its higher
-                # taps at zero, so starting from it keeps the grid monotone in L
-                result = fit(
-                    ds, spectrum, k, L,
-                    epsilon=cfg.epsilon, max_iters=cfg.max_iters, start=previous,
-                )
-                elapsed_ms = (clock() - started) * 1e3
-                rows.append(
-                    SweepRow(
-                        trial=trial, k=k, L=L, iters=result.iterations,
-                        initial_mse=float(result.objective_trace[0]),
-                        final_mse=float(result.objective_trace[-1]),
-                        pca_mse=baseline, wall_time_ms=float(elapsed_ms),
-                    )
-                )
-                previous = result.model
-            except Exception as exc:  # a failed cell must not sink the sweep
-                failed(exc, [(k, L)])
-    return rows, failures
 
 
 def run_sweep(cfg: ExperimentConfig, *, timer=None, force_serial: bool = False) -> SweepReport:
@@ -391,10 +347,43 @@ def run_sweep(cfg: ExperimentConfig, *, timer=None, force_serial: bool = False) 
         )
     rows: list[SweepRow] = []
     failures: list[SweepFailure] = []
+    ks, orders = sorted(set(cfg.k_list)), sorted(set(cfg.L_list))
     for trial in range(cfg.trials):  # each trial yields its cells in (k, L) order
-        trial_rows, trial_failures = _run_trial(cfg, images, labels, trial, clock)
-        rows.extend(trial_rows)
-        failures.extend(trial_failures)
+        try:
+            X = sample_subset(images, labels, cfg, trial)
+            ds = center(X)
+            spectrum = build_graph(X, cfg.similarity)
+        except Exception as exc:  # whole-trial failure marks every cell
+            message = f"{type(exc).__name__}: {exc}"
+            failures.extend(SweepFailure(trial, k, L, message) for k in ks for L in orders)
+            continue
+        for k in ks:
+            previous = None  # the PCA cold seed, then the model of the last order that fit
+            for L in orders:
+                try:
+                    # the width's first cell; a PCA that failed is rerun, and fails alike
+                    if previous is None:
+                        pca = pca_fit(ds, k)
+                        baseline, previous = pca_mse(ds, pca), pca
+                    started = clock()
+                    # an order-L bank contains the order below with its higher
+                    # taps at zero, so starting from it keeps the grid monotone in L
+                    result = fit(
+                        ds, spectrum, k, L,
+                        epsilon=cfg.epsilon, max_iters=cfg.max_iters, start=previous,
+                    )
+                    elapsed_ms = (clock() - started) * 1e3
+                    rows.append(
+                        SweepRow(
+                            trial=trial, k=k, L=L, iters=result.iterations,
+                            initial_mse=float(result.objective_trace[0]),
+                            final_mse=float(result.objective_trace[-1]),
+                            pca_mse=baseline, wall_time_ms=float(elapsed_ms),
+                        )
+                    )
+                    previous = result.model
+                except Exception as exc:  # a failed cell must not sink the sweep
+                    failures.append(SweepFailure(trial, k, L, f"{type(exc).__name__}: {exc}"))
     aggregates = []
     for (k, L) in sorted({(r.k, r.L) for r in rows}):
         finals = [r.final_mse for r in rows if r.k == k and r.L == L]

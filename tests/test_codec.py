@@ -31,6 +31,7 @@ from gfred.errors import (
     VersionMismatch,
 )
 from gfred.graph import Kernel, SimilarityConfig, eigendecompose, knn_sparsify, similarity_dense
+from gfred.harness import synth_digits
 from gfred.optimizer import FilterModel, fit, init_filters
 from gfred.pca import pca_fit
 from gfred.spectral import build_cache, center, reducing_taps
@@ -155,6 +156,19 @@ class TestRoundTrips:
         mse = reconstruction_mse(result.model, inst.ds, inst.spectrum)
         direct = objective(inst.ref, result.model.recon_taps, result.model.coeffs)
         assert mse == pytest.approx(direct, rel=1e-9)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e9, 1e12])
+    def test_mse_agrees_with_the_fit_on_offset_data(self, offset):
+        # the error is taken on the centred reconstruction: adding the mean
+        # back and subtracting it again would cost the digits the offset
+        # holds (a relative drift of 8e-7 at 1e12)
+        images, _ = synth_digits(4, 10, seed=0, size=12)
+        X = images + offset
+        ds = center(X)
+        spectrum = graph.build_graph(X, SimilarityConfig(kernel=Kernel.COSINE, knn=3))
+        result = fit(ds, spectrum, k=2, order=1, max_iters=50)
+        mse = reconstruction_mse(result.model, ds, spectrum)
+        assert mse == pytest.approx(float(result.objective_trace[-1]), rel=1e-12, abs=0.0)
 
 
 class TestGuards:
@@ -443,6 +457,26 @@ class TestCorruption:
         (tmp_path / "tiny.gfm").write_bytes(b"GF")
         with pytest.raises(CorruptFile):
             load_model(tmp_path / "tiny.gfm")
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "short-header.gfm"
+        path.write_bytes(b"GFM1" + struct.pack("<I", 64) + b'{"version":1}')
+        with pytest.raises(CorruptFile) as caught:
+            load_model(path)
+        assert str(caught.value) == f"{path}: truncated header"
+
+    def test_header_missing_a_key(self, tmp_path):
+        _, _, _, path = saved_fixture(tmp_path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[4:8])
+        header = json.loads(blob[8 : 8 + hlen])
+        del header["checksum"]
+        hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        out = tmp_path / "no-checksum.gfm"
+        out.write_bytes(blob[:4] + struct.pack("<I", len(hb)) + hb + blob[8 + hlen :])
+        with pytest.raises(CorruptFile) as caught:
+            load_model(out)
+        assert str(caught.value) == f"{out}: incomplete header: 'checksum'"
 
     def test_truncated_payload(self, tmp_path):
         _, _, _, path = saved_fixture(tmp_path)

@@ -131,6 +131,11 @@ class TestSimilarityDense:
         with pytest.raises(DimensionMismatch):
             similarity_dense(np.ones((3, 1)), COSINE)
 
+    def test_non_matrix_rejected(self):
+        with pytest.raises(DimensionMismatch) as caught:
+            similarity_dense(np.ones(4), COSINE)
+        assert str(caught.value) == "expected a 2-d data matrix, got ndim=1"
+
 
 class TestKnnSparsify:
     def test_all_kept_when_knn_saturates(self):
@@ -218,6 +223,17 @@ class TestKnnSparsify:
         sim = np.zeros((3, 3))
         with pytest.raises(KnnTooLarge):
             knn_sparsify(sim, SimilarityConfig(knn=3))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionMismatch) as caught:
+            knn_sparsify(np.zeros((2, 3)), SimilarityConfig(knn=1))
+        assert str(caught.value) == "similarity matrix must be square, got (2, 3)"
+
+    def test_asymmetric_rejected(self):
+        sim = np.array([[0.0, 1.0], [0.5, 0.0]])
+        with pytest.raises(ValueError) as caught:
+            knn_sparsify(sim, SimilarityConfig(knn=1))
+        assert str(caught.value) == "similarity matrix must be symmetric"
 
     def test_symmetric_output(self):
         rng = np.random.default_rng(5)

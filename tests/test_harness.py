@@ -13,6 +13,7 @@ from gfred import harness
 from gfred.errors import (
     BadMagic,
     ConfigError,
+    ConvergenceFailure,
     CountMismatch,
     CsvParseError,
     DimensionMismatch,
@@ -24,6 +25,7 @@ from gfred.graph import Kernel, SimilarityConfig, Symmetrization
 from gfred.harness import (
     DataFormat,
     ExperimentConfig,
+    SweepFailure,
     SweepReport,
     SweepRow,
     config_from_mapping,
@@ -38,7 +40,7 @@ from gfred.harness import (
     synth_digits,
 )
 from gfred.optimizer import FilterModel, fit
-from gfred.pca import PcaModel
+from gfred.pca import PcaModel, pca_fit
 from gfred.rng import CounterRng, splitmix64
 
 from oracles import csv_bytes, csv_floats
@@ -778,6 +780,29 @@ class TestRunSweep:
         ]
         assert all(f.message.startswith("SpectralOverflow:") for f in report.failures)
 
+    def test_failed_pca_fails_each_cell_of_its_width(self, tmp_path, monkeypatch):
+        # a width's PCA seeds its lowest order and is every order's baseline:
+        # when it raises, each order of that width fails with its message in
+        # every trial, and the other widths' rows are those of a clean run
+        data = tmp_path / "d.csv"
+        write_labeled_csv(data)
+        cfg = sweep_config(data, k_list=(2, 3, 4), L_list=(0, 1, 2))
+        clean = run_sweep(cfg, timer=lambda: 0.0)
+
+        def failing_pca(ds, k):
+            if k == 3:
+                raise ConvergenceFailure("the SVD of the centered data failed")
+            return pca_fit(ds, k)
+
+        monkeypatch.setattr(harness, "pca_fit", failing_pca)
+        report = run_sweep(cfg, timer=lambda: 0.0)
+        assert report.rows == tuple(row for row in clean.rows if row.k != 3)
+        assert report.failures == tuple(
+            SweepFailure(trial, 3, L, "ConvergenceFailure: the SVD of the centered data failed")
+            for trial in (0, 1)
+            for L in (0, 1, 2)
+        )
+
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         data = tmp_path / "d.csv"
         write_labeled_csv(data)
@@ -975,6 +1000,11 @@ class TestConfigFiles:
                 mapping.pop(key, None)
         with pytest.raises(ConfigError):
             config_from_mapping(mapping)
+
+    def test_empty_k_list_rejected(self):
+        with pytest.raises(ConfigError) as caught:
+            subset_config(k_list=())
+        assert str(caught.value) == "k_list must not be empty"
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"

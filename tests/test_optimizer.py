@@ -357,6 +357,16 @@ class TestFit:
             with pytest.raises(NonFiniteValue):
                 fit(inst.ds, inst.spectrum, k=1, order=1, start=start, max_iters=5)
 
+    def test_non_finite_iterate_raises(self, monkeypatch):
+        # a finite start whose first step is not finite: the iterate's move
+        # is NaN, and the fit stops with the iteration it happened at
+        rng = np.random.default_rng(83)
+        inst = random_instance(rng, n=5, dim=3, order=1)
+        monkeypatch.setattr(optimizer, "_exact_step", lambda slope, curvature, n: float("nan"))
+        with pytest.raises(NonFiniteValue) as caught:
+            fit(inst.ds, inst.spectrum, k=1, order=1, max_iters=5)
+        assert str(caught.value) == "non-finite iterate at iteration 1"
+
     def test_start_of_underflowing_data_raises(self):
         # the kernel of digits scaled by 1e-155 holds subnormal numbers, and
         # the PCA seed's ridge solve against it gives NaN

@@ -125,6 +125,13 @@ class TestValidation:
         with pytest.raises(DimensionMismatch):
             pca_fit(ds, k=5)
 
+    def test_mse_rejects_a_model_of_another_dim(self):
+        rng = np.random.default_rng(0)
+        model = pca_fit(center(rng.normal(size=(4, 10))), k=2)
+        with pytest.raises(DimensionMismatch) as caught:
+            pca_mse(center(rng.normal(size=(3, 10))), model)
+        assert str(caught.value) == "model dim 4 does not match data dim 3"
+
     def test_rank_deficiency_warning(self):
         # rank-1 data cannot support a second direction
         t = np.linspace(0.0, 1.0, 20)

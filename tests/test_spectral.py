@@ -68,6 +68,11 @@ class TestCenter:
         with pytest.raises(DimensionMismatch):
             center(np.ones((2, 2, 2)))
 
+    def test_rejects_a_matrix_of_no_columns(self):
+        with pytest.raises(DimensionMismatch) as caught:
+            center(np.ones((3, 0)))
+        assert str(caught.value) == "need at least one data column"
+
     def test_centered_data_and_their_svd_are_read_only(self):
         # the SVD is computed once and cached, so nothing may write into
         # what it factorized or into the factors it hands out
@@ -139,6 +144,11 @@ class TestPowerTable:
     def test_order_zero(self):
         table = eig_power_table(np.array([3.0, -7.0]), order=0)
         assert np.array_equal(table, [[1.0], [1.0]])
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError) as caught:
+            eig_power_table(np.array([0.5]), order=-1)
+        assert str(caught.value) == "filter order must be >= 0, got -1"
 
     def test_overflow_guard(self):
         with pytest.raises(SpectralOverflow):
