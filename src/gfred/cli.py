@@ -145,8 +145,11 @@ def _cmd_decode(args) -> int:
 
 def _cmd_eval(args) -> int:
     bundle, ds = _model_and_data(args)
+    k = bundle.model.k
     mse = codec.reconstruction_mse(bundle.model, ds, bundle.spectrum)
-    baseline = pca_mse(ds, pca_fit(ds, bundle.model.k))
+    # the baseline reads k only: drop the model's payload before its eigensolve
+    del bundle
+    baseline = pca_mse(ds, pca_fit(ds, k))
     print(f"reconstruction_mse: {float(mse)!r}")
     print(f"pca_mse: {float(baseline)!r}")
     return 0

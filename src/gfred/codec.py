@@ -1,14 +1,29 @@
 """Encoding, decoding, storage accounting, and the model file format.
 
 Both maps are polynomial graph filters given by their matrix taps, and
-both are applied per frequency in the spectral domain: ``reduce``
-applies the reducing taps that the coefficients imply on its input data
-(``reduce_response``), ``reconstruct`` the stored bank of reconstruction
-taps (``apply_response``). Reduced data is always held in the vertex
-domain.
-The literal vertex-domain filter banks they are checked against (dense
-Kronecker products of adjacency powers and per-node taps) live with the
-tests in ``tests/oracles.py``.
+each acts frequency by frequency in the graph's eigenbasis. The basis
+only ever acts on k-row and (L+1)k-row arrays, never on the dim x n data
+or reconstruction; reduced data is always held in the vertex domain.
+
+- ``reduce`` applies the reducing taps that the coefficients imply on
+  its input data. It forms those taps, the (L+1)k x dim stack ``H``, as
+  ``igft(power_stack(coeffs)) @ Xbar'`` (since ``(Xbar U)' = U' Xbar'``
+  this is :func:`~gfred.spectral.reducing_taps` on ``gft(Xbar)``),
+  applies them to the vertex-domain data and returns
+  ``igft(power_sum(gft(H @ Xbar)))``.
+- ``reconstruct`` applies the stored bank of reconstruction taps to the
+  vertex-domain power stack ``[V; V A; ...; V A^L]`` of the reduced data,
+  ``igft(power_stack(gft(V)))`` (:func:`~gfred.spectral.apply_response`).
+
+At D=784, n=1200, k=20 and L=2 a reduce takes 0.63 GFLOP and a
+reconstruction 0.34, where transforming the data and the reconstruction
+took 2.54 and 2.43. The trainer applies the reducing filter in the other
+association, to the transformed data it caches
+(:func:`~gfred.spectral.reduce_response`); the two agree up to rounding.
+The literal vertex-domain filter banks both maps are checked against
+(dense Kronecker products of adjacency powers and per-node taps) live
+with the tests in ``tests/oracles.py``, with the spectral-domain
+association.
 """
 from __future__ import annotations
 
@@ -29,7 +44,9 @@ from .spectral import (
     eig_power_table,
     gft,
     igft,
-    reduce_response,
+    per_node,
+    power_stack,
+    power_sum,
 )
 
 _MAGIC = b"GFM1"
@@ -76,14 +93,22 @@ def reduce(model: FilterModel, ds: CenteredDataset, spectrum: GraphSpectrum) -> 
 
     Applies the reducing taps computed from ``ds`` itself, without forming
     the n x n training kernel. On data other than the training set these
-    are not the taps the model was trained with.
+    are not the taps the model was trained with. The taps are formed and
+    applied in the vertex domain, so the transforms act on (L+1)k-row
+    arrays and not on the data's dim rows (module docstring). The trainer
+    applies the same filter to the transformed data it holds
+    (:func:`~gfred.spectral.reduce_response`); this function is given
+    vertex-domain data, and transforming them would be its largest
+    product. Data without one column per node of the graph raises
+    DimensionMismatch before any product.
     """
     check_spectrum(model, spectrum)
     if ds.dim != model.dim:
         raise DimensionMismatch(f"data has dimension {ds.dim}, the model expects {model.dim}")
-    xt = gft(ds.centered, spectrum)
+    xbar = per_node(ds.centered, spectrum)
     pows = eig_power_table(spectrum.eigvals, model.order)
-    return ReducedData(values=igft(reduce_response(model.coeffs, xt, pows), spectrum))
+    taps = igft(power_stack(model.coeffs, pows), spectrum) @ xbar.T
+    return ReducedData(values=igft(power_sum(gft(taps @ xbar, spectrum), pows), spectrum))
 
 
 def _centered_reconstruction(model: FilterModel, reduced: ReducedData, spectrum: GraphSpectrum):
@@ -94,7 +119,7 @@ def _centered_reconstruction(model: FilterModel, reduced: ReducedData, spectrum:
             f"reduced data {reduced.values.shape} does not match k={model.k}, n={spectrum.n}"
         )
     pows = eig_power_table(spectrum.eigvals, model.order)
-    return igft(apply_response(model.recon_taps, pows, gft(reduced.values, spectrum)), spectrum)
+    return apply_response(model.recon_taps, pows, reduced.values, spectrum)
 
 
 def reconstruct(model: FilterModel, reduced: ReducedData, spectrum: GraphSpectrum) -> np.ndarray:

@@ -108,8 +108,9 @@ def center(X) -> CenteredDataset:
     return CenteredDataset(centered=centered, mean=mean, dim=X.shape[0], n=X.shape[1])
 
 
-def _per_node(values, spectrum: GraphSpectrum) -> np.ndarray:
-    """``values`` as a float matrix, after checking it has one column per node."""
+def per_node(values, spectrum: GraphSpectrum) -> np.ndarray:
+    """``values`` as a float matrix, after checking it has one column per
+    node: DimensionMismatch otherwise."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != spectrum.n:
         raise DimensionMismatch(
@@ -120,12 +121,12 @@ def _per_node(values, spectrum: GraphSpectrum) -> np.ndarray:
 
 def gft(values, spectrum: GraphSpectrum) -> np.ndarray:
     """Graph Fourier transform of per-node columns (right-multiply by U)."""
-    return _per_node(values, spectrum) @ spectrum.eigvecs
+    return per_node(values, spectrum) @ spectrum.eigvecs
 
 
 def igft(values, spectrum: GraphSpectrum) -> np.ndarray:
     """Inverse transform; exact inverse of :func:`gft` up to roundoff."""
-    return _per_node(values, spectrum) @ spectrum.eigvecs.T
+    return per_node(values, spectrum) @ spectrum.eigvecs.T
 
 
 def eig_power_table(eigvals, order: int) -> np.ndarray:
@@ -204,8 +205,8 @@ def power_stack(vectors, eig_pows) -> np.ndarray:
 
     A filter bank ``[T_0 ... T_L]`` of order L is one matrix with L+1
     blocks of columns, and ``bank @ power_stack(vectors, eig_pows)``
-    applies it to ``vectors`` in one matrix product
-    (:func:`apply_response`).
+    applies it to per-frequency ``vectors`` in one matrix product
+    (:func:`apply_response` does so for vertex-domain vectors).
     """
     rows = vectors.shape[0]
     out = np.empty((eig_pows.shape[1] * rows, vectors.shape[1]))
@@ -224,15 +225,22 @@ def power_sum(stacked, eig_pows) -> np.ndarray:
     return out
 
 
-def apply_response(bank, eig_pows, vectors) -> np.ndarray:
-    """Apply a filter bank to per-frequency columns.
+def apply_response(bank, eig_pows, vectors, spectrum: GraphSpectrum) -> np.ndarray:
+    """Apply a filter bank to vertex-domain vectors; the result is in the
+    vertex domain too.
 
     ``bank`` is ``[T_0 ... T_L]``, one rows_out x (L+1)rows_in matrix,
-    and the power table has one column per tap. Column i of the result is
-    ``(sum_l lam_i^l T_l) @ vectors[:, i]``, evaluated in one matrix
-    product without materializing any per-frequency matrix.
+    and the power table has one column per tap. Frequency i of the result
+    is ``(sum_l lam_i^l T_l)`` applied to frequency i of ``vectors``,
+    that is ``igft(bank @ power_stack(gft(vectors)))``. The bank mixes
+    rows and the transforms mix columns, so the bank can go last:
+    ``bank @ igft(power_stack(gft(vectors)))``, where the transformed
+    stack is the vertex-domain ``[V; V A; ...; V A^L]`` for the graph's
+    adjacency A. The transforms then act on (L+1)rows_in rows, never on
+    the bank's rows_out: for a reconstruction bank that is (L+1)k rows
+    rather than dim, and no per-frequency matrix is formed.
     """
-    return bank @ power_stack(vectors, eig_pows)
+    return bank @ igft(power_stack(gft(vectors, spectrum), eig_pows), spectrum)
 
 
 def reducing_taps(coeffs, gft_data, eig_pows) -> np.ndarray:
@@ -253,5 +261,14 @@ def reduce_response(coeffs, gft_data, eig_pows) -> np.ndarray:
     the :func:`reducing_taps` H, which is ``coeffs`` times the feature
     kernel of that data at the table's order. The power weights are
     summed in after the product, on k-row blocks (:func:`power_sum`).
+
+    The reducing filter has two associations, one per kind of caller,
+    and no parameter selects between them. This one works on transformed
+    data: :func:`~gfred.optimizer.extend_order` applies it to the cache's
+    transformed data, which the trainer holds anyway, so it makes no
+    transform. :func:`gfred.codec.reduce` takes vertex-domain data, which
+    it would have to transform with a dim-row product by the n x n
+    eigenvectors; it applies the same filter with the transforms on
+    (L+1)k-row arrays instead. The two agree up to rounding.
     """
     return power_sum(reducing_taps(coeffs, gft_data, eig_pows) @ gft_data, eig_pows)

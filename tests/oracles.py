@@ -11,7 +11,15 @@ import numpy as np
 
 from gfred.errors import DimensionMismatch
 from gfred.graph import GraphSpectrum, Kernel, SimilarityConfig, build_graph
-from gfred.spectral import CenteredDataset, SpectralCache, build_cache, center
+from gfred.spectral import (
+    CenteredDataset,
+    SpectralCache,
+    build_cache,
+    center,
+    eig_power_table,
+    power_stack,
+    reduce_response,
+)
 
 
 def stacked_kernel(gft_data, eigvals, order):
@@ -297,6 +305,30 @@ def kron_reconstruct(adjacency, taps, reduced_values) -> np.ndarray:
         per_node = np.kron(eye_n, taps[ell])
         out += mixer @ (per_node @ stacked)
     return out.reshape((dim, n), order="F")
+
+
+# --- the codec's filters with the transforms on the data side ----------------
+#
+# The codec transforms only k-row and (L+1)k-row arrays. These apply the same
+# two filters in the other association, per frequency on the transformed
+# dim x n data or reconstruction, with explicit products by the eigenvectors.
+
+
+def spectral_reduce(coeffs, xbar, spectrum, order) -> np.ndarray:
+    """``reduce_response`` on the transformed data ``xbar U``, transformed
+    back to the vertex domain: ``igft(reduce_response(coeffs, gft(xbar)))``."""
+    eigvecs = spectrum.eigvecs
+    pows = eig_power_table(spectrum.eigvals, order)
+    return reduce_response(coeffs, xbar @ eigvecs, pows) @ eigvecs.T
+
+
+def spectral_reconstruct(bank, reduced_values, spectrum, order) -> np.ndarray:
+    """The bank applied per frequency to the transformed reduced data, and
+    its dim x n output transformed back: ``igft(bank @ power_stack(gft(V)))``,
+    centred (no mean added)."""
+    eigvecs = spectrum.eigvecs
+    pows = eig_power_table(spectrum.eigvals, order)
+    return (bank @ power_stack(reduced_values @ eigvecs, pows)) @ eigvecs.T
 
 
 def csv_bytes(matrix) -> bytes:

@@ -252,6 +252,25 @@ class TestModelPipeline:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["encode", "eval"])
+    def test_wrong_node_count_exits_2(self, tmp_path, capsys, command):
+        # one column too few for the 40-node graph: the typed shape error,
+        # raised before any product with the data
+        data, model, _ = self.run_fit(tmp_path, capsys, "tall")
+        short = tmp_path / "short.csv"
+        save_csv_matrix(load_csv_matrix(data)[:, :-1], short)
+        out = tmp_path / "reduced.csv"
+        argv = [command, "--model", str(model), "--data", str(short), "--format", "csv"]
+        if command == "encode":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "config error: expected 40 columns for this graph, got shape (144, 39)\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestSweepCommand:
 

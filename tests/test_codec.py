@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfred import graph
+from gfred import graph, spectral
 from gfred.codec import (
     ModelFile,
     ReducedData,
@@ -43,6 +44,8 @@ from oracles import (
     objective,
     random_filters,
     random_instance,
+    spectral_reconstruct,
+    spectral_reduce,
     tap_stack,
 )
 
@@ -124,6 +127,73 @@ class TestAgainstKroneckerBank:
         reduced = reduce(model, inst.ds, inst.spectrum)
         scores = taps[:, :2].T @ inst.ds.centered
         assert np.allclose(reduced.values, scores, rtol=1e-6, atol=1e-9)
+
+
+# (n, dim): more nodes than rows, and more rows than nodes; dim exceeds
+# (L+1)k at every order tested
+SHAPES = {"wide": (30, 12), "tall": (12, 40)}
+
+
+def record_transform_rows(monkeypatch) -> list:
+    """Swap a recorder in for gft and igft wherever a gfred module binds
+    them; the list it returns gets the row count of every call."""
+    rows = []
+    for original in (spectral.gft, spectral.igft):
+        def recording(values, spectrum, _original=original):
+            rows.append(np.shape(values)[0])
+            return _original(values, spectrum)
+
+        for name, module in list(sys.modules.items()):
+            if name == "gfred" or name.startswith("gfred."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, recording)
+    return rows
+
+
+def association_case(seed, shape, order, k=2):
+    """A random instance of ``SHAPES[shape]`` at ``order``, a random model
+    of width ``k`` on it, and random reduced data for that model."""
+    rng = np.random.default_rng([seed, order])
+    inst = random_instance(rng, *SHAPES[shape], order)
+    model = make_model(inst, *random_filters(rng, inst.cache, k))
+    return inst, model, ReducedData(values=rng.normal(size=(k, inst.spectrum.n)))
+
+
+class TestAssociations:
+    """The codec transforms k-row and (L+1)k-row arrays only, and agrees
+    with the same filters applied per frequency to the transformed data."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("shape", SHAPES, ids=list(SHAPES))
+    def test_reduce_matches_the_spectral_association(self, shape, order):
+        inst, model, _ = association_case(101, shape, order)
+        want = spectral_reduce(model.coeffs, inst.ds.centered, inst.spectrum, order)
+        got = reduce(model, inst.ds, inst.spectrum).values
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("shape", SHAPES, ids=list(SHAPES))
+    def test_reconstruct_matches_the_spectral_association(self, shape, order):
+        inst, model, reduced = association_case(102, shape, order)
+        want = spectral_reconstruct(model.recon_taps, reduced.values, inst.spectrum, order)
+        got = reconstruct(model, reduced, inst.spectrum) - model.mean[:, None]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("shape", SHAPES, ids=list(SHAPES))
+    def test_transforms_act_on_stack_rows_only(self, monkeypatch, shape, order):
+        inst, model, reduced = association_case(103, shape, order)
+        rows = record_transform_rows(monkeypatch)
+        for call, args in (
+            (reduce, (model, inst.ds, inst.spectrum)),
+            (reconstruct, (model, reduced, inst.spectrum)),
+            (reconstruction_mse, (model, inst.ds, inst.spectrum)),
+        ):
+            rows.clear()
+            call(*args)
+            assert rows, call.__name__
+            assert max(rows) <= (order + 1) * model.k, (call.__name__, rows)
 
 
 class TestRoundTrips:

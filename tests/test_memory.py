@@ -1,5 +1,5 @@
-"""Memory that the fit's n x n stages and the residual costs hold, counted
-with tracemalloc.
+"""Memory that the fit's n x n stages, the codec and the residual costs
+hold, counted with tracemalloc.
 
 numpy reports every array buffer it allocates to tracemalloc, so these
 counts repeat exactly from run to run. The scratch that LAPACK works in
@@ -103,9 +103,9 @@ def test_save_model_copies_no_eigenvectors(inst, tmp_path):
 
 
 def test_residual_costs_hold_one_data_sized_buffer():
-    # one dim x n array is the residual, and reconstruction_mse also holds
-    # the spectral reconstruction that the inverse transform reads; dim is
-    # large next to n and k, so the data-sized arrays dominate
+    # one dim x n array is the residual, the projection's or the
+    # reconstruction's own buffer; dim is large next to n and k, so the
+    # data-sized arrays dominate
     inst = random_instance(np.random.default_rng(23), 60, 400, ORDER)
     data_sized = inst.ds.centered.nbytes
     _, peak = traced_peak(pca_mse, inst.ds, pca_fit(inst.ds, K))
@@ -113,6 +113,43 @@ def test_residual_costs_hold_one_data_sized_buffer():
     model = fit(inst.ds, inst.spectrum, K, ORDER, max_iters=2).model
     _, peak = traced_peak(codec.reconstruction_mse, model, inst.ds, inst.spectrum)
     assert peak < 2.5 * data_sized
+
+
+def test_codec_transforms_no_data_sized_array():
+    # reduce forms its taps and transforms only (L+1)k-row arrays, and the
+    # reconstruction is the one dim x n array reconstruction_mse holds
+    inst = random_instance(np.random.default_rng(23), 60, 400, ORDER)
+    data_sized = inst.ds.centered.nbytes
+    model = fit(inst.ds, inst.spectrum, K, ORDER, max_iters=2).model
+    _, peak = traced_peak(codec.reduce, model, inst.ds, inst.spectrum)
+    assert peak < data_sized
+    _, peak = traced_peak(codec.reconstruction_mse, model, inst.ds, inst.spectrum)
+    assert peak < 1.5 * data_sized
+
+
+def test_eval_command_fits_its_baseline_without_the_model(tmp_path, monkeypatch):
+    data = tmp_path / "data.csv"
+    harness.save_csv_matrix(np.random.default_rng(5).uniform(0.1, 1.0, size=(6, 40)), data)
+    model = tmp_path / "m.gfm"
+    assert cli.main(["fit", "--data", str(data), "--format", "csv", "--k", "2", "--l", "1",
+                     "--max-iters", "5", "--model-out", str(model)]) == 0
+    loaded, seen = [], {}
+    load_model, baseline = codec.load_model, cli.pca_fit
+
+    def load_and_watch(path):
+        bundle = load_model(path)
+        # the bundle, and the payload buffer every array of it is a view of
+        loaded.extend([weakref.ref(bundle), weakref.ref(bundle.model.recon_taps.base)])
+        return bundle
+
+    def pca_and_look(ds, k):
+        seen["model alive"] = [ref() is not None for ref in loaded]
+        return baseline(ds, k)
+
+    monkeypatch.setattr(codec, "load_model", load_and_watch)
+    monkeypatch.setattr(cli, "pca_fit", pca_and_look)
+    assert cli.main(["eval", "--model", str(model), "--data", str(data), "--format", "csv"]) == 0
+    assert seen == {"model alive": [False, False]}
 
 
 def test_fit_command_trains_without_the_adjacency_or_the_raw_matrix(tmp_path, monkeypatch):

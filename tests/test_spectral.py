@@ -237,16 +237,19 @@ class TestResponses:
     )
     def test_apply_matches_per_node_loop(self, taps_shape):
         # the bank [T_0 ... T_L] against the stack of its taps, either way
-        # round in rows
+        # round in rows, frequency by frequency: apply_response takes and
+        # gives vertex-domain columns
         rng = np.random.default_rng(31)
         inst = random_instance(rng, n=8, dim=4, order=3)
         taps = rng.normal(size=taps_shape)
         vectors = rng.normal(size=(taps_shape[2], 8))
-        out = apply_response(np.concatenate(taps, axis=1), inst.cache.eig_pows, vectors)
+        bank = np.concatenate(taps, axis=1)
+        out = apply_response(bank, inst.cache.eig_pows, igft(vectors, inst.spectrum), inst.spectrum)
         assert out.shape == (taps_shape[1], 8)
+        freq = gft(out, inst.spectrum)
         for i in range(8):
             resp = spectral_response(taps, inst.spectrum.eigvals[i])
-            assert np.allclose(out[:, i], resp @ vectors[:, i], rtol=1e-10, atol=1e-12)
+            assert np.allclose(freq[:, i], resp @ vectors[:, i], rtol=1e-10, atol=1e-12)
 
     def test_power_sum_is_the_adjoint_of_power_stack(self):
         rng = np.random.default_rng(34)
@@ -262,7 +265,8 @@ class TestResponses:
         rng = np.random.default_rng(32)
         inst = random_instance(rng, n=6, dim=3, order=0)
         vectors = rng.normal(size=(4, 6))
-        assert np.array_equal(apply_response(np.eye(4), inst.cache.eig_pows, vectors), vectors)
+        out = apply_response(np.eye(4), inst.cache.eig_pows, vectors, inst.spectrum)
+        assert np.allclose(out, vectors, rtol=0.0, atol=1e-12)
 
     def test_reducing_stack_gives_the_kernel_product(self):
         # block l of the stack is coeffs diag(lam^l) Xt'; applied to Xt it
