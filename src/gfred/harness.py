@@ -193,49 +193,44 @@ def load_csv_matrix(path, first_row_labels: bool = False):
     raises CsvParseError naming its 1-based row and column, and a row whose
     cell count differs from the first row's raises one naming the row; with
     several bad rows or cells, the first in reading order is named. Bytes
-    that are not UTF-8 raise CsvParseError naming the file.
+    that are not UTF-8, or a file with no non-blank line, raise
+    CsvParseError naming the file.
 
-    The kept lines go to numpy's C text reader, whose float conversion
-    rounds as ``float()`` does, and the matrix is checked for finiteness in
-    one pass. Only a file that numpy refuses, or that holds a non-finite
-    cell, is walked row by row with ``float()`` per cell, which also reads
-    spellings numpy does not (``1_000``, non-ASCII digits): the walk returns
-    the matrix or raises at the first fault.
+    One streaming pass, holding one line at a time, makes those file-wide
+    checks and counts the rows. numpy's C text reader then parses the
+    file's kept lines as it reads them, into a matrix allocated once for
+    that row count, so neither the file's text nor a list of its lines is
+    ever held; its float conversion rounds as ``float()`` does, and the
+    matrix is checked for finiteness in one pass. Only a file that numpy
+    refuses, or that holds a non-finite cell, is read again, row by row
+    with ``float()`` per cell, which also reads spellings numpy does not
+    (``1_000``, non-ASCII digits): that walk returns the matrix or raises
+    at the first fault.
     """
+    rows, numpy_reads = 0, True
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n").rstrip("\r") for line in fh]
+            for line in _kept_lines(fh):
+                rows += 1
+                # numpy strips the separators \x1c-\x1f around a cell, which float() refuses
+                numpy_reads = numpy_reads and not any(sep in line for sep in "\x1c\x1d\x1e\x1f")
     except UnicodeDecodeError as exc:
         raise CsvParseError(f"{path}: not UTF-8 text: {exc}") from exc
-    # numpy reads a whitespace-only line as a one-column row
-    lines = [line for line in lines if line.strip() != ""]
-    if not lines:
+    if not rows:
         raise CsvParseError(f"{path}: empty file")
     matrix = None
-    # numpy strips the separators \x1c-\x1f around a cell, which float() refuses
-    if not any(sep in line for line in lines for sep in "\x1c\x1d\x1e\x1f"):
-        try:  # comments=None: the default "#" would cut "1.5#x" down to 1.5
-            matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
+    if numpy_reads:
+        # an open file, not the path: given a path numpy would gunzip a
+        # ".gz" name or fetch a URL
+        with open(path, "r", encoding="utf-8") as fh:
+            try:  # comments=None: the default "#" would cut "1.5#x" down to 1.5
+                matrix = np.loadtxt(
+                    _kept_lines(fh), delimiter=",", comments=None, ndmin=2, max_rows=rows
+                )
+            except ValueError:
+                pass
     if matrix is None or not np.isfinite(matrix).all():
-        width = lines[0].count(",") + 1
-        rows = []
-        for r, line in enumerate(lines, start=1):
-            cells = line.split(",")
-            if len(cells) != width:
-                raise CsvParseError(f"{path}: row {r} has {len(cells)} cells, expected {width}")
-            row = []
-            for c, cell in enumerate(cells, start=1):
-                try:
-                    value = float(cell)
-                except ValueError as exc:
-                    raise CsvParseError(f"{path}: row {r}, column {c}: {cell!r}") from exc
-                if not math.isfinite(value):
-                    raise CsvParseError(f"{path}: row {r}, column {c}: {cell!r} is not finite")
-                row.append(value)
-            rows.append(row)
-        matrix = np.array(rows, dtype=np.float64)
+        matrix = _walk_csv(path)
     if not first_row_labels:
         return matrix
     if matrix.shape[0] < 2:
@@ -247,6 +242,38 @@ def load_csv_matrix(path, first_row_labels: bool = False):
     if np.any((labels < -(2.0**63)) | (labels >= 2.0**63)):
         raise CsvParseError(f"{path}: labels must lie in [-2**63, 2**63)")
     return matrix[1:], labels.astype(np.int64)
+
+
+def _kept_lines(fh):
+    """The lines of a text file that are not blank or whitespace-only;
+    numpy skips an empty line but reads a whitespace-only one as a
+    one-column row."""
+    return (line for line in fh if not line.isspace())
+
+
+def _walk_csv(path) -> np.ndarray:
+    """The kept lines of a CSV file parsed with ``float()`` cell by cell,
+    each row appended as a float64 array; raises CsvParseError at the
+    first ragged row, unparsable cell or non-finite value in reading
+    order."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for r, line in enumerate(_kept_lines(fh), start=1):
+            cells = line.rstrip("\n").split(",")  # text mode reads "\r\n" and "\r" as "\n"
+            width = len(rows[0]) if rows else len(cells)
+            if len(cells) != width:
+                raise CsvParseError(f"{path}: row {r} has {len(cells)} cells, expected {width}")
+            row = np.empty(width)
+            for c, cell in enumerate(cells, start=1):
+                try:
+                    value = float(cell)
+                except ValueError as exc:
+                    raise CsvParseError(f"{path}: row {r}, column {c}: {cell!r}") from exc
+                if not math.isfinite(value):
+                    raise CsvParseError(f"{path}: row {r}, column {c}: {cell!r} is not finite")
+                row[c - 1] = value
+            rows.append(row)
+    return np.array(rows)
 
 
 def load_matrix(path, fmt: DataFormat | str, labels: bool = False):

@@ -303,6 +303,41 @@ class TestCsv:
         with pytest.raises(CsvParseError):
             load_csv_matrix(path)
 
+    @pytest.mark.parametrize("data", [b"", "\n\r\n \n\t\r\n\u2003\n".encode("utf-8")],
+                             ids=["empty", "blank-only"])
+    def test_no_data_raises_before_numpy_can_warn(self, tmp_path, data):
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(CsvParseError) as raised:
+                load_csv_matrix(path)
+        assert caught == []
+        assert str(raised.value) == f"{path}: empty file"
+
+    def test_float_walk_reads_only_what_numpy_refuses(self, tmp_path, monkeypatch):
+        walk, walked = harness._walk_csv, []
+
+        def watched(path):
+            walked.append(path)
+            return walk(path)
+
+        monkeypatch.setattr(harness, "_walk_csv", watched)
+        path = tmp_path / "m.csv"
+        # whitespace-only lines are dropped before numpy reads the file
+        path.write_bytes(b"1,2\r\n  \r\n\r\n3, 4\r\n\t\n5,6\n \r\n")
+        assert np.array_equal(load_csv_matrix(path), [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        assert walked == []
+        path.write_text("1_000,2\n3,4\n")
+        assert np.array_equal(load_csv_matrix(path), [[1000.0, 2.0], [3.0, 4.0]])
+        assert walked == [path]
+
+    def test_a_gz_name_is_read_as_text(self, tmp_path):
+        # numpy, given the path, would try to gunzip it
+        path = tmp_path / "m.csv.gz"
+        path.write_text("1,2\n3,4\n")
+        assert np.array_equal(load_csv_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+
     def test_non_integer_labels_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0.5,1\n2,3\n")

@@ -1,5 +1,5 @@
-"""Memory that the fit's n x n stages, the codec and the residual costs
-hold, counted with tracemalloc.
+"""Memory that the fit's n x n stages, the codec, the residual costs and
+the CSV reader hold, counted with tracemalloc.
 
 numpy reports every array buffer it allocates to tracemalloc, so these
 counts repeat exactly from run to run. The scratch that LAPACK works in
@@ -125,6 +125,17 @@ def test_codec_transforms_no_data_sized_array():
     assert peak < data_sized
     _, peak = traced_peak(codec.reconstruction_mse, model, inst.ds, inst.spectrum)
     assert peak < 1.5 * data_sized
+
+
+def test_csv_load_holds_no_lines_beside_the_matrix(tmp_path):
+    # numpy parses the file as it reads it, into a matrix allocated once
+    # for the row count; no list of the file's lines is held beside it
+    images, _ = harness.synth_digits(10, 30, seed=0)
+    path = tmp_path / "pool.csv"
+    harness.save_csv_matrix(images, path)
+    matrix, peak = traced_peak(harness.load_csv_matrix, path)
+    assert np.array_equal(matrix, images)
+    assert peak < 1.5 * matrix.nbytes
 
 
 def test_eval_command_fits_its_baseline_without_the_model(tmp_path, monkeypatch):
