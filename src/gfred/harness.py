@@ -28,6 +28,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import csvtext
 from .errors import (
     BadMagic,
     ConfigError,
@@ -292,23 +293,21 @@ def load_matrix(path, fmt: DataFormat | str, labels: bool = False):
 
 
 def save_csv_matrix(matrix, path):
-    """Write a 2-d matrix as CSV, one row per line, with shortest
-    round-trip float formatting.
+    """Write a 2-d matrix as CSV, one row per line, each float as ``repr``
+    writes it: the shortest digits that read back to the same double.
 
-    Each row is written as soon as it is formatted, so the file's text
-    never exists whole in memory; a matrix of no rows is written as one
-    newline. The input is converted before the file is opened, so one that
-    is not a 2-d float matrix leaves no file behind.
+    The bytes are those of ``",".join(map(repr, row.tolist()))`` per row,
+    each line ended by a newline; a matrix of no rows is written as one
+    newline. :func:`gfred.csvtext.write_rows` formats and writes a block
+    of rows at a time, so the file's text never exists whole in memory.
+    The input is converted before the file is opened, so one that is not a
+    2-d float matrix leaves no file behind.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d matrix, got ndim={matrix.ndim}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if matrix.shape[0] == 0:
-            fh.write("\n")
-        # tolist() yields Python floats: numpy scalar repr would write "np.float64(...)"
-        for row in matrix:
-            fh.write(",".join(map(repr, row.tolist())) + "\n")
+    with open(path, "wb") as fh:
+        csvtext.write_rows(matrix, fh)
 
 
 # --- sampling ---------------------------------------------------------------

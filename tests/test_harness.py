@@ -1,15 +1,19 @@
 """Data loading, deterministic sampling, sweeps, and report emitters."""
 
 import decimal
+import math
 import os
 import struct
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gfred import harness
+from gfred import csvtext, harness
 from gfred.errors import (
     BadMagic,
     ConfigError,
@@ -519,6 +523,107 @@ class TestCsvParity:
         with pytest.raises(ValueError):
             save_csv_matrix([["1", "x"]], path)
         assert not path.exists()
+
+
+def _neighbours(values):
+    """Each value with the doubles on either side of it."""
+    return [w for v in values for w in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
+
+
+# the values repr's rules and the block writer's decisions turn on: signed
+# zeros, subnormals, the extremes, NaN and the infinities, powers of two
+# (whose gap below is half the gap above) and of ten, the notation switches
+# at 1e-4 and 1e16 and the block writer's own range [1e-10, 1e16)
+EDGE_FLOATS = (
+    [0.0, math.nan, math.inf]
+    + _neighbours([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+    + _neighbours([2.0**k for k in range(-1074, 1024)])
+    + _neighbours([10.0**k for k in range(-323, 309)])
+    + _neighbours([1e-10, 1e-5, 1e-4, 1e16, 9999999999999998.0, 0.1, 0.3])
+)
+
+
+@st.composite
+def bit_pattern_matrices(draw):
+    """A matrix of 0-6 rows and 0-6 columns whose cells are raw float64 bit
+    patterns or edge values, either sign."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    cell = st.one_of(
+        st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+        st.builds(math.copysign, st.sampled_from(EDGE_FLOATS), st.sampled_from([1.0, -1.0])),
+    )
+    cells = draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells, dtype=np.float64).reshape(rows, cols)
+
+
+def csv_corpus(rng, size=200_000) -> np.ndarray:
+    """A million and more doubles of the kinds a data file holds, shuffled:
+    uniform in [0, 1), log-uniform over every binary exponent (subnormals
+    included), integers, short decimals and 8-bit pixel values over 255."""
+    sign = rng.choice([-1.0, 1.0], size)
+    kinds = [
+        rng.random(size),
+        sign * np.ldexp(rng.uniform(1.0, 2.0, size), rng.integers(-1074, 1024, size)),
+        rng.integers(-(2**53), 2**53, size).astype(np.float64),
+        rng.integers(-(10**6), 10**6, size) / 10.0 ** rng.integers(0, 7, size),
+        rng.integers(0, 256, size) / 255.0,
+        np.repeat([0.0, -0.0, 1.0, -1.0, 0.5], size // 5),
+    ]
+    return rng.permutation(np.concatenate(kinds))
+
+
+class TestCsvText:
+    """The block writer of ``gfred.csvtext`` against the whole-body ``repr``
+    writer, byte for byte."""
+
+    @staticmethod
+    def saved(matrix, path) -> bytes:
+        save_csv_matrix(matrix, path)
+        return path.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrix=bit_pattern_matrices(), block=st.sampled_from([1, 3, 2048]))
+    def test_bit_patterns_and_edges_match_repr(self, tmp_path_factory, matrix, block):
+        # small blocks make the blocks cross row ends and pad the last one
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        with mock.patch.object(csvtext, "_BLOCK", block):
+            assert self.saved(matrix, path) == csv_bytes(matrix)
+
+    def test_every_edge_value_matches_repr(self, tmp_path):
+        edges = np.array(EDGE_FLOATS + [-v for v in EDGE_FLOATS])
+        matrix = np.resize(edges, (edges.size // 97 + 1, 97))
+        assert self.saved(matrix, tmp_path / "m.csv") == csv_bytes(matrix)
+
+    def test_million_value_corpus_matches_repr(self, tmp_path):
+        corpus = csv_corpus(np.random.default_rng(2718))
+        assert corpus.size >= 10**6
+        # the transpose of a 997-row matrix: a Fortran-ordered view of 997
+        # columns, so blocks of 2048 floats start mid-row
+        matrix = corpus[: corpus.size // 997 * 997].reshape(997, -1).T
+        assert self.saved(matrix, tmp_path / "m.csv") == csv_bytes(matrix)
+
+    def test_every_float_through_repr(self, tmp_path, monkeypatch):
+        written = []
+
+        def counted_repr(value):
+            written.append(value)
+            return repr(value)
+
+        # an empty range: no float, and no zero here, takes the block path
+        monkeypatch.setattr(csvtext, "_FAST", (np.inf, np.inf))
+        monkeypatch.setattr(csvtext, "repr", counted_repr, raising=False)
+        rng = np.random.default_rng(29)
+        matrix = rng.normal(size=(40, 90)) * np.exp(rng.normal(size=(40, 90)) * 8)
+        matrix[0, :5] = [0.1, 1e-300, np.nan, -np.inf, 2.0**-1074]
+        assert self.saved(matrix, tmp_path / "m.csv") == csv_bytes(matrix)
+        assert len(written) == matrix.size
+
+    @pytest.mark.parametrize("name", list(csv_matrices()))
+    def test_without_extended_precision_rows_are_joined(self, tmp_path, monkeypatch, name):
+        monkeypatch.setattr(csvtext, "_EXTENDED", False)
+        monkeypatch.setattr(csvtext, "_write_blocks", None)  # never reached
+        matrix = csv_matrices()[name]
+        assert self.saved(matrix, tmp_path / "m.csv") == csv_bytes(matrix)
 
 
 def tagged_dataset(n_classes=3, per_class=8, dim=5):

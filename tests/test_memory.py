@@ -1,5 +1,5 @@
 """Memory that the fit's n x n stages, the codec, the residual costs and
-the CSV reader hold, counted with tracemalloc.
+the CSV reader and writer hold, counted with tracemalloc.
 
 numpy reports every array buffer it allocates to tracemalloc, so these
 counts repeat exactly from run to run. The scratch that LAPACK works in
@@ -136,6 +136,18 @@ def test_csv_load_holds_no_lines_beside_the_matrix(tmp_path):
     matrix, peak = traced_peak(harness.load_csv_matrix, path)
     assert np.array_equal(matrix, images)
     assert peak < 1.5 * matrix.nbytes
+
+
+def test_csv_write_holds_no_text_beside_the_matrix(tmp_path):
+    # a decode-shaped matrix: the writer formats a block of floats at a
+    # time, so neither the file's text (18 MB here) nor a row list of it is
+    # ever held. Its fixed buffers live in a memory map, which tracemalloc
+    # does not count; the block's temporaries are counted
+    matrix = np.random.default_rng(8).uniform(-0.2, 1.2, size=(784, 1200))
+    path = tmp_path / "decoded.csv"
+    _, peak = traced_peak(harness.save_csv_matrix, matrix, path)
+    assert path.stat().st_size > 2 * matrix.nbytes
+    assert peak < 0.2 * matrix.nbytes
 
 
 def test_eval_command_fits_its_baseline_without_the_model(tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 """Tables behind numbers that README.md and ROADMAP.md cite, regenerated
 from committed files.
 
-Usage: python tools/probes.py {trajectory,csv-load} [--smoke]
+Usage: python tools/probes.py {trajectory,csv-load,csv-save} [--smoke]
 
 ``trajectory`` prints, as a markdown table, the parent -> change medians
 of the gated end-to-end metrics (``end_to_end`` in ``BENCHMARK.json``) for
@@ -19,6 +19,18 @@ parsed 785 x N matrix, and the tracemalloc peak of a second load as such
 a multiple, under a line naming the commit, ``OPENBLAS_NUM_THREADS`` and
 the numpy version. The temporary directory and every file in it are
 removed. With ``--smoke`` it loads N = 300 once.
+
+``csv-save`` writes, with ``harness.save_csv_matrix`` in a fresh
+interpreter, three times each: a 784 x 1200 matrix shaped like ``gfred
+decode``'s output (a ``synth_digits`` pool of 10 x 120 images plus
+Gaussian noise of standard deviation 0.05), and the labelled 785 x 300
+``synth_digits`` pool. It checks that each file's bytes equal a per-row
+join of ``repr`` that the probe builds itself, and prints the median
+seconds, the median peak RSS (``VmHWM``) above the interpreter after
+``import gfred`` and the loaded matrix, in MB and as a multiple of the
+matrix, and the tracemalloc peak of a second write as such a multiple,
+under the same line as ``csv-load``. With ``--smoke`` it writes the pool
+once.
 """
 import argparse
 import json
@@ -64,6 +76,29 @@ print(json.dumps({"seconds": seconds, "above_import": above_import, "traced": tr
 """
 
 
+# run in a fresh interpreter: one write's wall time and its peak RSS above
+# the process after `import gfred` and the loaded matrix, then a second
+# write's tracemalloc peak
+SAVE_CHILD = """
+import json, sys, time, tracemalloc
+import numpy as np
+from gfred import harness
+def peak_rss():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+matrix = np.load(sys.argv[1])
+before = peak_rss()
+start = time.perf_counter()
+harness.save_csv_matrix(matrix, sys.argv[2])
+seconds = time.perf_counter() - start
+above = peak_rss() - before
+tracemalloc.start()
+harness.save_csv_matrix(matrix, sys.argv[2])
+traced = tracemalloc.get_traced_memory()[1]
+print(json.dumps({"seconds": seconds, "above": above, "traced": traced, "bytes": matrix.nbytes}))
+"""
+
+
 def bench_files() -> list:
     """Every ``BENCH_<n>.json`` at the repository root, in order of n."""
     paths = [p for p in ROOT.glob("BENCH_*.json") if re.fullmatch(r"BENCH_\d+\.json", p.name)]
@@ -99,10 +134,15 @@ def provenance() -> str:
     return f"commit {commit or 'unknown'}, OPENBLAS_NUM_THREADS={threads}, numpy {np.__version__}"
 
 
+def _child_env() -> dict:
+    """The environment of a probe's fresh interpreter: this checkout's sources first."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def csv_load(smoke: bool = False) -> str:
     widths, repeats = ((300,), 1) if smoke else ((300, 10_000), 3)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     lines = [
         f"`load_csv_matrix` on a 785 x N `synth_digits` pool, "
         f"{'one fresh process' if smoke else f'median of {repeats} fresh processes'} "
@@ -136,14 +176,57 @@ def csv_load(smoke: bool = False) -> str:
     return "\n".join(lines)
 
 
-PROBES = {"trajectory": trajectory, "csv-load": csv_load}
+def csv_save(smoke: bool = False) -> str:
+    images, labels = harness.synth_digits(10, 30, seed=1)
+    cases = {"785 x 300 pool": np.vstack([labels, images])}
+    if not smoke:
+        pool, _ = harness.synth_digits(10, 120, seed=1)
+        noise = np.random.default_rng(1).normal(0.0, 0.05, pool.shape)
+        cases = {"784 x 1200 decode": pool + noise, **cases}
+    repeats = 1 if smoke else 3
+    lines = [
+        f"`save_csv_matrix`, {'one fresh process' if smoke else f'median of {repeats} fresh processes'} "
+        f"({provenance()})",
+        "",
+        "| matrix | file MB | matrix MB | seconds | peak RSS above import and matrix, MB "
+        "| × matrix | traced peak × matrix |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    with tempfile.TemporaryDirectory() as work:
+        source, path = os.path.join(work, "matrix.npy"), os.path.join(work, "matrix.csv")
+        for name, matrix in cases.items():
+            np.save(source, matrix)
+            runs = [
+                json.loads(subprocess.run(
+                    [sys.executable, "-c", SAVE_CHILD, source, path], env=_child_env(),
+                    capture_output=True, text=True, check=True,
+                ).stdout)
+                for _ in range(repeats)
+            ]
+            with open(path, "rb") as fh:
+                written = fh.read()
+            expected = "".join(",".join(map(repr, row.tolist())) + "\n" for row in matrix)
+            if written != expected.encode("ascii"):
+                raise SystemExit(f"csv-save: the {name} file differs from the repr join")
+            seconds = statistics.median(run["seconds"] for run in runs)
+            above = statistics.median(run["above"] for run in runs)
+            lines.append(
+                f"| {name} | {len(written) / 1e6:.1f} | {matrix.nbytes / 1e6:.1f} | {seconds:.2f} | "
+                f"{above / 1e6:.1f} | {above / matrix.nbytes:.2f} | "
+                f"{runs[0]['traced'] / matrix.nbytes:.2f} |"
+            )
+    return "\n".join(lines)
+
+
+PROBES = {"trajectory": trajectory, "csv-load": csv_load, "csv-save": csv_save}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("probe", choices=sorted(PROBES))
     parser.add_argument("--smoke", action="store_true",
-                        help="csv-load: the smallest input, once; trajectory has nothing to shrink")
+                        help="csv-load, csv-save: the smallest input, once; "
+                             "trajectory has nothing to shrink")
     args = parser.parse_args(argv)
     print(PROBES[args.probe](smoke=args.smoke))
     return 0
