@@ -40,10 +40,9 @@ def _add_data_flags(parser: argparse.ArgumentParser, **format_kwargs):
     parser.add_argument("--format", choices=[f.value for f in harness.DataFormat], **format_kwargs)
 
 
-def _graph_input(args):
-    """The ``--data`` matrix, then the similarity that the key flags set."""
-    X = harness.load_matrix(args.data, args.format)
-    return X, harness.similarity_from_mapping(_set_keys(args, harness.SIMILARITY_KEYS))
+def _similarity(args):
+    """The similarity that the key flags set."""
+    return harness.similarity_from_mapping(_set_keys(args, harness.SIMILARITY_KEYS))
 
 
 def _model_and_data(args):
@@ -94,8 +93,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_graph(args) -> int:
-    X, similarity = _graph_input(args)
-    spectrum = build_graph(X, similarity)
+    # the data, loaded before the flags are parsed, is bound to no name here,
+    # so build_graph can free it once the similarity matrix is built
+    spectrum = build_graph(harness.load_matrix(args.data, args.format), _similarity(args))
     edges = int(np.count_nonzero(spectrum.adjacency)) // 2
     print(f"nodes: {spectrum.n}")
     print(f"edges: {edges}")
@@ -105,7 +105,8 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    X, similarity = _graph_input(args)
+    X = harness.load_matrix(args.data, args.format)
+    similarity = _similarity(args)
     ds = center(X)
     spectrum = build_graph(X, similarity)
     # the fit reads the centred data and the eigenpairs only: drop the raw

@@ -145,12 +145,19 @@ def reconstruction_mse(model: FilterModel, ds: CenteredDataset, spectrum: GraphS
 # (dim), eigenvalues (n), eigenvectors (n x n), the reconstruction taps as
 # the dim x (L+1)k bank [T_0 ... T_L] that FilterModel holds (column-major,
 # the bytes of a dim x k x (L+1) array with tap l at [:, :, l]), the
-# coefficient matrix (k x n), and the reduced data (k x n). The header
-# records dims, a CRC-32 of the payload, the reduced data's domain (always
-# "vertex"), and the three scalar counts of StorageBudget, which the loader
-# recomputes and verifies. Every payload value is finite.
+# coefficient matrix (k x n), and the reduced data (k x n). The header is
+# _header: dims, a CRC-32 of the payload, the reduced data's domain (always
+# "vertex") and the three scalar counts of StorageBudget. The loader
+# rebuilds it from the file's own dims and payload and compares.
 
-_COUNTS = ("stored_scalars", "raw_scalars", "pca_scalars")
+def _header(n: int, dim: int, k: int, order: int, checksum: int) -> dict:
+    """The header of a model file of these dims and payload checksum."""
+    budget = StorageBudget.from_dims(n, dim, k, order)
+    return {
+        "version": _VERSION, "n": n, "D": dim, "k": k, "L": order, "checksum": checksum,
+        "domain": _DOMAIN, "stored_scalars": budget.stored_scalars,
+        "raw_scalars": budget.raw_scalars, "pca_scalars": budget.pca_scalars,
+    }
 
 
 def _payload_shapes(n: int, dim: int, k: int, order: int):
@@ -181,17 +188,7 @@ def save_model(model: FilterModel, spectrum: GraphSpectrum, reduced: ReducedData
     checksum = 0
     for view in views:
         checksum = zlib.crc32(view, checksum)
-    budget = StorageBudget.from_dims(spectrum.n, model.dim, model.k, model.order)
-    header = {
-        "version": _VERSION,
-        "n": spectrum.n,
-        "D": model.dim,
-        "k": model.k,
-        "L": model.order,
-        "checksum": checksum,
-        "domain": _DOMAIN,
-        **{name: getattr(budget, name) for name in _COUNTS},
-    }
+    header = _header(spectrum.n, model.dim, model.k, model.order, checksum)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -209,8 +206,10 @@ class ModelFile:
 
 
 def load_model(path) -> ModelFile:
-    """Read a model file back, verifying structure, checksum, and budget,
-    and that every payload value is finite.
+    """Read a model file back, verifying its structure, that its header is
+    the one :func:`_header` rebuilds from the file's own n, D, k, L and
+    payload checksum (type for type; other keys are ignored), and that
+    every payload value is finite.
 
     Arrays come back as read-only views of one aligned payload buffer, and
     the spectrum's adjacency is ``None``: nothing is derived on load."""
@@ -234,31 +233,23 @@ def load_model(path) -> ModelFile:
     version = header.get("version")
     if type(version) is not int or version != _VERSION:
         raise VersionMismatch(f"{path}: unsupported version {version!r}")
-    try:
-        n, dim, k, order = header["n"], header["D"], header["k"], header["L"]
-        checksum = header["checksum"]
-        domain = header["domain"]
-        counts = {name: header[name] for name in _COUNTS}
-    except KeyError as exc:
-        raise CorruptFile(f"{path}: incomplete header: {exc}") from exc
-    if domain != _DOMAIN:
-        raise CorruptFile(f"{path}: reduced data domain {domain!r} is not {_DOMAIN!r}")
-    fields = {"n": n, "D": dim, "k": k, "L": order, "checksum": checksum}
+    dims = {key: header.get(key) for key in ("n", "D", "k", "L")}
+    n, dim, k, order = dims.values()
     # type() rather than isinstance(): JSON true/false load as bool, an int subclass
-    if any(type(v) is not int for v in fields.values()) or min(n, dim, k) < 1 or order < 0:
-        raise CorruptFile(
-            f"{path}: header needs integer n, D, k >= 1, L >= 0 and checksum, got {fields}"
-        )
-    budget = StorageBudget.from_dims(n, dim, k, order)
-    for name, count in counts.items():
-        if count != getattr(budget, name):
-            raise CorruptFile(f"{path}: {name} {count} != recomputed {getattr(budget, name)}")
+    if any(type(v) is not int for v in dims.values()) or min(n, dim, k) < 1 or order < 0:
+        raise CorruptFile(f"{path}: header needs integer n, D, k >= 1 and L >= 0, got {dims}")
     shapes = _payload_shapes(n, dim, k, order)
     sizes = [math.prod(shape) for shape in shapes]
     if payload.size != 8 * sum(sizes):
         raise CorruptFile(f"{path}: payload is {payload.size} bytes, expected {8 * sum(sizes)}")
-    if zlib.crc32(payload) != checksum:
-        raise CorruptFile(f"{path}: checksum mismatch")
+    for key, want in _header(n, dim, k, order, zlib.crc32(payload)).items():
+        if key not in header:
+            raise CorruptFile(f"{path}: incomplete header: {key!r}")
+        got = header[key]
+        if type(got) is not type(want) or got != want:
+            raise CorruptFile(
+                f"{path}: header {key} is {got!r}, its dims and payload give {want!r}"
+            )
 
     payload.flags.writeable = False
     values = payload.view("<f8")

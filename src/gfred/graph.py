@@ -317,9 +317,14 @@ def build_graph(X, cfg: SimilarityConfig) -> GraphSpectrum:
     eigendecomposition, so the largest eigenvalue magnitude is exactly 1;
     the eigenvectors do not change. A graph with no edges has radius 0
     and is divided by 1, which leaves it as it is. The returned spectrum
-    holds the scaled adjacency.
+    holds the scaled adjacency. The data is dropped once the similarity
+    matrix is built, so a caller that holds no other reference to it
+    (``gfred graph``) does not keep it through the n x n stages.
     """
-    adjacency = knn_sparsify(similarity_dense(X, cfg), cfg)
+    sim = similarity_dense(X, cfg)
+    del X
+    adjacency = knn_sparsify(sim, cfg)
+    del sim
     spectrum = eigendecompose(adjacency)
     radius = max(abs(float(spectrum.eigvals[0])), abs(float(spectrum.eigvals[-1]))) or 1.0
     adjacency /= radius

@@ -104,11 +104,11 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepAggregate:
+    """Means of one (k, L) cell over the trials that fitted it."""
+
     k: int
     L: int
-    trials: int
     mean_final_mse: float
-    std_final_mse: float  # population standard deviation over trials
     mean_pca_mse: float
 
 
@@ -123,10 +123,23 @@ class SweepFailure:
 @dataclass(frozen=True)
 class SweepReport:
     rows: tuple[SweepRow, ...]        # sorted by (trial, k, L)
+    failures: tuple[SweepFailure, ...]
+
     # its one reader is the benchmark's sweep check; it goes once that
     # check computes its means from the rows (ROADMAP items 1a and 15)
-    aggregates: tuple[SweepAggregate, ...]
-    failures: tuple[SweepFailure, ...]
+    @property
+    def aggregates(self) -> tuple[SweepAggregate, ...]:
+        """Per-(k, L) means of the rows, in (k, L) order, each summed in row order."""
+        cells: dict[tuple[int, int], list[SweepRow]] = {}
+        for row in self.rows:
+            cells.setdefault((row.k, row.L), []).append(row)
+        return tuple(
+            SweepAggregate(
+                k, L, sum(r.final_mse for r in group) / len(group),
+                sum(r.pca_mse for r in group) / len(group),
+            )
+            for (k, L), group in sorted(cells.items())
+        )
 
 
 # --- loading ----------------------------------------------------------------
@@ -159,23 +172,20 @@ def load_idx_images(path) -> np.ndarray:
     return (pixels.astype(np.float64) / 255.0).reshape(count, rows * cols).T
 
 
-def load_idx(images_path, labels_path=None):
+def load_idx(images_path):
     """Load a paired IDX image/label file set.
 
-    ``labels_path`` defaults to the images path with ``images`` replaced by
-    ``labels`` and ``idx3`` by ``idx1`` in the file name. Pixels are scaled
-    to [0, 1]; images come back as a (rows*cols) x N float matrix with one
-    flattened image per column, labels as N integers.
+    The labels file is the images file with ``images`` replaced by
+    ``labels`` and ``idx3`` by ``idx1`` in its name; a name without either
+    raises ConfigError. Pixels are scaled to [0, 1]; images come back as a
+    (rows*cols) x N float matrix with one flattened image per column,
+    labels as N integers.
     """
-    images_path = os.fspath(images_path)
-    if labels_path is None:
-        head, tail = os.path.split(images_path)
-        derived = tail.replace("images", "labels").replace("idx3", "idx1")
-        if derived == tail:
-            raise ConfigError(
-                f"cannot derive a labels file name from {tail!r}; pass labels_path"
-            )
-        labels_path = os.path.join(head, derived)
+    head, tail = os.path.split(os.fspath(images_path))
+    derived = tail.replace("images", "labels").replace("idx3", "idx1")
+    if derived == tail:
+        raise ConfigError(f"cannot derive a labels file name from {tail!r}")
+    labels_path = os.path.join(head, derived)
     images = load_idx_images(images_path)
     labels = _read_idx(labels_path, 1, "labels")
     if labels.size != images.shape[1]:
@@ -410,20 +420,7 @@ def run_sweep(cfg: ExperimentConfig, *, timer=None, force_serial: bool = False) 
                     previous = result.model
                 except Exception as exc:  # a failed cell must not sink the sweep
                     failures.append(SweepFailure(trial, k, L, f"{type(exc).__name__}: {exc}"))
-    aggregates = []
-    for (k, L) in sorted({(r.k, r.L) for r in rows}):
-        finals = [r.final_mse for r in rows if r.k == k and r.L == L]
-        baselines = [r.pca_mse for r in rows if r.k == k and r.L == L]
-        mean = sum(finals) / len(finals)
-        var = sum((v - mean) ** 2 for v in finals) / len(finals)
-        aggregates.append(
-            SweepAggregate(
-                k=k, L=L, trials=len(finals),
-                mean_final_mse=mean, std_final_mse=math.sqrt(var),
-                mean_pca_mse=sum(baselines) / len(baselines),
-            )
-        )
-    return SweepReport(rows=tuple(rows), aggregates=tuple(aggregates), failures=tuple(failures))
+    return SweepReport(rows=tuple(rows), failures=tuple(failures))
 
 
 # --- report emitter ---------------------------------------------------------

@@ -639,3 +639,62 @@ class TestCorruption:
             out.write_bytes(blob[:4] + struct.pack("<I", len(hb)) + hb + blob[8 + hlen :])
         with pytest.raises(CorruptFile):
             load_model(out)
+
+
+# every key save_model writes, each checked against the header load_model
+# rebuilds from the file's own n, D, k, L and payload checksum
+HEADER_KEYS = (
+    "D", "L", "checksum", "domain", "k", "n", "pca_scalars", "raw_scalars", "stored_scalars",
+    "version",
+)
+WRONG_TYPES = {"true": True, "string": "x", "float": 1.5, "null": None}
+
+
+def header_corruptions():
+    """(key, new value or None to remove the key) for every header key:
+    each wrong JSON type, and for an integer key one higher and the equal float."""
+    header, _ = read_v1(V1_FILE.read_bytes())
+    cases = []
+    for key in HEADER_KEYS:
+        cases.append(pytest.param(key, None, id=f"{key}-removed"))
+        cases.extend(
+            pytest.param(key, (value,), id=f"{key}-{name}") for name, value in WRONG_TYPES.items()
+        )
+        if type(header[key]) is int:
+            cases.append(pytest.param(key, (header[key] + 1,), id=f"{key}-plus-one"))
+            cases.append(pytest.param(key, (float(header[key]),), id=f"{key}-equal-float"))
+    return cases
+
+
+class TestHeaderDefinition:
+
+    def write(self, out, header):
+        blob = V1_FILE.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[4:8])
+        hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        out.write_bytes(blob[:4] + struct.pack("<I", len(hb)) + hb + blob[8 + hlen :])
+
+    def test_saved_header_has_the_listed_keys(self, tmp_path):
+        _, _, _, path = saved_fixture(tmp_path)
+        header, _ = read_v1(path.read_bytes())
+        assert tuple(sorted(header)) == HEADER_KEYS
+
+    @pytest.mark.parametrize("key, change", header_corruptions())
+    def test_every_key_is_checked(self, tmp_path, key, change):
+        header, _ = read_v1(V1_FILE.read_bytes())
+        if change is None:
+            del header[key]
+        else:
+            (header[key],) = change
+        out = tmp_path / "changed.gfm"
+        self.write(out, header)
+        with pytest.raises(VersionMismatch if key == "version" else CorruptFile):
+            load_model(out)
+
+    def test_unknown_extra_key_is_ignored(self, tmp_path):
+        header, expected = read_v1(V1_FILE.read_bytes())
+        out = tmp_path / "extra.gfm"
+        self.write(out, {**header, "comment": "written by another tool"})
+        loaded = load_model(out)
+        for name, array in loaded_arrays(loaded).items():
+            assert np.array_equal(array, expected[name]), name

@@ -6,13 +6,14 @@ counts repeat exactly from run to run. The scratch that LAPACK works in
 during a solve is allocated outside numpy's allocator and is not counted.
 Bounds are stated in arrays: ``SQUARE`` is one n x n array of float64.
 """
+import sys
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from gfred import cli, codec, harness
+from gfred import cli, codec, graph, harness
 from gfred.errors import ConvergenceFailure
 from gfred.graph import Kernel, SimilarityConfig, build_graph, connected_components
 from gfred.optimizer import fit, init_filters
@@ -197,3 +198,28 @@ def test_fit_command_trains_without_the_adjacency_or_the_raw_matrix(tmp_path, mo
             "--max-iters", "5", "--model-out", str(tmp_path / "m.gfm")]
     assert cli.main(argv) == 0
     assert seen == {"adjacency": None, "raw matrix alive": False}
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before Python 3.11 a caller's stack holds its call arguments until the call returns",
+)
+def test_graph_command_sparsifies_without_the_raw_matrix(tmp_path, monkeypatch):
+    data = tmp_path / "data.csv"
+    harness.save_csv_matrix(np.random.default_rng(5).uniform(0.1, 1.0, size=(6, 40)), data)
+    loaded, seen = [], {}
+    load_matrix, sparsify = harness.load_matrix, graph.knn_sparsify
+
+    def load_and_watch(*args, **kwargs):
+        matrix = load_matrix(*args, **kwargs)
+        loaded.append(weakref.ref(matrix))
+        return matrix
+
+    def sparsify_and_look(sim, cfg):
+        seen["raw matrix alive"] = loaded[0]() is not None
+        return sparsify(sim, cfg)
+
+    monkeypatch.setattr(harness, "load_matrix", load_and_watch)
+    monkeypatch.setattr(graph, "knn_sparsify", sparsify_and_look)
+    assert cli.main(["graph", "--data", str(data), "--format", "csv"]) == 0
+    assert seen == {"raw matrix alive": False}

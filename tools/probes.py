@@ -1,7 +1,7 @@
 """Tables behind numbers that README.md and ROADMAP.md cite, regenerated
 from committed files.
 
-Usage: python tools/probes.py {trajectory,csv-load,csv-save} [--smoke]
+Usage: python tools/probes.py {trajectory,csv-load,csv-save,cli-peaks} [--smoke]
 
 ``trajectory`` prints, as a markdown table, the parent -> change medians
 of the gated end-to-end metrics (``end_to_end`` in ``BENCHMARK.json``) for
@@ -31,12 +31,27 @@ seconds, the median peak RSS (``VmHWM``) above the interpreter after
 matrix, and the tracemalloc peak of a second write as such a multiple,
 under the same line as ``csv-load``. With ``--smoke`` it writes the pool
 once.
+
+``cli-peaks`` writes a ``synth_digits`` pool of the bench's fit-large
+shape (10 x 120 images at 28 x 28, seed 1, so n = 1200 and D = 784) as
+uint8 IDX files in a temporary directory and fits a model on it in
+process (k = 20, L = 2, 20 iterations). It then runs ``gfred graph``,
+``encode``, ``decode`` and ``eval`` on that pool and model, each three
+times in a fresh interpreter, and prints each command's median peak RSS
+(``VmHWM``) above the interpreter after ``import gfred.cli``, in MB and
+in n x n float64 arrays, under the same line as ``csv-load``. The
+temporary directory and every file in it are removed. With ``--smoke``
+the pool is 4 x 10 images at 12 x 12 (k = 3, L = 1, 5 iterations) and
+each command runs once.
 """
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import statistics
+import struct
 import subprocess
 import sys
 import tempfile
@@ -47,7 +62,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from gfred import harness
+from gfred import cli, harness
 
 # run in a fresh interpreter: the load's wall time and its peak RSS above
 # the process after `import gfred`, then a second load's tracemalloc peak.
@@ -96,6 +111,21 @@ tracemalloc.start()
 harness.save_csv_matrix(matrix, sys.argv[2])
 traced = tracemalloc.get_traced_memory()[1]
 print(json.dumps({"seconds": seconds, "above": above, "traced": traced, "bytes": matrix.nbytes}))
+"""
+
+
+# run in a fresh interpreter: one command's peak RSS above the process
+# after `import gfred.cli`, with what the command prints kept off stdout
+CLI_CHILD = """
+import contextlib, io, json, sys
+from gfred import cli
+def peak_rss():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+before = peak_rss()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "above_import": peak_rss() - before}))
 """
 
 
@@ -218,14 +248,72 @@ def csv_save(smoke: bool = False) -> str:
     return "\n".join(lines)
 
 
-PROBES = {"trajectory": trajectory, "csv-load": csv_load, "csv-save": csv_save}
+def _write_idx(images: np.ndarray, labels: np.ndarray, images_path: str):
+    """Images in [0, 1], one per column, as uint8 IDX files; the labels file
+    is named as :func:`gfred.harness.load_idx` derives it."""
+    side = int(round(images.shape[0] ** 0.5))
+    pixels = np.round(images.T * 255.0).astype(np.uint8)
+    with open(images_path, "wb") as fh:
+        fh.write(struct.pack(">IIII", 0x803, images.shape[1], side, side) + pixels.tobytes())
+    with open(images_path.replace("images", "labels"), "wb") as fh:
+        fh.write(struct.pack(">II", 0x801, labels.size) + labels.astype(np.uint8).tobytes())
+
+
+def cli_peaks(smoke: bool = False) -> str:
+    (classes, per_class, size), (k, order, iters) = (
+        ((4, 10, 12), (3, 1, 5)) if smoke else ((10, 120, 28), (20, 2, 20))
+    )
+    repeats = 1 if smoke else 3
+    n = classes * per_class
+    lines = [
+        f"`gfred` commands on an IDX `synth_digits` pool of {classes} x {per_class} images at "
+        f"{size} x {size} (n = {n}), "
+        f"{'one fresh process' if smoke else f'median of {repeats} fresh processes'} "
+        f"({provenance()})",
+        "",
+        "| command | peak RSS above `import gfred.cli`, MB | × n x n array |",
+        "|---|---|---|",
+    ]
+    with tempfile.TemporaryDirectory() as work:
+        pool, model = os.path.join(work, "pool-images-idx3-ubyte"), os.path.join(work, "m.gfm")
+        _write_idx(*harness.synth_digits(classes, per_class, seed=1, size=size), pool)
+        fit = ["fit", "--data", pool, "--format", "idx", "--k", str(k), "--l", str(order),
+               "--max-iters", str(iters), "--model-out", model]
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(fit) != 0:
+                raise SystemExit("cli-peaks: the fit failed")
+        commands = {
+            "graph": ["graph", "--data", pool, "--format", "idx"],
+            "encode": ["encode", "--model", model, "--data", pool, "--format", "idx",
+                       "--out", os.path.join(work, "reduced.csv")],
+            "decode": ["decode", "--model", model, "--out", os.path.join(work, "recon.csv")],
+            "eval": ["eval", "--model", model, "--data", pool, "--format", "idx"],
+        }
+        for name, argv in commands.items():
+            runs = [
+                json.loads(subprocess.run(
+                    [sys.executable, "-c", CLI_CHILD, *argv], env=_child_env(),
+                    capture_output=True, text=True, check=True,
+                ).stdout)
+                for _ in range(repeats)
+            ]
+            if any(run["code"] != 0 for run in runs):
+                raise SystemExit(f"cli-peaks: gfred {name} exited {runs[0]['code']}")
+            above = statistics.median(run["above_import"] for run in runs)
+            lines.append(f"| {name} | {above / 1e6:.1f} | {above / (8 * n * n):.2f} |")
+    return "\n".join(lines)
+
+
+PROBES = {
+    "trajectory": trajectory, "csv-load": csv_load, "csv-save": csv_save, "cli-peaks": cli_peaks,
+}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("probe", choices=sorted(PROBES))
     parser.add_argument("--smoke", action="store_true",
-                        help="csv-load, csv-save: the smallest input, once; "
+                        help="csv-load, csv-save, cli-peaks: the smallest input, once; "
                              "trajectory has nothing to shrink")
     args = parser.parse_args(argv)
     print(PROBES[args.probe](smoke=args.smoke))
