@@ -76,7 +76,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--model", required=True)
     p_dec.add_argument("--out", required=True)
 
-    p_eval = sub.add_parser("eval", help="report reconstruction MSE of a model on a dataset")
+    p_eval = sub.add_parser(
+        "eval",
+        help="report reconstruction MSE of a model on a dataset",
+        description=(
+            "Print the model's reconstruction MSE on the data and the PCA baseline's: the "
+            "data, centred on their own mean, projected on the training PCA basis the model "
+            "file stores (pca_basis: training; out of sample on data other than the training "
+            "set). A version-1 model file stores no basis, and its baseline is fitted on the "
+            "data themselves (pca_basis: in-sample)."
+        ),
+    )
     p_eval.add_argument("--model", required=True)
     _add_data_flags(p_eval, required=True)
 
@@ -146,13 +156,20 @@ def _cmd_decode(args) -> int:
 
 def _cmd_eval(args) -> int:
     bundle, ds = _model_and_data(args)
-    k = bundle.model.k
     mse = codec.reconstruction_mse(bundle.model, ds, bundle.spectrum)
-    # the baseline reads k only: drop the model's payload before its eigensolve
+    # the baseline reads k and the kD training basis only: copy the basis
+    # out of the payload buffer, then drop the model before the baseline runs
+    k, basis = bundle.model.k, bundle.model.pca_basis
+    basis = None if basis is None else basis.copy(order="K")
     del bundle
-    baseline = pca_mse(ds, pca_fit(ds, k))
+    if basis is None:
+        # a version-1 file stores no basis: fit one on the eval data itself
+        baseline, source = pca_mse(ds, pca_fit(ds, k)), "in-sample"
+    else:
+        baseline, source = pca_mse(ds, basis), "training"
     print(f"reconstruction_mse: {float(mse)!r}")
     print(f"pca_mse: {float(baseline)!r}")
+    print(f"pca_basis: {source}")
     return 0
 
 

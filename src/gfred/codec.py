@@ -50,7 +50,7 @@ from .spectral import (
 )
 
 _MAGIC = b"GFM1"
-_VERSION = 1
+_VERSIONS = (1, 2)  # 2 stores the training PCA basis, 1 does not
 _DOMAIN = "vertex"  # the only reduced-data domain; still written for older readers
 
 
@@ -145,23 +145,28 @@ def reconstruction_mse(model: FilterModel, ds: CenteredDataset, spectrum: GraphS
 # (dim), eigenvalues (n), eigenvectors (n x n), the reconstruction taps as
 # the dim x (L+1)k bank [T_0 ... T_L] that FilterModel holds (column-major,
 # the bytes of a dim x k x (L+1) array with tap l at [:, :, l]), the
-# coefficient matrix (k x n), and the reduced data (k x n). The header is
-# _header: dims, a CRC-32 of the payload, the reduced data's domain (always
-# "vertex") and the three scalar counts of StorageBudget. The loader
-# rebuilds it from the file's own dims and payload and compares.
+# coefficient matrix (k x n), and the reduced data (k x n). Version 2 adds
+# a seventh array, the training PCA basis (dim x k), inside the same
+# checksum; a model with no basis is written, and read, as version 1. The
+# header is _header: the version, dims, a CRC-32 of the payload, the
+# reduced data's domain (always "vertex") and the three scalar counts of
+# StorageBudget, which count the codec's scalars and not the baseline's
+# basis. The loader rebuilds it from the file's own version, dims and
+# payload and compares.
 
-def _header(n: int, dim: int, k: int, order: int, checksum: int) -> dict:
-    """The header of a model file of these dims and payload checksum."""
+def _header(version: int, n: int, dim: int, k: int, order: int, checksum: int) -> dict:
+    """The header of a model file of this version, dims and payload checksum."""
     budget = StorageBudget.from_dims(n, dim, k, order)
     return {
-        "version": _VERSION, "n": n, "D": dim, "k": k, "L": order, "checksum": checksum,
+        "version": version, "n": n, "D": dim, "k": k, "L": order, "checksum": checksum,
         "domain": _DOMAIN, "stored_scalars": budget.stored_scalars,
         "raw_scalars": budget.raw_scalars, "pca_scalars": budget.pca_scalars,
     }
 
 
-def _payload_shapes(n: int, dim: int, k: int, order: int):
-    return [(dim,), (n,), (n, n), (dim, (order + 1) * k), (k, n), (k, n)]
+def _payload_shapes(version: int, n: int, dim: int, k: int, order: int):
+    shapes = [(dim,), (n,), (n, n), (dim, (order + 1) * k), (k, n), (k, n)]
+    return shapes + [(dim, k)] if version == 2 else shapes
 
 
 def save_model(model: FilterModel, spectrum: GraphSpectrum, reduced: ReducedData, path):
@@ -172,14 +177,18 @@ def save_model(model: FilterModel, spectrum: GraphSpectrum, reduced: ReducedData
     payload written from, column-major views of the arrays: no n x n
     temporary is made for the column-major eigenvectors of
     :func:`~gfred.graph.eigendecompose` or of a loaded model, and no
-    joined copy of the payload for any array.
+    joined copy of the payload for any array. A model with a
+    ``pca_basis`` is written as version 2, one without as version 1.
     """
     check_spectrum(model, spectrum)
     arrays = [
         model.mean, spectrum.eigvals, spectrum.eigvecs, model.recon_taps, model.coeffs,
         reduced.values,
     ]
-    shapes = _payload_shapes(spectrum.n, model.dim, model.k, model.order)
+    version = 1 if model.pca_basis is None else 2
+    if version == 2:
+        arrays.append(model.pca_basis)
+    shapes = _payload_shapes(version, spectrum.n, model.dim, model.k, model.order)
     if [a.shape for a in arrays] != shapes:
         raise DimensionMismatch(f"arrays of shapes {[a.shape for a in arrays]}, expected {shapes}")
     # the transpose of a column-major array is row-major: its buffer holds
@@ -188,7 +197,7 @@ def save_model(model: FilterModel, spectrum: GraphSpectrum, reduced: ReducedData
     checksum = 0
     for view in views:
         checksum = zlib.crc32(view, checksum)
-    header = _header(spectrum.n, model.dim, model.k, model.order, checksum)
+    header = _header(version, spectrum.n, model.dim, model.k, model.order, checksum)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -207,12 +216,14 @@ class ModelFile:
 
 def load_model(path) -> ModelFile:
     """Read a model file back, verifying its structure, that its header is
-    the one :func:`_header` rebuilds from the file's own n, D, k, L and
-    payload checksum (type for type; other keys are ignored), and that
-    every payload value is finite.
+    the one :func:`_header` rebuilds from the file's own version, n, D, k,
+    L and payload checksum (type for type; other keys are ignored), and
+    that every payload value is finite.
 
-    Arrays come back as read-only views of one aligned payload buffer, and
-    the spectrum's adjacency is ``None``: nothing is derived on load."""
+    Arrays come back as read-only views of one aligned payload buffer, the
+    training PCA basis among them (``pca_basis`` is ``None`` for a
+    version-1 file), and the spectrum's adjacency is ``None``: nothing is
+    derived on load."""
     with open(path, "rb") as fh:
         prefix = fh.read(8)
         if len(prefix) < 8 or prefix[:4] != _MAGIC:
@@ -231,18 +242,18 @@ def load_model(path) -> ModelFile:
         raise CorruptFile(f"{path}: header is not a JSON object")
     # type() rather than ==: JSON true loads as bool, and True == 1
     version = header.get("version")
-    if type(version) is not int or version != _VERSION:
+    if type(version) is not int or version not in _VERSIONS:
         raise VersionMismatch(f"{path}: unsupported version {version!r}")
     dims = {key: header.get(key) for key in ("n", "D", "k", "L")}
     n, dim, k, order = dims.values()
     # type() rather than isinstance(): JSON true/false load as bool, an int subclass
     if any(type(v) is not int for v in dims.values()) or min(n, dim, k) < 1 or order < 0:
         raise CorruptFile(f"{path}: header needs integer n, D, k >= 1 and L >= 0, got {dims}")
-    shapes = _payload_shapes(n, dim, k, order)
+    shapes = _payload_shapes(version, n, dim, k, order)
     sizes = [math.prod(shape) for shape in shapes]
     if payload.size != 8 * sum(sizes):
         raise CorruptFile(f"{path}: payload is {payload.size} bytes, expected {8 * sum(sizes)}")
-    for key, want in _header(n, dim, k, order, zlib.crc32(payload)).items():
+    for key, want in _header(version, n, dim, k, order, zlib.crc32(payload)).items():
         if key not in header:
             raise CorruptFile(f"{path}: incomplete header: {key!r}")
         got = header[key]
@@ -256,7 +267,7 @@ def load_model(path) -> ModelFile:
     if not np.isfinite(values).all():
         raise CorruptFile(f"{path}: payload holds a value that is not finite")
     flat = np.split(values, np.cumsum(sizes)[:-1])
-    mean, eigvals, eigvecs, taps, coeffs, reduced_values = (
+    mean, eigvals, eigvecs, taps, coeffs, reduced_values, *basis = (
         part.reshape(shape, order="F") for part, shape in zip(flat, shapes)
     )
     spectrum = GraphSpectrum(eigvals=eigvals, eigvecs=eigvecs)
@@ -267,5 +278,6 @@ def load_model(path) -> ModelFile:
         coeffs=coeffs,
         mean=mean,
         spectrum_fingerprint=spectrum.fingerprint(),
+        pca_basis=basis[0] if basis else None,
     )
     return ModelFile(model=model, spectrum=spectrum, reduced=ReducedData(values=reduced_values))

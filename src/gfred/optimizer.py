@@ -114,7 +114,12 @@ _SPAN_TOL = 1e-12  # start taps this close to the data's span, relatively, lie i
 
 @dataclass(frozen=True)
 class FilterModel:
-    """Trained reducing/reconstruction filter pair."""
+    """Trained reducing/reconstruction filter pair.
+
+    ``pca_basis`` is the D x k training PCA basis the fit started from,
+    the baseline ``gfred eval`` scores against; it is ``None`` for a model
+    read from a version-1 file and for one trained from such a model.
+    """
 
     order: int
     k: int
@@ -122,6 +127,7 @@ class FilterModel:
     coeffs: np.ndarray      # (k, n)
     mean: np.ndarray        # (dim,)
     spectrum_fingerprint: str
+    pca_basis: np.ndarray | None = None  # (dim, k)
 
     @property
     def dim(self) -> int:
@@ -278,7 +284,9 @@ def fit(
     also be a :class:`~gfred.pca.PcaModel` of ``ds`` with the same ``k``,
     the cold seed :func:`init_filters` starts from, so a caller that also
     wants the PCA baseline computes the PCA once. With ``start=None``
-    the fit computes ``pca_fit(ds, k)`` itself. A start of another ``k``
+    the fit computes ``pca_fit(ds, k)`` itself. The returned model keeps
+    the PCA basis it started from as ``pca_basis``: the PCA start's, or
+    the start model's own (``None`` if it has none). A start of another ``k``
     or dimension raises DimensionMismatch. ``max_iters=0`` returns the
     starting point untouched. Invalid stopping settings raise ConfigError
     (:func:`check_stopping`) before any work is done.
@@ -301,10 +309,12 @@ def fit(
         raise DimensionMismatch(f"start model has k={start.k}, expected k={k}")
     if isinstance(start, PcaModel):
         taps, coeffs = init_filters(start, cache)
+        pca_basis = start.basis
     else:
         # a start of another size raises DimensionMismatch here, before the graph check
         taps, coeffs = extend_order(start, cache)
         check_spectrum(start, spectrum)
+        pca_basis = start.pca_basis
     if not (np.isfinite(taps).all() and np.isfinite(coeffs).all()):
         # data near 1e-155 has a kernel of subnormal numbers, and the
         # seed's ridge solve against it gives NaN
@@ -389,6 +399,7 @@ def fit(
         coeffs=coeffs,
         mean=ds.mean.copy(),
         spectrum_fingerprint=spectrum.fingerprint(),
+        pca_basis=pca_basis,
     )
     return FitResult(
         model=model,

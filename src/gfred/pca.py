@@ -58,12 +58,15 @@ def pca_fit(ds: CenteredDataset, k: int) -> PcaModel:
     return PcaModel(k=k, basis=basis, mean=ds.mean.copy(), eigvals=eigvals)
 
 
-def pca_mse(ds: CenteredDataset, model: PcaModel) -> float:
-    """Mean squared residual of projecting onto the model's basis, taken by
+def pca_mse(ds: CenteredDataset, basis: PcaModel | np.ndarray) -> float:
+    """Mean squared residual of projecting the centred data onto a dim x k
+    orthonormal basis, taken by
     :meth:`~gfred.spectral.CenteredDataset.mse` in the projection's own
-    dim x n buffer."""
-    if model.basis.shape[0] != ds.dim:
-        raise DimensionMismatch(
-            f"model dim {model.basis.shape[0]} does not match data dim {ds.dim}"
-        )
-    return ds.mse(model.basis @ (model.basis.T @ ds.centered))
+    dim x n buffer. ``basis`` is a fitted :class:`PcaModel` (its
+    ``basis``) or a stored basis, such as a model file's training basis;
+    on data the basis was not fitted to, the error is out of sample."""
+    if isinstance(basis, PcaModel):
+        basis = basis.basis
+    if basis.shape[0] != ds.dim:
+        raise DimensionMismatch(f"model dim {basis.shape[0]} does not match data dim {ds.dim}")
+    return ds.mse(basis @ (basis.T @ ds.centered))

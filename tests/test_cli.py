@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, outputs, and exit codes."""
 
+import dataclasses
 import struct
 import subprocess
 import sys
@@ -14,7 +15,9 @@ from gfred.codec import ReducedData, load_model, save_model
 from gfred.graph import GraphSpectrum
 from gfred.harness import load_csv_matrix, save_csv_matrix, synth_digits
 from gfred.optimizer import FilterModel
+from gfred.spectral import center
 
+from test_codec import V1_FILE
 from test_harness import write_labeled_csv
 
 
@@ -68,6 +71,13 @@ def write_small_model(path, eigvals, tap=0.5):
     )
     save_model(model, spectrum, ReducedData(values=np.ones((1, 5))), path)
     return path
+
+
+def resave_as_version_1(path):
+    """Write the model file at ``path`` again without its training basis."""
+    bundle = load_model(path)
+    model = dataclasses.replace(bundle.model, pca_basis=None)
+    save_model(model, bundle.spectrum, bundle.reduced, path)
 
 
 def run_gfred(argv):
@@ -239,6 +249,50 @@ class TestModelPipeline:
             assert float(pairs["pca_mse"]) == pytest.approx(
                 float(fit_pairs["pca_mse"]), rel=1e-12
             )
+
+    def test_eval_scores_new_data_against_the_training_basis(self, tmp_path, capsys):
+        # on data other than the training set the baseline is out of sample:
+        # those data, centred on their own mean, projected on the PCA basis
+        # of the training data
+        rng = np.random.default_rng(16)
+        for data_set, k in (("wide", 2), ("tall", 3)):
+            data, model, _ = self.run_fit(tmp_path, capsys, data_set)
+            train = load_csv_matrix(data)
+            other = train + rng.normal(0.0, 0.05, size=train.shape)
+            other_csv = tmp_path / f"other-{data_set}.csv"
+            save_csv_matrix(other, other_csv)
+            assert main(
+                ["eval", "--model", str(model), "--data", str(other_csv), "--format", "csv"]
+            ) == 0
+            pairs = parse_kv(capsys.readouterr().out)
+            assert pairs["pca_basis"] == "training"
+            basis = pca.pca_fit(center(train), k).basis
+            centred = other - other.mean(axis=1, keepdims=True)
+            resid = centred - basis @ (basis.T @ centred)
+            want = float(np.sum(resid * resid)) / other.shape[1]
+            assert float(pairs["pca_mse"]) == pytest.approx(want, rel=1e-12, abs=0.0), data_set
+
+    def test_eval_of_a_stored_basis_solves_nothing(self, tmp_path, capsys, monkeypatch):
+        data, model, fit_pairs = self.run_fit(tmp_path, capsys, "wide")
+
+        def failing(*args, **kwargs):
+            raise AssertionError("eval ran an eigensolver")
+
+        for solver in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, solver, failing)
+        assert main(["eval", "--model", str(model), "--data", str(data), "--format", "csv"]) == 0
+        pairs = parse_kv(capsys.readouterr().out)
+        assert pairs["pca_mse"] == fit_pairs["pca_mse"]
+        assert pairs["pca_basis"] == "training"
+
+    def test_eval_of_a_version_1_model_fits_in_sample(self, tmp_path, capsys):
+        # the committed version-1 file (n=7, D=4, k=2) stores no basis
+        data = write_matrix_csv(tmp_path / "d.csv", dim=4, n=7)
+        assert main(["eval", "--model", str(V1_FILE), "--data", str(data), "--format", "csv"]) == 0
+        pairs = parse_kv(capsys.readouterr().out)
+        assert pairs["pca_basis"] == "in-sample"
+        ds = center(load_csv_matrix(data))
+        assert float(pairs["pca_mse"]) == pca.pca_mse(ds, pca.pca_fit(ds, 2))
 
     def test_encode_rejects_wrong_dimension(self, tmp_path, capsys):
         _, model, _ = self.run_fit(tmp_path, capsys)  # 6 x 12 training data
@@ -515,8 +569,9 @@ class TestExitCodes:
     )
     def test_failed_solver_exits_3(self, tmp_path, capsys, monkeypatch, command, solver):
         # eigh fails on the graph (graph, fit) or on the wide data's
-        # covariance (eval, after a model was trained); svd fails on the
-        # tall digits' centered data, which the PCA seed and fit share;
+        # covariance (eval of a model written as version 1, which stores no
+        # training basis, so eval fits its baseline in-sample); svd fails on
+        # the tall digits' centered data, which the PCA seed and fit share;
         # solve fails in the seed's ridge solve against the training kernel.
         # No command but eval, which reads it, leaves a model file
         wide = ["--kernel", "gaussian", "--alpha", "0.5", "--knn", "3"]
@@ -535,6 +590,7 @@ class TestExitCodes:
         if command == "eval":
             assert main(fit_argv) == 0
             capsys.readouterr()
+            resave_as_version_1(model)
 
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError(f"{solver} did not converge")

@@ -346,10 +346,11 @@ class TestStorageAccounting:
 V1_FILE = Path(__file__).parent / "data" / "model_v1.gfm"
 
 
-def read_v1(blob: bytes):
-    """Header and arrays of a .gfm file, parsed as README documents the
-    layout: one dim x k tap after another, orders 0..L, read as the
-    dim x (L+1)k bank [T_0 ... T_L]."""
+def read_gfm(blob: bytes):
+    """Header and arrays of a .gfm file of either version, parsed as README
+    documents the layout: one dim x k tap after another, orders 0..L, read
+    as the dim x (L+1)k bank [T_0 ... T_L], and in version 2 the dim x k
+    training PCA basis after the reduced data."""
     assert blob[:4] == b"GFM1"
     (hlen,) = struct.unpack("<I", blob[4:8])
     header = json.loads(blob[8 : 8 + hlen])
@@ -371,12 +372,14 @@ def read_v1(blob: bytes):
         "coeffs": take(k, n),
         "reduced": take(k, n),
     }
+    if header["version"] == 2:
+        arrays["pca_basis"] = take(dim, k)
     assert offset == len(blob)
     return header, arrays
 
 
 def loaded_arrays(loaded: ModelFile):
-    return {
+    arrays = {
         "mean": loaded.model.mean,
         "eigvals": loaded.spectrum.eigvals,
         "eigvecs": loaded.spectrum.eigvecs,
@@ -384,6 +387,9 @@ def loaded_arrays(loaded: ModelFile):
         "coeffs": loaded.model.coeffs,
         "reduced": loaded.reduced.values,
     }
+    if loaded.model.pca_basis is not None:
+        arrays["pca_basis"] = loaded.model.pca_basis
+    return arrays
 
 
 def owner(array: np.ndarray) -> np.ndarray:
@@ -417,6 +423,8 @@ class TestModelFile:
             assert np.array_equal(loaded.spectrum.eigvals, inst.spectrum.eigvals)
             assert np.array_equal(loaded.spectrum.eigvecs, inst.spectrum.eigvecs)
             assert np.array_equal(loaded.reduced.values, reduced.values)
+            # the training basis the fit stored, which makes the file version 2
+            assert np.array_equal(loaded.model.pca_basis, model.pca_basis)
             assert loaded.model.order == model.order and loaded.model.k == model.k
             # the fingerprint binds the reloaded model to the reloaded spectrum
             assert loaded.model.spectrum_fingerprint == loaded.spectrum.fingerprint()
@@ -443,9 +451,28 @@ class TestModelFile:
                 assert array.flags.aligned and not array.flags.writeable, name
                 assert owner(array) is buffer and np.shares_memory(array, buffer), name
 
+    def test_a_model_with_no_basis_is_version_1(self, tmp_path):
+        # a fit warm-started from a model with no basis (one read from a
+        # version-1 file) has none either, and is written as version 1
+        inst, model, reduced, _ = saved_fixture(tmp_path)
+        start = dataclasses.replace(model, pca_basis=None)
+        result = fit(inst.ds, inst.spectrum, k=2, order=2, max_iters=3, start=start)
+        assert result.model.pca_basis is None
+        path = tmp_path / "no-basis.gfm"
+        save_model(result.model, inst.spectrum, reduce(result.model, inst.ds, inst.spectrum), path)
+        header, arrays = read_gfm(path.read_bytes())
+        assert header["version"] == 1 and "pca_basis" not in arrays
+        assert load_model(path).model.pca_basis is None
+
+    def test_basis_shape_is_checked_on_save(self, tmp_path):
+        inst, model, reduced, _ = saved_fixture(tmp_path)
+        wide = dataclasses.replace(model, pca_basis=np.zeros((4, 3)))
+        with pytest.raises(DimensionMismatch):
+            save_model(wide, inst.spectrum, reduced, tmp_path / "x.gfm")
+
     def test_parent_written_file_loads_as_stored(self, tmp_path):
         blob = V1_FILE.read_bytes()
-        header, expected = read_v1(blob)
+        header, expected = read_gfm(blob)
         assert (header["n"], header["D"], header["k"], header["L"]) == (7, 4, 2, 1)
         loaded = load_model(V1_FILE)
         for name, array in loaded_arrays(loaded).items():
@@ -469,13 +496,13 @@ class TestModelFile:
         assert path.read_bytes() == other.read_bytes()
 
     def test_header_is_json_with_accounting(self, tmp_path):
+        # the training basis the fit stored makes the file version 2; the
+        # scalar counts are the codec's and leave the baseline's basis out
         _, model, _, path = saved_fixture(tmp_path)
-        blob = path.read_bytes()
-        assert blob[:4] == b"GFM1"
-        (hlen,) = struct.unpack("<I", blob[4:8])
-        header = json.loads(blob[8 : 8 + hlen])
+        header, arrays = read_gfm(path.read_bytes())
         budget = StorageBudget.from_dims(7, 4, 2, 1)
-        assert header["version"] == 1
+        assert header["version"] == 2
+        assert np.array_equal(arrays["pca_basis"], model.pca_basis)
         assert header["domain"] == "vertex"
         assert header["n"] == 7 and header["D"] == 4
         assert header["k"] == 2 and header["L"] == 1
@@ -601,12 +628,25 @@ class TestCorruption:
         hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
         out.write_bytes(blob[:4] + struct.pack("<I", len(hb)) + hb + blob[8 + hlen :])
 
-    @pytest.mark.parametrize("version", [2, True])
+    @pytest.mark.parametrize("version", [3, True])
     def test_unsupported_version(self, tmp_path, version):
         _, _, _, path = saved_fixture(tmp_path)
-        self.rewrite_header(path, tmp_path / "v2.gfm", version=version)
+        self.rewrite_header(path, tmp_path / "v3.gfm", version=version)
         with pytest.raises(VersionMismatch):
-            load_model(tmp_path / "v2.gfm")
+            load_model(tmp_path / "v3.gfm")
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_payload_of_the_other_version(self, tmp_path, version):
+        # each version's header with the other version's payload: the loader
+        # finds the payload size wrong before it reads any array
+        if version == 2:
+            path = V1_FILE
+        else:
+            _, _, _, path = saved_fixture(tmp_path)
+        out = tmp_path / "other.gfm"
+        self.rewrite_header(path, out, version=version)
+        with pytest.raises(CorruptFile, match="payload is"):
+            load_model(out)
 
     @pytest.mark.parametrize("key", ["stored_scalars", "raw_scalars", "pca_scalars"])
     def test_wrong_accounting(self, tmp_path, key):
@@ -653,7 +693,7 @@ WRONG_TYPES = {"true": True, "string": "x", "float": 1.5, "null": None}
 def header_corruptions():
     """(key, new value or None to remove the key) for every header key:
     each wrong JSON type, and for an integer key one higher and the equal float."""
-    header, _ = read_v1(V1_FILE.read_bytes())
+    header, _ = read_gfm(V1_FILE.read_bytes())
     cases = []
     for key in HEADER_KEYS:
         cases.append(pytest.param(key, None, id=f"{key}-removed"))
@@ -676,23 +716,27 @@ class TestHeaderDefinition:
 
     def test_saved_header_has_the_listed_keys(self, tmp_path):
         _, _, _, path = saved_fixture(tmp_path)
-        header, _ = read_v1(path.read_bytes())
+        header, _ = read_gfm(path.read_bytes())
         assert tuple(sorted(header)) == HEADER_KEYS
 
     @pytest.mark.parametrize("key, change", header_corruptions())
     def test_every_key_is_checked(self, tmp_path, key, change):
-        header, _ = read_v1(V1_FILE.read_bytes())
+        header, _ = read_gfm(V1_FILE.read_bytes())
         if change is None:
             del header[key]
         else:
             (header[key],) = change
         out = tmp_path / "changed.gfm"
         self.write(out, header)
-        with pytest.raises(VersionMismatch if key == "version" else CorruptFile):
+        want = VersionMismatch if key == "version" else CorruptFile
+        if (key, change) == ("version", (2,)):
+            # a supported version, whose payload the version-1 file does not hold
+            want = CorruptFile
+        with pytest.raises(want):
             load_model(out)
 
     def test_unknown_extra_key_is_ignored(self, tmp_path):
-        header, expected = read_v1(V1_FILE.read_bytes())
+        header, expected = read_gfm(V1_FILE.read_bytes())
         out = tmp_path / "extra.gfm"
         self.write(out, {**header, "comment": "written by another tool"})
         loaded = load_model(out)

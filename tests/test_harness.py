@@ -893,6 +893,26 @@ class TestRunSweep:
             if order >= 1:
                 assert start.order == order - 1
 
+    def test_every_cell_stores_its_width_s_training_basis(self, tmp_path, monkeypatch):
+        # the order-0 fit stores its PCA start's basis, and each warm L >= 1
+        # cell carries it from the model below
+        data = tmp_path / "d.csv"
+        write_labeled_csv(data)
+        models = []
+
+        def recording_fit(ds, spectrum, k, order, **kwargs):
+            result = fit(ds, spectrum, k, order, **kwargs)
+            models.append((order, kwargs["start"], result.model))
+            return result
+
+        monkeypatch.setattr(harness, "fit", recording_fit)
+        report = run_sweep(sweep_config(data, L_list=(0, 1, 2), k_list=(2, 3)), timer=lambda: 0.0)
+        assert not report.failures and len(models) == 2 * 2 * 3
+        for order, start, model in models:
+            basis = start.basis if order == 0 else start.pca_basis
+            assert model.pca_basis is basis
+            assert basis.shape == (model.dim, model.k)
+
     def test_overflowing_order_fails_only_its_own_cells(self, tmp_path, monkeypatch):
         # graphs from build_graph have unit radius and never overflow, so the
         # fault is injected: every order-300 fit raises, the lower orders of

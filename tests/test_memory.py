@@ -6,6 +6,7 @@ counts repeat exactly from run to run. The scratch that LAPACK works in
 during a solve is allocated outside numpy's allocator and is not counted.
 Bounds are stated in arrays: ``SQUARE`` is one n x n array of float64.
 """
+import dataclasses
 import sys
 import tracemalloc
 import weakref
@@ -152,28 +153,40 @@ def test_csv_write_holds_no_text_beside_the_matrix(tmp_path):
 
 
 def test_eval_command_fits_its_baseline_without_the_model(tmp_path, monkeypatch):
+    # a version-2 model's baseline projects on a copy of its stored basis, a
+    # version-1 model's on a basis fitted to the data: on both paths the
+    # bundle and its payload buffer are gone when the baseline runs
     data = tmp_path / "data.csv"
     harness.save_csv_matrix(np.random.default_rng(5).uniform(0.1, 1.0, size=(6, 40)), data)
     model = tmp_path / "m.gfm"
     assert cli.main(["fit", "--data", str(data), "--format", "csv", "--k", "2", "--l", "1",
                      "--max-iters", "5", "--model-out", str(model)]) == 0
-    loaded, seen = [], {}
-    load_model, baseline = codec.load_model, cli.pca_fit
+    bundle = codec.load_model(model)
+    v1 = tmp_path / "v1.gfm"
+    codec.save_model(dataclasses.replace(bundle.model, pca_basis=None), bundle.spectrum,
+                     bundle.reduced, v1)
+    del bundle
+    loaded, seen = [], []
+    load_model, baseline = codec.load_model, cli.pca_mse
 
     def load_and_watch(path):
         bundle = load_model(path)
         # the bundle, and the payload buffer every array of it is a view of
-        loaded.extend([weakref.ref(bundle), weakref.ref(bundle.model.recon_taps.base)])
+        buffer = bundle.model.recon_taps
+        while isinstance(buffer.base, np.ndarray):
+            buffer = buffer.base
+        loaded[:] = [weakref.ref(bundle), weakref.ref(buffer)]
         return bundle
 
-    def pca_and_look(ds, k):
-        seen["model alive"] = [ref() is not None for ref in loaded]
-        return baseline(ds, k)
+    def baseline_and_look(ds, basis):
+        seen.append([ref() is not None for ref in loaded])
+        return baseline(ds, basis)
 
     monkeypatch.setattr(codec, "load_model", load_and_watch)
-    monkeypatch.setattr(cli, "pca_fit", pca_and_look)
-    assert cli.main(["eval", "--model", str(model), "--data", str(data), "--format", "csv"]) == 0
-    assert seen == {"model alive": [False, False]}
+    monkeypatch.setattr(cli, "pca_mse", baseline_and_look)
+    for path in (model, v1):
+        assert cli.main(["eval", "--model", str(path), "--data", str(data), "--format", "csv"]) == 0
+    assert seen == [[False, False], [False, False]]
 
 
 def test_fit_command_trains_without_the_adjacency_or_the_raw_matrix(tmp_path, monkeypatch):

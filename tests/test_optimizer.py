@@ -639,6 +639,21 @@ class TestWarmStart:
         assert resumed.objective_trace[0] == pytest.approx(carried, rel=1e-10)
         assert resumed.objective_trace[-1] <= carried * (1.0 + 1e-12)
 
+    def test_the_training_basis_is_stored_and_carried(self):
+        # a PCA start's basis is stored bit for bit, with or without a given
+        # start and on the wide and the tall training path; a warm start
+        # through extend_order carries its start model's basis
+        rng = np.random.default_rng(90)
+        for dim in (4, 20):
+            inst = random_instance(rng, n=7, dim=dim, order=1)
+            pca = pca_fit(inst.ds, 2)
+            seeded = fit(inst.ds, inst.spectrum, k=2, order=0, max_iters=3, start=pca)
+            assert seeded.model.pca_basis is pca.basis
+            cold = fit(inst.ds, inst.spectrum, k=2, order=0, max_iters=3)
+            assert cold.model.pca_basis.tobytes() == pca.basis.tobytes()
+            warm = fit(inst.ds, inst.spectrum, k=2, order=1, max_iters=3, start=seeded.model)
+            assert warm.model.pca_basis is pca.basis
+
     def test_cannot_shrink_order(self):
         rng = np.random.default_rng(88)
         inst = random_instance(rng, n=6, dim=3, order=2)
