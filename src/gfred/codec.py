@@ -152,7 +152,9 @@ def reconstruction_mse(model: FilterModel, ds: CenteredDataset, spectrum: GraphS
 # reduced data's domain (always "vertex") and the three scalar counts of
 # StorageBudget, which count the codec's scalars and not the baseline's
 # basis. The loader rebuilds it from the file's own version, dims and
-# payload and compares.
+# payload and compares. The one checksum covers the filters and the
+# eigenpairs of their graph together; the loaded model holds the spectrum
+# read with it, so nothing else pairs them.
 
 def _header(version: int, n: int, dim: int, k: int, order: int, checksum: int) -> dict:
     """The header of a model file of this version, dims and payload checksum."""
@@ -222,7 +224,8 @@ def load_model(path) -> ModelFile:
 
     Arrays come back as read-only views of one aligned payload buffer, the
     training PCA basis among them (``pca_basis`` is ``None`` for a
-    version-1 file), and the spectrum's adjacency is ``None``: nothing is
+    version-1 file), and the spectrum's adjacency is ``None``. The model
+    holds that spectrum as the graph it was trained on: nothing is
     derived on load."""
     with open(path, "rb") as fh:
         prefix = fh.read(8)
@@ -277,7 +280,7 @@ def load_model(path) -> ModelFile:
         recon_taps=taps,
         coeffs=coeffs,
         mean=mean,
-        spectrum_fingerprint=spectrum.fingerprint(),
+        spectrum=spectrum,
         pca_basis=basis[0] if basis else None,
     )
     return ModelFile(model=model, spectrum=spectrum, reduced=ReducedData(values=reduced_values))

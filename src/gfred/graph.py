@@ -19,9 +19,8 @@ for any order, and the trainer's feature kernel is better conditioned.
 """
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -81,17 +80,13 @@ class GraphSpectrum:
     which hold eigenpairs only; :func:`build_graph` attaches the one
     scaled adjacency it built.
 
-    The arrays are held as read-only views, so the eigenpair hash of
-    :meth:`fingerprint` is computed once and cached: nothing can change
-    what it hashed. The eigenvectors of :func:`eigendecompose` and of a
-    loaded model file are column-major, which is the order the hash reads
-    them in: hashing them makes no copy.
+    The arrays are held as read-only views, so no holder of a spectrum can
+    edit the graph that another holder shares.
     """
 
     eigvals: np.ndarray    # (n,), descending
     eigvecs: np.ndarray    # (n, n), orthonormal columns, canonical signs
     adjacency: np.ndarray | None = None  # (n, n), exactly symmetric
-    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("eigvals", "eigvecs", "adjacency"):
@@ -104,17 +99,6 @@ class GraphSpectrum:
     @property
     def n(self) -> int:
         return self.eigvals.shape[0]
-
-    def fingerprint(self) -> str:
-        """Hash of the eigenpairs, used to pair models with their graph."""
-        if self._fingerprint is None:
-            digest = hashlib.sha256()
-            digest.update(np.ascontiguousarray(self.eigvals, dtype="<f8"))
-            # the column-major bytes of the eigenvectors, without a copy
-            # when they are stored column-major
-            digest.update(np.asfortranarray(self.eigvecs, dtype="<f8").T)
-            object.__setattr__(self, "_fingerprint", digest.hexdigest())
-        return self._fingerprint
 
 
 def _as_data_matrix(X) -> np.ndarray:
@@ -280,8 +264,8 @@ def eigendecompose(adjacency) -> GraphSpectrum:
     graph gives the arrays of one dense solve of the whole matrix, and
     repeated runs on the same matrix give identical spectra. The
     eigenvector matrix is column-major (F-contiguous), the order in which
-    the model file stores it and :meth:`GraphSpectrum.fingerprint` hashes
-    it, so neither copies it. The spectrum holds the eigenpairs only
+    the model file stores it, so :func:`~gfred.codec.save_model` writes it
+    without a copy. The spectrum holds the eigenpairs only
     (``adjacency`` is None): the caller keeps the matrix it passed in.
     A failed solve raises ConvergenceFailure.
     """
@@ -301,7 +285,7 @@ def eigendecompose(adjacency) -> GraphSpectrum:
     order = np.argsort(-vals, kind="stable")
     position = np.empty_like(order)
     position[order] = np.arange(order.size)  # where each solved column lands
-    eigvecs = np.zeros(S.shape, order="F")  # the model file's and the fingerprint's order
+    eigvecs = np.zeros(S.shape, order="F")  # the model file's order
     start = 0
     for nodes, vecs in zip(components, blocks):
         eigvecs[np.ix_(nodes, position[start:start + nodes.size])] = vecs

@@ -164,33 +164,32 @@ def _read_idx(path, ndim: int, noun: str) -> np.ndarray:
     return np.frombuffer(body, dtype=np.uint8).reshape(sizes)
 
 
-def load_idx_images(path) -> np.ndarray:
-    """An IDX image file without its labels, as :func:`load_idx` returns it."""
-    pixels = _read_idx(path, 3, "images")
-    count, rows, cols = pixels.shape
-    # explicit sizes: a file of 0 images is still a (rows*cols) x 0 matrix
-    return (pixels.astype(np.float64) / 255.0).reshape(count, rows * cols).T
-
-
-def load_idx(images_path):
-    """Load a paired IDX image/label file set.
+def load_idx(images_path, labels: bool = True):
+    """Load an IDX image file, and with ``labels`` its paired labels file.
 
     The labels file is the images file with ``images`` replaced by
-    ``labels`` and ``idx3`` by ``idx1`` in its name; a name without either
-    raises ConfigError. Pixels are scaled to [0, 1]; images come back as a
-    (rows*cols) x N float matrix with one flattened image per column,
-    labels as N integers.
+    ``labels`` and ``idx3`` by ``idx1`` in its name; with ``labels`` a
+    name without either raises ConfigError, and without it no name is
+    derived. Pixels are scaled to [0, 1]; images come back as a
+    (rows*cols) x N float matrix with one flattened image per column, and
+    with ``labels`` in a pair with the N integer labels.
     """
-    head, tail = os.path.split(os.fspath(images_path))
-    derived = tail.replace("images", "labels").replace("idx3", "idx1")
-    if derived == tail:
-        raise ConfigError(f"cannot derive a labels file name from {tail!r}")
-    labels_path = os.path.join(head, derived)
-    images = load_idx_images(images_path)
-    labels = _read_idx(labels_path, 1, "labels")
-    if labels.size != images.shape[1]:
-        raise CountMismatch(f"{labels_path}: {labels.size} labels for {images.shape[1]} images")
-    return images, labels.astype(np.int64)
+    if labels:
+        head, tail = os.path.split(os.fspath(images_path))
+        derived = tail.replace("images", "labels").replace("idx3", "idx1")
+        if derived == tail:
+            raise ConfigError(f"cannot derive a labels file name from {tail!r}")
+        labels_path = os.path.join(head, derived)
+    pixels = _read_idx(images_path, 3, "images")
+    count, rows, cols = pixels.shape
+    # explicit sizes: a file of 0 images is still a (rows*cols) x 0 matrix
+    images = (pixels.astype(np.float64) / 255.0).reshape(count, rows * cols).T
+    if not labels:
+        return images
+    found = _read_idx(labels_path, 1, "labels")
+    if found.size != count:
+        raise CountMismatch(f"{labels_path}: {found.size} labels for {count} images")
+    return images, found.astype(np.int64)
 
 
 def load_csv_matrix(path, first_row_labels: bool = False):
@@ -299,7 +298,7 @@ def load_matrix(path, fmt: DataFormat | str, labels: bool = False):
     """
     if DataFormat(fmt) is DataFormat.CSV:
         return load_csv_matrix(path, first_row_labels=labels)
-    return load_idx(path) if labels else load_idx_images(path)
+    return load_idx(path, labels=labels)
 
 
 def save_csv_matrix(matrix, path):

@@ -116,6 +116,12 @@ _SPAN_TOL = 1e-12  # start taps this close to the data's span, relatively, lie i
 class FilterModel:
     """Trained reducing/reconstruction filter pair.
 
+    ``spectrum`` is the graph the pair was trained on: the spectrum
+    :func:`fit` was given, not a copy, or the one a model file holds. The
+    filters are polynomials in that graph's adjacency and mean nothing on
+    another, so :func:`check_spectrum` checks every spectrum a model is
+    served with against it. A model keeps its graph alive, the adjacency
+    too when the caller's spectrum holds one.
     ``pca_basis`` is the D x k training PCA basis the fit started from,
     the baseline ``gfred eval`` scores against; it is ``None`` for a model
     read from a version-1 file and for one trained from such a model.
@@ -126,7 +132,7 @@ class FilterModel:
     recon_taps: np.ndarray  # (dim, (order+1)*k), the bank [T_0 ... T_L]
     coeffs: np.ndarray      # (k, n)
     mean: np.ndarray        # (dim,)
-    spectrum_fingerprint: str
+    spectrum: GraphSpectrum
     pca_basis: np.ndarray | None = None  # (dim, k)
 
     @property
@@ -139,8 +145,15 @@ class FilterModel:
 
 
 def check_spectrum(model: FilterModel, spectrum: GraphSpectrum):
-    """Raise FingerprintMismatch unless ``model`` was trained on ``spectrum``."""
-    if model.spectrum_fingerprint != spectrum.fingerprint():
+    """Raise FingerprintMismatch unless ``model`` was trained on ``spectrum``:
+    the model's own spectrum, or one whose eigenvalues and eigenvectors
+    equal its own value for value, as a graph rebuilt from the same data
+    does. The model's own spectrum is passed without reading an array."""
+    own = model.spectrum
+    if spectrum is not own and not (
+        np.array_equal(spectrum.eigvals, own.eigvals)
+        and np.array_equal(spectrum.eigvecs, own.eigvecs)
+    ):
         raise FingerprintMismatch("model was trained on a different graph spectrum")
 
 
@@ -398,7 +411,7 @@ def fit(
         recon_taps=taps,
         coeffs=coeffs,
         mean=ds.mean.copy(),
-        spectrum_fingerprint=spectrum.fingerprint(),
+        spectrum=spectrum,
         pca_basis=pca_basis,
     )
     return FitResult(

@@ -176,7 +176,7 @@ def test_spectral_paths_match_vertex_filter_banks(capsys):
             model = FilterModel(
                 order=order, k=k, recon_taps=taps, coeffs=coeffs,
                 mean=inst.ds.mean.copy(),
-                spectrum_fingerprint=inst.spectrum.fingerprint(),
+                spectrum=inst.spectrum,
             )
 
             fast = reduce(model, inst.ds, inst.spectrum).values

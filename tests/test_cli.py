@@ -67,7 +67,7 @@ def write_small_model(path, eigvals, tap=0.5):
     taps[0, 0] = tap
     model = FilterModel(
         order=2, k=1, recon_taps=taps, coeffs=np.ones((1, 5)), mean=np.zeros(3),
-        spectrum_fingerprint=spectrum.fingerprint(),
+        spectrum=spectrum,
     )
     save_model(model, spectrum, ReducedData(values=np.ones((1, 5))), path)
     return path

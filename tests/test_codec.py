@@ -71,7 +71,7 @@ def make_model(inst, taps, coeffs) -> FilterModel:
         recon_taps=taps,
         coeffs=coeffs,
         mean=inst.ds.mean.copy(),
-        spectrum_fingerprint=inst.spectrum.fingerprint(),
+        spectrum=inst.spectrum,
     )
 
 
@@ -255,6 +255,28 @@ class TestGuards:
         with pytest.raises(FingerprintMismatch):
             reconstruct(model, reduced, other.spectrum)
 
+    def test_a_rebuilt_graph_serves_the_model(self, tmp_path):
+        # a second graph of the same data has the model's eigenpairs, value
+        # for value, and serves it; the graph of other data does not
+        X = np.random.default_rng(19).uniform(0.1, 1.0, size=(4, 10))
+        cfg = SimilarityConfig(kernel=Kernel.COSINE, knn=3)
+        ds = center(X)
+        model = fit(ds, graph.build_graph(X, cfg), k=2, order=1, max_iters=5).model
+        rebuilt, shifted = graph.build_graph(X, cfg), graph.build_graph(X + 0.1, cfg)
+        assert rebuilt is not model.spectrum
+        reduced = reduce(model, ds, rebuilt)
+        assert np.array_equal(reduced.values, reduce(model, ds, model.spectrum).values)
+        assert np.array_equal(
+            reconstruct(model, reduced, rebuilt), reconstruct(model, reduced, model.spectrum)
+        )
+        save_model(model, rebuilt, reduced, tmp_path / "m.gfm")
+        with pytest.raises(FingerprintMismatch):
+            reduce(model, ds, shifted)
+        with pytest.raises(FingerprintMismatch):
+            reconstruct(model, reduced, shifted)
+        with pytest.raises(FingerprintMismatch):
+            save_model(model, shifted, reduced, tmp_path / "x.gfm")
+
     def test_wrong_data_dimension_is_rejected(self):
         rng = np.random.default_rng(99)
         inst = random_instance(rng, n=6, dim=3, order=1)
@@ -426,8 +448,8 @@ class TestModelFile:
             # the training basis the fit stored, which makes the file version 2
             assert np.array_equal(loaded.model.pca_basis, model.pca_basis)
             assert loaded.model.order == model.order and loaded.model.k == model.k
-            # the fingerprint binds the reloaded model to the reloaded spectrum
-            assert loaded.model.spectrum_fingerprint == loaded.spectrum.fingerprint()
+            # the reloaded model holds the reloaded spectrum as its graph
+            assert loaded.model.spectrum is loaded.spectrum
             again = tmp_path / f"again-{path.name}"
             save_model(loaded.model, loaded.spectrum, loaded.reduced, again)
             assert again.read_bytes() == path.read_bytes()
@@ -510,26 +532,35 @@ class TestModelFile:
         assert header["raw_scalars"] == budget.raw_scalars
         assert header["pca_scalars"] == budget.pca_scalars
 
-    def test_one_eigenpair_hash_per_spectrum(self, tmp_path, monkeypatch):
-        # fit, reduce and save_model each check the spectrum's fingerprint,
-        # and a loaded model's reduce, reconstruct and save check it again;
-        # each spectrum's eigenpairs are hashed once
-        hashes, sha256 = [], hashlib.sha256
+    def test_a_model_is_paired_with_its_own_spectrum_unread(self, tmp_path, monkeypatch):
+        # fit, reduce and save_model each check the spectrum a model is
+        # served with, and a loaded model's reduce, reconstruct and save
+        # check it again. Each time it is the model's own spectrum: no hash
+        # is taken, and no comparison is given its eigenvectors
+        def no_hash(*args, **kwargs):
+            raise AssertionError("an eigenpair hash was taken")
 
-        def counting_sha256():
-            hashes.append(1)
-            return sha256()
+        compared, array_equal = [], np.array_equal
 
-        monkeypatch.setattr(graph.hashlib, "sha256", counting_sha256)
+        def spy(a, b, *args, **kwargs):
+            compared.append((a, b))
+            return array_equal(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(hashlib, "sha256", no_hash)
+        monkeypatch.setattr(np, "array_equal", spy)
         inst = random_instance(np.random.default_rng(104), n=7, dim=4, order=1)
         model = fit(inst.ds, inst.spectrum, k=2, order=1, max_iters=3).model
         reduced = reduce(model, inst.ds, inst.spectrum)
         save_model(model, inst.spectrum, reduced, tmp_path / "m.gfm")
-        assert len(hashes) == 1
         loaded = load_model(tmp_path / "m.gfm")
         reconstruct(loaded.model, reduce(loaded.model, inst.ds, loaded.spectrum), loaded.spectrum)
         save_model(loaded.model, loaded.spectrum, loaded.reduced, tmp_path / "again.gfm")
-        assert len(hashes) == 2
+        eigvecs = (inst.spectrum.eigvecs, loaded.spectrum.eigvecs)
+        given = [
+            arg for pair in compared for arg in pair
+            if isinstance(arg, np.ndarray) and any(np.shares_memory(arg, v) for v in eigvecs)
+        ]
+        assert not given
 
     def test_save_rejects_mismatched_pieces(self, tmp_path):
         inst, model, reduced, _ = saved_fixture(tmp_path)

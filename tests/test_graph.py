@@ -1,4 +1,3 @@
-import hashlib
 import math
 import warnings
 
@@ -482,22 +481,3 @@ class TestConfigAndHelpers:
                 array[0] = 1.0
         assert np.array_equal(spectrum.eigvals, vals)
         assert GraphSpectrum(eigvals=vals, eigvecs=np.eye(4)).adjacency is None
-
-    @pytest.mark.parametrize("layout", ["C", "F"])
-    def test_fingerprint_is_the_eigenpair_hash(self, layout):
-        # sha256 of the little-endian eigenvalues, then the eigenvectors in
-        # column-major order, whatever order they are stored in
-        rng = np.random.default_rng(21)
-        vals, vecs = rng.normal(size=5), np.asarray(rng.normal(size=(5, 5)), order=layout)
-        want = hashlib.sha256(vals.astype("<f8").tobytes() + vecs.astype("<f8").tobytes(order="F"))
-        assert GraphSpectrum(eigvals=vals, eigvecs=vecs).fingerprint() == want.hexdigest()
-
-    def test_fingerprint_tracks_spectrum(self):
-        rng = np.random.default_rng(19)
-        X = rng.normal(size=(4, 10))
-        cfg = SimilarityConfig(kernel=Kernel.GAUSSIAN, alpha=0.2, knn=3)
-        a = build_graph(X, cfg)
-        b = build_graph(X, cfg)
-        c = build_graph(X + 0.1, cfg)
-        assert a.fingerprint() == b.fingerprint()
-        assert a.fingerprint() != c.fingerprint()

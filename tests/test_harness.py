@@ -134,6 +134,13 @@ class TestLoadIdx:
         with pytest.raises(ConfigError, match="cannot derive a labels file name from 'blob.bin'"):
             load_idx(odd)
 
+    def test_images_alone_need_no_labels_name(self, tmp_path):
+        src, _ = write_idx_pair(tmp_path)
+        odd = tmp_path / "blob.bin"
+        odd.write_bytes(src.read_bytes())
+        images, _ = load_idx(src)
+        assert np.array_equal(load_idx(odd, labels=False), images)
+
     def test_bad_image_magic(self, tmp_path):
         images_path, _ = write_idx_pair(tmp_path)
         blob = images_path.read_bytes()
@@ -395,6 +402,21 @@ class TestLoadMatrix:
         assert np.array_equal(paired[0], images) and np.array_equal(paired[1], labels)
         labels_path.unlink()  # the images alone need no labels file
         assert np.array_equal(load_matrix(images_path, fmt), images)
+
+    def test_idx_is_read_by_load_idx_alone(self, tmp_path, monkeypatch):
+        # with and without labels, so that a wrapper around load_idx sees
+        # every IDX read
+        images_path, _ = write_idx_pair(tmp_path)
+        calls, real = [], harness.load_idx
+
+        def spy(path, labels=True):
+            calls.append(labels)
+            return real(path, labels=labels)
+
+        monkeypatch.setattr(harness, "load_idx", spy)
+        load_matrix(images_path, "idx")
+        load_matrix(images_path, "idx", labels=True)
+        assert calls == [False, True]
 
     @pytest.mark.parametrize("fmt", [DataFormat.CSV, "csv"])
     def test_csv_with_and_without_a_label_row(self, tmp_path, fmt):

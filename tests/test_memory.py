@@ -17,7 +17,7 @@ import pytest
 from gfred import cli, codec, graph, harness
 from gfred.errors import ConvergenceFailure
 from gfred.graph import Kernel, SimilarityConfig, build_graph, connected_components
-from gfred.optimizer import fit, init_filters
+from gfred.optimizer import FilterModel, check_spectrum, fit, init_filters
 from gfred.pca import pca_fit, pca_mse
 from gfred.spectral import build_cache
 
@@ -62,11 +62,19 @@ def test_build_graph_holds_one_adjacency():
     assert peak < 2.8 * 8 * n * n
 
 
-def test_fingerprint_copies_no_eigenvectors():
+def test_spectrum_check_copies_no_eigenvectors():
+    # a graph rebuilt from the model's data is compared value for value:
+    # the one temporary is a boolean n x n array, an eighth of the eigenvectors
     X = np.random.default_rng(4).normal(size=(DIM, N))
-    spectrum = build_graph(X, SimilarityConfig(kernel=Kernel.GAUSSIAN, alpha=1.0 / DIM, knn=3))
-    _, peak = traced_peak(spectrum.fingerprint)
-    assert peak < spectrum.eigvecs.nbytes
+    cfg = SimilarityConfig(kernel=Kernel.GAUSSIAN, alpha=1.0 / DIM, knn=3)
+    model = FilterModel(
+        order=0, k=1, recon_taps=np.zeros((DIM, 1)), coeffs=np.zeros((1, N)),
+        mean=np.zeros(DIM), spectrum=build_graph(X, cfg),
+    )
+    rebuilt = build_graph(X, cfg)
+    assert rebuilt is not model.spectrum
+    _, peak = traced_peak(check_spectrum, model, rebuilt)
+    assert peak < rebuilt.eigvecs.nbytes / 4
 
 
 def test_build_cache_makes_no_square_temporary(inst):

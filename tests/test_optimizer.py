@@ -402,7 +402,7 @@ class TestFit:
         assert model.recon_taps.shape == (4, 9)
         assert model.coeffs.shape == (3, 7)
         assert np.array_equal(model.mean, inst.ds.mean)
-        assert model.spectrum_fingerprint == inst.spectrum.fingerprint()
+        assert model.spectrum is inst.spectrum
 
     @pytest.mark.parametrize("dim", [4, 30], ids=["wide", "tall"])
     def test_two_power_weightings_per_iteration(self, monkeypatch, dim):
@@ -638,6 +638,20 @@ class TestWarmStart:
         carried = low.objective_trace[-1]
         assert resumed.objective_trace[0] == pytest.approx(carried, rel=1e-10)
         assert resumed.objective_trace[-1] <= carried * (1.0 + 1e-12)
+
+    def test_a_rebuilt_graph_resumes_the_fit(self):
+        # a second graph of the same data has the start model's eigenpairs,
+        # value for value, and resumes it as its own spectrum does; the
+        # graph of other data does not
+        X = np.random.default_rng(19).uniform(0.1, 1.0, size=(4, 10))
+        cfg = SimilarityConfig(kernel=Kernel.COSINE, knn=3)
+        ds = center(X)
+        start = fit(ds, build_graph(X, cfg), k=2, order=1, max_iters=3).model
+        rebuilt = fit(ds, build_graph(X, cfg), k=2, order=2, max_iters=3, start=start)
+        own = fit(ds, start.spectrum, k=2, order=2, max_iters=3, start=start)
+        assert np.array_equal(rebuilt.objective_trace, own.objective_trace)
+        with pytest.raises(FingerprintMismatch):
+            fit(ds, build_graph(X + 0.1, cfg), k=2, order=2, max_iters=3, start=start)
 
     def test_the_training_basis_is_stored_and_carried(self):
         # a PCA start's basis is stored bit for bit, with or without a given

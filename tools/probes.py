@@ -37,9 +37,10 @@ shape (10 x 120 images at 28 x 28, seed 1, so n = 1200 and D = 784) as
 uint8 IDX files in a temporary directory and fits a model on it in
 process (k = 20, L = 2, 20 iterations). It then runs ``gfred graph``,
 ``encode``, ``decode`` and ``eval`` on that pool and model, each three
-times in a fresh interpreter, and prints each command's median peak RSS
-(``VmHWM``) above the interpreter after ``import gfred.cli``, in MB and
-in n x n float64 arrays, under the same line as ``csv-load``. The
+times in a fresh interpreter, and prints each command's median wall
+time around ``cli.main`` in seconds and its median peak RSS (``VmHWM``)
+above the interpreter after ``import gfred.cli``, in MB and in n x n
+float64 arrays, under the same line as ``csv-load``. The
 temporary directory and every file in it are removed. With ``--smoke``
 the pool is 4 x 10 images at 12 x 12 (k = 3, L = 1, 5 iterations) and
 each command runs once.
@@ -114,18 +115,21 @@ print(json.dumps({"seconds": seconds, "above": above, "traced": traced, "bytes":
 """
 
 
-# run in a fresh interpreter: one command's peak RSS above the process
-# after `import gfred.cli`, with what the command prints kept off stdout
+# run in a fresh interpreter: one command's wall time and its peak RSS
+# above the process after `import gfred.cli`, with what the command prints
+# kept off stdout
 CLI_CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, time
 from gfred import cli
 def peak_rss():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
 before = peak_rss()
 with contextlib.redirect_stdout(io.StringIO()):
+    start = time.perf_counter()
     code = cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "above_import": peak_rss() - before}))
+    seconds = time.perf_counter() - start
+print(json.dumps({"code": code, "seconds": seconds, "above_import": peak_rss() - before}))
 """
 
 
@@ -271,8 +275,8 @@ def cli_peaks(smoke: bool = False) -> str:
         f"{'one fresh process' if smoke else f'median of {repeats} fresh processes'} "
         f"({provenance()})",
         "",
-        "| command | peak RSS above `import gfred.cli`, MB | × n x n array |",
-        "|---|---|---|",
+        "| command | seconds | peak RSS above `import gfred.cli`, MB | × n x n array |",
+        "|---|---|---|---|",
     ]
     with tempfile.TemporaryDirectory() as work:
         pool, model = os.path.join(work, "pool-images-idx3-ubyte"), os.path.join(work, "m.gfm")
@@ -299,8 +303,11 @@ def cli_peaks(smoke: bool = False) -> str:
             ]
             if any(run["code"] != 0 for run in runs):
                 raise SystemExit(f"cli-peaks: gfred {name} exited {runs[0]['code']}")
+            seconds = statistics.median(run["seconds"] for run in runs)
             above = statistics.median(run["above_import"] for run in runs)
-            lines.append(f"| {name} | {above / 1e6:.1f} | {above / (8 * n * n):.2f} |")
+            lines.append(
+                f"| {name} | {seconds:.3f} | {above / 1e6:.1f} | {above / (8 * n * n):.2f} |"
+            )
     return "\n".join(lines)
 
 
