@@ -141,6 +141,7 @@ def _cmd_fit(args) -> int:
 def _cmd_encode(args) -> int:
     bundle, ds = _model_and_data(args)
     reduced = codec.reduce(bundle.model, ds, bundle.spectrum)
+    del bundle, ds  # the writer's buffers take the place of the model and the data
     harness.save_csv_matrix(reduced.values, args.out)
     print(f"reduced: {reduced.values.shape[0]} x {reduced.values.shape[1]} -> {args.out}")
     return 0
@@ -149,6 +150,7 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     bundle = codec.load_model(args.model)
     recon = codec.reconstruct(bundle.model, bundle.reduced, bundle.spectrum)
+    del bundle  # the writer's buffers take the place of the model
     harness.save_csv_matrix(recon, args.out)
     print(f"reconstruction: {recon.shape[0]} x {recon.shape[1]} -> {args.out}")
     return 0

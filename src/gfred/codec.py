@@ -54,7 +54,7 @@ _VERSIONS = (1, 2)  # 2 stores the training PCA basis, 1 does not
 _DOMAIN = "vertex"  # the only reduced-data domain; still written for older readers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedData:
     """k-dimensional vertex-domain vectors, one column per node."""
 
@@ -209,7 +209,7 @@ def save_model(model: FilterModel, spectrum: GraphSpectrum, reduced: ReducedData
             fh.write(view)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelFile:
     model: FilterModel
     spectrum: GraphSpectrum

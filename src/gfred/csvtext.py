@@ -21,18 +21,29 @@ above), and a float whose decision lies within 0.01 units of a boundary,
 about 1% of random doubles. With a shorter long double every row is joined
 from ``repr``.
 
-Memory: a call's arrays, each one block long, live in anonymous memory
-maps, and every step of a block writes into them in place, except the
-last, which copies the block's text out for the file; so a write leaves no
-freed heap that later allocations pin: block temporaries on the heap
-raised the serve benchmark's peak RSS by 3.4 MB. What a first write still
-adds to RSS is about 0.7 MB of numpy's shared library, the pages of code
-that these steps run.
+Threads and memory: a call formats blocks of up to 8,192 floats, each in
+the state of the thread that formats it, and the calling thread writes
+the blocks' texts in reading order. Where two CPUs are usable, a write of
+at least 32 blocks for each of two threads is shared between two; numpy's
+loops release the GIL, so the threads' loops overlap, but the Python
+between them does not, and in a shorter write the hand-overs of the GIL
+cost more than the overlap saves. A state (:class:`_State`) holds the
+block and every array its steps write, 160 bytes a float, in one
+anonymous memory map, and every step writes into it in place except the
+last, which copies the block's text out for the file; so a write leaves
+no freed heap that later allocations pin: block temporaries on the heap
+raised the serve benchmark's peak RSS by 3.4 MB. The threads' blocks and
+the text being written are all that is in flight. What a write still adds
+to RSS once it returns is about 0.7 MB of numpy's shared library, the
+pages of code that these steps run, and the malloc arena of each
+formatting thread, which keeps the pages of the texts it copied out.
 """
 from __future__ import annotations
 
 import math
 import mmap
+import os
+import threading
 
 import numpy as np
 
@@ -40,7 +51,9 @@ import numpy as np
 _EXTENDED = np.finfo(np.longdouble).nmant >= 63
 _FAST = (1e-10, 1e16)  # the |x| that the block formatter writes itself
 _MARGIN = 0.01  # a decision this near a boundary, in units of S, goes to repr
-_BLOCK = 2048  # floats per block
+_BLOCK = 8192  # floats per block, at most
+_THREADS = 2  # formatting threads, at most
+_SHARE = 32  # blocks for each thread, at least, of a write shared between threads
 
 _POW = np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))  # 10**q, q = 0..27
 _HALF_POW = _POW.astype(np.float64) / 2
@@ -74,47 +87,67 @@ def _four_digit_tables():
 _DIGITS4, _ZEROS4 = _four_digit_tables()
 
 # A slot holds one float's candidate bytes, and its class's mask row keeps
-# the bytes repr writes, in order. Bytes 1-6 "-0.000"; 7-23 the 17 digits
-# D0..D16 (copy A); 24 "."; 25-40 D1..D16 again (copy B); 41-44 the
-# exponent, "e-05"; 45 the separator, "," or a newline. A float written by
-# repr has its text in bytes 0-23.
+# the bytes repr writes, in order, and the separator, "," or a newline.
+# Bytes 0-6 the head, which ends in the sign and, for a point at -3 .. 0,
+# "0." and the zeros before the digits; 7-23 the 17 digits D0..D16 (copy
+# A); 24 "."; 25-40 D1..D16 again (copy B); 41-44 the exponent, "e-05".
+# The separator follows the kept bytes, so a positional float below 1 is
+# one run of bytes; a float written by repr has its text in bytes 0-23 and
+# its separator in byte 45.
 _WIDTH, _DOT, _EXP, _SEP = 48, 24, 41, 45
-_HEAD = np.frombuffer(b"\0-0.000\0", dtype="<u8")[0]  # bytes 0-7; byte 7 takes D0
 # decimal point positions -9 .. 17 (|x| / 10**decpt in [0.1, 1)), and their exponents
 _DECPTS = range(-9, 18)
 _EXPONENTS = np.frombuffer("".join(f"e{d - 1:+03d}" for d in _DECPTS).encode("ascii"), dtype="V4")
 # class id (neg * 17 + p - 1) * 27 + decpt + 9 for p digits; then 0.0, -0.0, repr
 _ZERO = 2 * 17 * len(_DECPTS)
 _FALLBACK = _ZERO + 2
+_ZERO_DECPT = -1  # zero is laid out as "0.0" from the head of this point position
 
 
-def _kept_bytes(p: int, decpt: int) -> list[int]:
-    """The slot bytes of a positive float of ``p`` digits and decimal point
-    position ``decpt``, by repr's rule: exponent form when the point sits
+def _head(decpt: int) -> bytes:
+    """Bytes 0-7 of the slot of a float whose point sits at ``decpt``,
+    byte 7 left for D0."""
+    if -3 <= decpt <= 0:  # "-0." and -decpt zeros, ending at byte 6
+        return b"\0" * (4 + decpt) + b"-0." + b"0" * -decpt + b"\0"
+    return b"\0" * 6 + b"-\0"
+
+
+_HEADS = np.frombuffer(b"".join(_head(d) for d in _DECPTS), dtype="<i8")
+
+
+def _layout(p: int, decpt: int) -> tuple[int, list[int]]:
+    """The slot byte of the sign of a float of ``p`` digits and decimal
+    point position ``decpt``, and the bytes of the rest of its text, by
+    repr's rule, then of its separator: exponent form when the point sits
     at -4 or before, or past 16; else positional."""
     if decpt <= -4 or decpt > 16:  # D0[.D1...]e-05
-        return [7, *([_DOT, *range(_DOT + 1, _DOT + p)] if p > 1 else []), *range(_EXP, _SEP)]
-    if decpt <= 0:  # "0.", the last -decpt of the three zeros, the digits
-        return [2, 3, *range(7 + decpt, 7 + p)]
+        fraction = [_DOT, *range(_DOT + 1, _DOT + p)] if p > 1 else []
+        return 6, [7, *fraction, *range(_EXP, _SEP + 1)]
+    if decpt <= 0:  # "0.", -decpt zeros and the digits, from the head on
+        return 4 + decpt, list(range(5 + decpt, 8 + p))
     # the integer digits from copy A, the point, the rest from copy B, at
     # least one: 120.0 keeps the zero after its last significant digit
-    return [*range(7, 7 + decpt), _DOT, *range(_DOT + decpt, _DOT + max(p, decpt + 1))]
+    return 6, [*range(7, 7 + decpt), _DOT, *range(_DOT + decpt, _DOT + max(p, decpt + 1) + 1)]
 
 
-def _class_masks() -> np.ndarray:
-    """Each class's mask row, as one ``_WIDTH``-byte item."""
+def _class_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Each class's mask row, as one ``_WIDTH``-byte item, and the slot
+    byte of its separator."""
     masks = np.zeros((_FALLBACK + 1, _WIDTH), dtype=bool)
+    seps = np.full(_FALLBACK + 1, _SEP)
     for neg in (0, 1):
-        sign = [1] * neg
-        for p in range(1, 18):
-            for i, decpt in enumerate(_DECPTS):
-                masks[(neg * 17 + p - 1) * len(_DECPTS) + i, sign + _kept_bytes(p, decpt)] = True
-        masks[_ZERO + neg, sign + [2, 3, 4]] = True  # "0.0"
-    masks[:, _SEP] = True
-    return masks.view(f"V{_WIDTH}").ravel()
+        classes = [((neg * 17 + p - 1) * len(_DECPTS) + i, p, decpt)
+                   for p in range(1, 18) for i, decpt in enumerate(_DECPTS)]
+        # zero: "0." and the one zero of a point at -1, and no digits
+        for cid, p, decpt in [*classes, (_ZERO + neg, 0, _ZERO_DECPT)]:
+            sign, kept = _layout(p, decpt)
+            masks[cid, [sign] * neg + kept] = True
+            seps[cid] = kept[-1]
+    masks[_FALLBACK, _SEP] = True
+    return masks.view(f"V{_WIDTH}").ravel(), seps
 
 
-_MASKS = _class_masks()
+_MASKS, _SEPS = _class_tables()
 
 
 def write_rows(matrix: np.ndarray, fh):
@@ -132,32 +165,64 @@ def write_rows(matrix: np.ndarray, fh):
         _write_blocks(matrix, fh)
 
 
-def _scratch(shape, dtype) -> np.ndarray:
-    """A zeroed array in an anonymous memory map, unmapped when it is freed."""
-    dtype = np.dtype(dtype)
-    return np.frombuffer(mmap.mmap(-1, math.prod(shape) * dtype.itemsize), dtype).reshape(shape)
+class _State:
+    """One thread's block of floats and every array that formats it, as
+    views of one anonymous memory map of 160 bytes a float, unmapped when
+    the last view is freed. Arrays whose uses do not overlap share bytes:
 
-
-class _Work:
-    """One block's arrays, reused by every block of a call."""
+    ======  =====================================================
+    bytes   arrays, in the order a block uses them
+    ======  =====================================================
+    0-7     ``block``, the floats
+    8-23    ``out``: class id, decimal point position + 9
+    24-31   ``base``, each slot's offset, set once
+    32-63   ``wide`` (S and a temporary), then ``late`` (four floats
+            of the rounding decision), then ``chunks``, then
+            ``spare`` (heads, separator offsets)
+    64-111  ``floats`` (|x|, later the unit; f; half, whose first
+            half later holds ``zeros``; t) and the first half of
+            ``ints``; then ``slots``
+    112-159 the rest of ``ints``, ``flags`` and ``lead``, the lead
+            digit; then ``digits`` and ``exps``; then ``mask``
+    ======  =====================================================
+    """
 
     def __init__(self, n: int):
-        self.floats = _scratch((9, n), np.float64)
-        self.ints = _scratch((7, n), np.int64)
-        self.flags = _scratch((8, n), bool)
-        self.wide = _scratch((2, n), np.longdouble)
-        self.chunks = _scratch((n, 4), np.intp)
-        self.zeros = _scratch((n, 4), np.uint8)
+        buf = mmap.mmap(-1, 160 * n)
+
+        def at(offset, dtype, *shape):
+            return np.frombuffer(buf, dtype, math.prod(shape), offset * n).reshape(shape)
+
+        self.block = at(0, np.float64, n)
+        self.out = at(8, np.int64, 2, n)
+        self.base = at(24, np.int64, n)
+        np.multiply(np.arange(n), _WIDTH, out=self.base)
+        self.wide = at(32, np.longdouble, 2, n)
+        self.late = at(32, np.float64, 4, n)
+        self.chunks = at(32, np.intp, n, 4)
+        self.spare = at(32, np.int64, 2, n)
+        self.floats = at(64, np.float64, 4, n)
+        self.zeros = at(80, np.uint8, n, 4)
+        self.ints = at(96, np.int64, 4, n)
+        self.flags = at(128, bool, 8, n)
+        self.lead = at(136, np.int64, n)
+        self.digits = at(112, "<u4", n, 4)
+        self.exps = at(128, "V4", n)
+        self.slots = at(64, np.uint8, n, _WIDTH)
+        self.mask = at(112, bool, n, _WIDTH)
 
 
-def _classify(x: np.ndarray, w: _Work):
+def _classify(x: np.ndarray, st: _State):
     """Each float's class id, decimal point position + 9 and lead digit;
-    its other 16 digits go to ``w.chunks``, four 4-digit numbers a row."""
-    ax, f, half, t100, t10, dist, near, t, unit = w.floats
-    q, d, r, m, lead, decpt, cid = w.ints
-    neg, zero, fast, ok100, ok10, unsure, flag, carry = w.flags
-    s, low = w.wide
-    chunks, zeros = w.chunks, w.zeros
+    its other 16 digits go to ``st.chunks``, four 4-digit numbers a row."""
+    ax, f, half, t = st.floats
+    unit = ax  # set once |x| is spent
+    t100, t10, dist, near = st.late  # set once S is spent
+    q, d, r, m = st.ints
+    (cid, decpt), lead = st.out, st.lead
+    neg, zero, fast, ok100, ok10, unsure, flag, carry = st.flags
+    s, low = st.wide
+    chunks, zeros = st.chunks, st.zeros
     np.abs(x, out=ax)
     np.signbit(x, out=neg)
     np.equal(ax, 0, out=zero)
@@ -226,50 +291,127 @@ def _classify(x: np.ndarray, w: _Work):
     fast &= np.logical_not(unsure, out=flag)
     np.copyto(cid, _FALLBACK, where=np.logical_not(fast, out=flag))
     np.copyto(cid, np.add(neg, _ZERO, out=r), where=zero)
+    np.copyto(decpt, _ZERO_DECPT - _DECPTS.start, where=zero)
     return cid, decpt, lead
 
 
+def _format(st: _State, got: int, seps: np.ndarray) -> np.ndarray:
+    """The text of the first ``got`` floats of the state's block, each
+    followed by its separator in ``seps``."""
+    cid, decpt, lead = _classify(st.block, st)
+    slots, mask = st.slots, st.mask
+    np.take(_DIGITS4, st.chunks, out=st.digits, mode="clip")
+    heads, offsets = st.spare  # over the chunks, which are spent
+    np.take(_EXPONENTS, decpt, out=st.exps, mode="clip")
+    np.take(_HEADS, decpt, out=heads, mode="clip")
+    np.left_shift(np.add(lead, 48, out=lead), 56, out=lead)
+    np.bitwise_or(lead, heads, out=slots.view("<i8")[:, 0])
+    slots[:, 8:_DOT].view("V16")[:, 0] = st.digits.view("V16")[:, 0]
+    slots[:, _DOT] = ord(".")
+    slots[:, _DOT + 1 : _EXP].view("V16")[:, 0] = st.digits.view("V16")[:, 0]
+    slots[:, _EXP:_SEP].view("V4")[:, 0] = st.exps
+    np.add(np.take(_SEPS, cid, out=offsets, mode="clip"), st.base, out=offsets)
+    slots.reshape(-1)[offsets] = seps
+    np.take(_MASKS, cid, out=mask.view(f"V{_WIDTH}").ravel(), mode="clip")
+    # repr's text over the first bytes of the slot: at most 24, as in
+    # "-2.2250738585072014e-308"
+    fallback = np.flatnonzero(cid == _FALLBACK)
+    if fallback.size:
+        text = np.array([repr(v) for v in st.block[fallback].tolist()], dtype="S24")
+        text = text.view(np.uint8).reshape(-1, 24)
+        slots[fallback, :24] = text
+        mask[fallback, :24] = text != 0
+    # a boolean index copies out only the kept bytes; np.compress would
+    # first list their indices, 8 bytes for each byte kept
+    return slots[:got].reshape(-1)[mask[:got].reshape(-1)]
+
+
+class _Formatter(threading.Thread):
+    """A thread that formats each block handed to it in a state of its own.
+
+    The calling thread copies a block into the state (:meth:`hand`) and
+    takes its text back (:meth:`take`) before it hands the next one, so it
+    alone reads the matrix and writes the file. What formatting a block
+    raises is raised by :meth:`take`.
+    """
+
+    def __init__(self, n: int):
+        super().__init__(daemon=True)
+        self.state = _State(n)
+        self.job = None   # the handed block's length and separators; None stops the thread
+        self.text = None  # its text, or what formatting it raised
+        self.todo, self.done = threading.Semaphore(0), threading.Semaphore(0)
+
+    def run(self):
+        while True:
+            self.todo.acquire()
+            job = self.job
+            if job is None:
+                return
+            try:
+                self.text = _format(self.state, *job)
+            except BaseException as exc:  # raised again by take, in the calling thread
+                self.text = exc
+            self.done.release()
+
+    def hand(self, values, seps: np.ndarray):
+        """Copy ``values``, a block of floats, into the state, pad them with
+        zeros, and format them, each followed by its separator in ``seps``."""
+        block, got = self.state.block, len(values)
+        block[:got] = values
+        block[got:] = 0.0
+        self.job = (got, seps)
+        self.todo.release()
+
+    def take(self) -> np.ndarray:
+        """The text of the block handed last, once it is formatted."""
+        self.done.acquire()
+        text, self.text = self.text, None
+        if isinstance(text, BaseException):
+            raise text
+        return text
+
+    def stop(self):
+        """End the thread once its block, if any, is formatted."""
+        self.job = None
+        self.todo.release()
+        self.join()
+
+
 def _write_blocks(matrix: np.ndarray, fh):
-    """Write the rows of a matrix of at least one column, a block of floats
-    at a time in reading order, the last block padded with zeros."""
-    cols = matrix.shape[1]
+    """Write the rows of a matrix of at least one column in blocks of
+    floats in reading order, formatted on up to two threads, the last
+    block padded with zeros."""
+    size, cols = matrix.size, matrix.shape[1]
     # the floats in reading order: a view, or an iterator that copies each slice taken
     values = matrix.reshape(-1) if matrix.flags.c_contiguous else matrix.flat
-    n = min(_BLOCK, matrix.size)
-    work = _Work(n)
-    block = _scratch((n,), np.float64)
-    head = _scratch((n,), np.uint64)
-    digits = _scratch((n, 4), "<u4")
-    slots = _scratch((n, _WIDTH), np.uint8)
-    slots[:, _DOT] = ord(".")
-    mask = _scratch((n, _WIDTH), bool)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    # a second thread pays off in a long write only: the threads' numpy
+    # calls are too short to hand the GIL over at every one, so they run
+    # in turn more often than at once
+    k = max(1, min(_THREADS, cpus or 1, size // (_SHARE * _BLOCK)))
+    # as many blocks for each thread, of equal length and at most _BLOCK floats
+    per_thread = -(-size // (k * _BLOCK))
+    n = -(-size // (k * per_thread))
+    starts = range(0, size, n)
     # the separator after the float in column j: a newline after the last column
     seps = np.full(n + cols, ord(","), dtype=np.uint8)
     seps[cols - 1 :: cols] = ord("\n")
-    # repr's text goes straight into the slot and the mask, through these
-    text_out, mask_out = memoryview(slots.reshape(-1)), memoryview(mask.view(np.uint8).reshape(-1))
-    ones = b"\1" * 24
-    for start in range(0, matrix.size, n):
-        got = min(n, matrix.size - start)
-        block[:got] = values[start : start + got]
-        block[got:] = 0.0
-        cid, decpt, lead = _classify(block, work)
-        np.add(lead, 48, out=head, casting="unsafe")
-        head <<= 56
-        head |= _HEAD
-        slots.view("<u8")[:, 0] = head
-        np.take(_DIGITS4, work.chunks, out=digits, mode="clip")
-        slots[:, 8:_DOT].view("V16")[:, 0] = digits.view("V16")[:, 0]
-        slots[:, _DOT + 1 : _EXP].view("V16")[:, 0] = digits.view("V16")[:, 0]
-        np.take(_EXPONENTS, decpt, out=slots[:, _EXP:_SEP].view("V4")[:, 0], mode="clip")
-        slots[:, _SEP] = seps[start % cols : start % cols + n]
-        np.take(_MASKS, cid, out=mask.view(f"V{_WIDTH}").ravel(), mode="clip")
-        fallback = np.flatnonzero(cid == _FALLBACK)
-        for i, value in zip(fallback.tolist(), block[fallback].tolist()):
-            line = repr(value).encode("ascii")
-            at = i * _WIDTH
-            text_out[at : at + len(line)] = line
-            mask_out[at : at + len(line)] = ones[: len(line)]
-        # a boolean index copies out only the kept bytes; np.compress would
-        # first list their indices, 8 bytes for each byte kept
-        fh.write(slots[:got].reshape(-1)[mask[:got].reshape(-1)])
+    # block b goes to thread b % k, once the text of block b - k is taken:
+    # the threads' blocks and the text being written are in flight
+    threads = [_Formatter(n) for _ in range(k)]
+    try:
+        for thread in threads:
+            thread.start()
+        for b, start in enumerate(starts):
+            thread = threads[b % k]
+            text = thread.take() if b >= k else None
+            thread.hand(values[start : start + n], seps[start % cols : start % cols + n])
+            if text is not None:
+                fh.write(text)
+        for b in range(len(starts) - k, len(starts)):
+            fh.write(threads[b % k].take())
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.stop()

@@ -73,7 +73,7 @@ class SimilarityConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphSpectrum:
     """Full eigendecomposition of a symmetric adjacency. ``adjacency`` is
     ``None`` on a spectrum from :func:`eigendecompose` or a model file,

@@ -112,7 +112,7 @@ _INIT_RIDGE = 1e-10
 _SPAN_TOL = 1e-12  # start taps this close to the data's span, relatively, lie in it
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterModel:
     """Trained reducing/reconstruction filter pair.
 
@@ -168,7 +168,7 @@ def check_stopping(epsilon: float | None, max_iters: int):
         raise ConfigError(f"epsilon must be a finite number > 0, got {epsilon}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     model: FilterModel
     objective_trace: np.ndarray  # value at start, then after every half-update

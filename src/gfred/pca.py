@@ -16,7 +16,7 @@ from .graph import canonical_signs
 from .spectral import CenteredDataset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PcaModel:
     k: int
     basis: np.ndarray    # (dim, k), orthonormal columns, canonical signs

@@ -30,7 +30,7 @@ _POWER_LIMIT = 1e150
 _KERNEL_BLOCK_ROWS = 32  # rows of P P' that build_cache holds at once
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CenteredDataset:
     """Centered data columns and the mean they were centered on.
 
@@ -147,7 +147,7 @@ def eig_power_table(eigvals, order: int) -> np.ndarray:
     return pows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralCache:
     """Everything the trainer needs, precomputed once per (data, graph, order).
 

@@ -33,7 +33,7 @@ from gfred.errors import (
 )
 from gfred.graph import Kernel, SimilarityConfig, eigendecompose, knn_sparsify, similarity_dense
 from gfred.harness import synth_digits
-from gfred.optimizer import FilterModel, fit, init_filters
+from gfred.optimizer import FilterModel, check_spectrum, fit, init_filters
 from gfred.pca import pca_fit
 from gfred.spectral import build_cache, center, reducing_taps
 
@@ -276,6 +276,30 @@ class TestGuards:
             reconstruct(model, reduced, shifted)
         with pytest.raises(FingerprintMismatch):
             save_model(model, shifted, reduced, tmp_path / "x.gfm")
+
+    def test_array_holders_compare_by_identity(self, tmp_path):
+        # field by field, == would ask an array for its truth value and
+        # hash() would hash one; a graph rebuilt from the same data still
+        # serves the model, by value
+        X = np.random.default_rng(34).uniform(0.1, 1.0, size=(4, 10))
+        cfg = SimilarityConfig(kernel=Kernel.COSINE, knn=3)
+        ds = center(X)
+        spectrum = graph.build_graph(X, cfg)
+        result = fit(ds, spectrum, k=2, order=1, max_iters=5)
+        reduced = reduce(result.model, ds, spectrum)
+        save_model(result.model, spectrum, reduced, tmp_path / "m.gfm")
+        holders = [spectrum, result.model, result, load_model(tmp_path / "m.gfm"), reduced,
+                   pca_fit(ds, 2), ds, build_cache(ds.centered, spectrum, 1)]
+        assert [type(h).__name__ for h in holders] == [
+            "GraphSpectrum", "FilterModel", "FitResult", "ModelFile", "ReducedData",
+            "PcaModel", "CenteredDataset", "SpectralCache",
+        ]
+        for holder in holders:
+            twin = dataclasses.replace(holder)
+            assert holder == holder and holder != twin
+            assert hash(holder) == hash(holder) and len({holder, twin}) == 2
+        for rebuilt in (graph.build_graph(X, cfg), dataclasses.replace(spectrum)):
+            check_spectrum(result.model, rebuilt)
 
     def test_wrong_data_dimension_is_rejected(self):
         rng = np.random.default_rng(99)

@@ -4,6 +4,9 @@ import decimal
 import math
 import os
 import struct
+import subprocess
+import sys
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -602,7 +605,7 @@ class TestCsvText:
         return path.read_bytes()
 
     @settings(max_examples=300, deadline=None)
-    @given(matrix=bit_pattern_matrices(), block=st.sampled_from([1, 3, 2048]))
+    @given(matrix=bit_pattern_matrices(), block=st.sampled_from([1, 3, 2048, csvtext._BLOCK]))
     def test_bit_patterns_and_edges_match_repr(self, tmp_path_factory, matrix, block):
         # small blocks make the blocks cross row ends and pad the last one
         path = tmp_path_factory.mktemp("csv") / "m.csv"
@@ -644,6 +647,97 @@ class TestCsvText:
         monkeypatch.setattr(csvtext, "_write_blocks", None)  # never reached
         matrix = csv_matrices()[name]
         assert self.saved(matrix, tmp_path / "m.csv") == csv_bytes(matrix)
+
+    def test_a_block_formatted_last_is_written_first(self, tmp_path, monkeypatch):
+        # 150 blocks on two threads; the first waits until a later one is formatted
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(csvtext, "_BLOCK", 8)
+        matrix = np.arange(1.0, 1201.0).reshape(40, 30) / 7.0
+        classify, finished, later_done = csvtext._classify, [], threading.Event()
+
+        def first_block_last(x, state):
+            first = x[0]
+            if first == matrix[0, 0]:
+                assert later_done.wait(timeout=30)
+            result = classify(x, state)
+            finished.append(first)
+            later_done.set()
+            return result
+
+        monkeypatch.setattr(csvtext, "_classify", first_block_last)
+        assert self.saved(matrix, tmp_path / "m.csv") == csv_bytes(matrix)
+        assert finished[0] != matrix[0, 0] and finished[1] == matrix[0, 0]
+
+    def test_a_formatting_error_reaches_the_caller(self, tmp_path, monkeypatch):
+        # 100 blocks of ten floats on two threads; block 3 starts at 30.0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(csvtext, "_BLOCK", 10)
+        matrix = np.arange(1000.0).reshape(100, 10)
+        classify = csvtext._classify
+
+        def fail_on_block_3(x, state):
+            if x[0] == 30.0:
+                raise RuntimeError("block 3")
+            return classify(x, state)
+
+        monkeypatch.setattr(csvtext, "_classify", fail_on_block_3)
+        threads = threading.active_count()
+        path = tmp_path / "m.csv"
+        with pytest.raises(RuntimeError, match="block 3"):
+            save_csv_matrix(matrix, path)
+        assert threading.active_count() == threads
+        # the blocks before it were written, in order
+        assert path.read_bytes() == csv_bytes(matrix[:3])
+
+    @pytest.mark.parametrize("cpus, block, threads", [(1, 256, 1), (2, 256, 2), (2, 8192, 1)])
+    def test_one_state_per_thread_and_the_same_bytes(self, tmp_path, monkeypatch, cpus, block,
+                                                     threads):
+        # 30,300 floats: 119 or 120 blocks of at most 256, or 4 of at most 8,192,
+        # too few to share
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(csvtext, "_BLOCK", block)
+        built = []
+
+        class Counted(csvtext._State):
+            def __init__(self, n):
+                super().__init__(n)
+                built.append(n)
+
+        monkeypatch.setattr(csvtext, "_State", Counted)
+        rng = np.random.default_rng(34)
+        matrix = rng.normal(size=(300, 101)) * np.exp(rng.normal(size=(300, 101)) * 4)
+        assert self.saved(matrix, tmp_path / "m.csv") == csv_bytes(matrix)
+        # as many blocks for each thread, none over _BLOCK
+        assert len(built) == threads and built[0] <= block
+        assert -(-matrix.size // built[0]) % threads == 0
+
+    def test_more_threads_than_cores_keep_the_order(self, tmp_path, monkeypatch):
+        # four threads on 188 blocks, the interpreter switching threads as
+        # often as it can: a block handed or taken out of turn changes the bytes
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(csvtext, "_THREADS", 4)
+        monkeypatch.setattr(csvtext, "_BLOCK", 16)
+        matrix = np.random.default_rng(35).normal(size=(60, 50))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            written = self.saved(matrix, tmp_path / "m.csv")
+        finally:
+            sys.setswitchinterval(interval)
+        assert written == csv_bytes(matrix)
+
+    def test_import_loads_no_executor_and_builds_no_state(self):
+        code = (
+            "import gc, sys\n"
+            "import gfred.cli\n"
+            "from gfred import csvtext\n"
+            "print(sorted(m for m in ('concurrent.futures', 'queue') if m in sys.modules))\n"
+            "print(sum(isinstance(o, csvtext._State) for o in gc.get_objects()))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(csvtext.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.split("\n")[:2] == ["[]", "0"]
 
 
 def tagged_dataset(n_classes=3, per_class=8, dim=5):

@@ -197,6 +197,45 @@ def test_eval_command_fits_its_baseline_without_the_model(tmp_path, monkeypatch)
     assert seen == [[False, False], [False, False]]
 
 
+def test_encode_and_decode_write_without_the_model(tmp_path, monkeypatch):
+    # the writer's buffers take the place of the model bundle, its payload
+    # buffer and, in encode, the centred data: none is alive when it writes
+    data = tmp_path / "data.csv"
+    harness.save_csv_matrix(np.random.default_rng(6).uniform(0.1, 1.0, size=(6, 40)), data)
+    model = tmp_path / "m.gfm"
+    assert cli.main(["fit", "--data", str(data), "--format", "csv", "--k", "2", "--l", "1",
+                     "--max-iters", "5", "--model-out", str(model)]) == 0
+    loaded, seen = [], []
+    load_model, center, save = codec.load_model, cli.center, harness.save_csv_matrix
+
+    def load_and_watch(path):
+        bundle = load_model(path)
+        buffer = bundle.model.recon_taps
+        while isinstance(buffer.base, np.ndarray):
+            buffer = buffer.base
+        loaded.extend([weakref.ref(bundle), weakref.ref(buffer)])
+        return bundle
+
+    def center_and_watch(matrix):
+        ds = center(matrix)
+        loaded.append(weakref.ref(ds))
+        return ds
+
+    def save_and_look(matrix, path):
+        seen.append([ref() is not None for ref in loaded])
+        return save(matrix, path)
+
+    monkeypatch.setattr(codec, "load_model", load_and_watch)
+    monkeypatch.setattr(cli, "center", center_and_watch)
+    monkeypatch.setattr(harness, "save_csv_matrix", save_and_look)
+    for argv in (["encode", "--model", str(model), "--data", str(data), "--format", "csv",
+                  "--out", str(tmp_path / "reduced.csv")],
+                 ["decode", "--model", str(model), "--out", str(tmp_path / "recon.csv")]):
+        loaded.clear()
+        assert cli.main(argv) == 0
+    assert seen == [[False, False, False], [False, False]]
+
+
 def test_fit_command_trains_without_the_adjacency_or_the_raw_matrix(tmp_path, monkeypatch):
     data = tmp_path / "data.csv"
     harness.save_csv_matrix(np.random.default_rng(5).uniform(0.1, 1.0, size=(6, 40)), data)

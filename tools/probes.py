@@ -36,11 +36,13 @@ once.
 shape (10 x 120 images at 28 x 28, seed 1, so n = 1200 and D = 784) as
 uint8 IDX files in a temporary directory and fits a model on it in
 process (k = 20, L = 2, 20 iterations). It then runs ``gfred graph``,
-``encode``, ``decode`` and ``eval`` on that pool and model, each three
+``encode``, ``decode`` and ``eval`` on that pool and model, each seven
 times in a fresh interpreter, and prints each command's median wall
 time around ``cli.main`` in seconds and its median peak RSS (``VmHWM``)
 above the interpreter after ``import gfred.cli``, in MB and in n x n
-float64 arrays, under the same line as ``csv-load``. The
+float64 arrays, under the same line as ``csv-load``. The peak repeats
+from run to run; the seconds need the seven runs, as a median of three
+moved by 30 ms between two probes of unchanged code. The
 temporary directory and every file in it are removed. With ``--smoke``
 the pool is 4 x 10 images at 12 x 12 (k = 3, L = 1, 5 iterations) and
 each command runs once.
@@ -267,7 +269,7 @@ def cli_peaks(smoke: bool = False) -> str:
     (classes, per_class, size), (k, order, iters) = (
         ((4, 10, 12), (3, 1, 5)) if smoke else ((10, 120, 28), (20, 2, 20))
     )
-    repeats = 1 if smoke else 3
+    repeats = 1 if smoke else 7
     n = classes * per_class
     lines = [
         f"`gfred` commands on an IDX `synth_digits` pool of {classes} x {per_class} images at "
