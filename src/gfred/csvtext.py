@@ -21,22 +21,22 @@ above), and a float whose decision lies within 0.01 units of a boundary,
 about 1% of random doubles. With a shorter long double every row is joined
 from ``repr``.
 
-Threads and memory: a call formats blocks of up to 8,192 floats, each in
-the state of the thread that formats it, and the calling thread writes
-the blocks' texts in reading order. Where two CPUs are usable, a write of
-at least 32 blocks for each of two threads is shared between two; numpy's
-loops release the GIL, so the threads' loops overlap, but the Python
-between them does not, and in a shorter write the hand-overs of the GIL
-cost more than the overlap saves. A state (:class:`_State`) holds the
-block and every array its steps write, 160 bytes a float, in one
-anonymous memory map, and every step writes into it in place except the
-last, which copies the block's text out for the file; so a write leaves
-no freed heap that later allocations pin: block temporaries on the heap
-raised the serve benchmark's peak RSS by 3.4 MB. The threads' blocks and
-the text being written are all that is in flight. What a write still adds
-to RSS once it returns is about 0.7 MB of numpy's shared library, the
-pages of code that these steps run, and the malloc arena of each
-formatting thread, which keeps the pages of the texts it copied out.
+Threads and memory: a call formats blocks of up to 8,192 floats in
+rounds of one block for each usable CPU, at most two. The calling thread
+formats a round's first block and a helper thread each other one, each in
+a state of its own, and the calling thread then writes the round's texts
+in reading order, so the bytes do not depend on the number of threads, and
+one usable CPU starts no thread. numpy's loops release the GIL, so the
+threads' loops overlap, but the Python between them does not. A state
+(:class:`_State`) holds the block and every array its steps write, 160
+bytes a float, in one anonymous memory map, and every step writes into it
+in place except the last, which copies the block's text out for the file;
+so a write leaves no freed heap that later allocations pin: block
+temporaries on the heap raised the serve benchmark's peak RSS by 3.4 MB.
+A round's blocks and texts are all that is in flight. What a write still
+adds to RSS once it returns is about 0.7 MB of numpy's shared library, the
+pages of code that these steps run, and the malloc arena of each helper
+thread, which keeps the pages of the texts it copied out.
 """
 from __future__ import annotations
 
@@ -52,8 +52,7 @@ _EXTENDED = np.finfo(np.longdouble).nmant >= 63
 _FAST = (1e-10, 1e16)  # the |x| that the block formatter writes itself
 _MARGIN = 0.01  # a decision this near a boundary, in units of S, goes to repr
 _BLOCK = 8192  # floats per block, at most
-_THREADS = 2  # formatting threads, at most
-_SHARE = 32  # blocks for each thread, at least, of a write shared between threads
+_THREADS = 2  # formatting threads, the calling one included, at most
 
 _POW = np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))  # 10**q, q = 0..27
 _HALF_POW = _POW.astype(np.float64) / 2
@@ -166,9 +165,10 @@ def write_rows(matrix: np.ndarray, fh):
 
 
 class _State:
-    """One thread's block of floats and every array that formats it, as
-    views of one anonymous memory map of 160 bytes a float, unmapped when
-    the last view is freed. Arrays whose uses do not overlap share bytes:
+    """A block of floats and every array that formats it, as views of one
+    anonymous memory map of 160 bytes a float, unmapped when the last view
+    is freed; the calling thread and each helper thread of a write hold
+    one. Arrays whose uses do not overlap share bytes:
 
     ======  =====================================================
     bytes   arrays, in the order a block uses them
@@ -210,6 +210,14 @@ class _State:
         self.exps = at(128, "V4", n)
         self.slots = at(64, np.uint8, n, _WIDTH)
         self.mask = at(112, bool, n, _WIDTH)
+
+    def load(self, values) -> int:
+        """Copy ``values``, a block of floats, into the state, pad them with
+        zeros, and return their count."""
+        got = len(values)
+        self.block[:got] = values
+        self.block[got:] = 0.0
+        return got
 
 
 def _classify(x: np.ndarray, st: _State):
@@ -327,7 +335,8 @@ def _format(st: _State, got: int, seps: np.ndarray) -> np.ndarray:
 
 
 class _Formatter(threading.Thread):
-    """A thread that formats each block handed to it in a state of its own.
+    """A helper thread that formats each block handed to it in a state of
+    its own.
 
     The calling thread copies a block into the state (:meth:`hand`) and
     takes its text back (:meth:`take`) before it hands the next one, so it
@@ -355,12 +364,9 @@ class _Formatter(threading.Thread):
             self.done.release()
 
     def hand(self, values, seps: np.ndarray):
-        """Copy ``values``, a block of floats, into the state, pad them with
-        zeros, and format them, each followed by its separator in ``seps``."""
-        block, got = self.state.block, len(values)
-        block[:got] = values
-        block[got:] = 0.0
-        self.job = (got, seps)
+        """Copy ``values``, a block of floats, into the state and format
+        them, each followed by its separator in ``seps``."""
+        self.job = (self.state.load(values), seps)
         self.todo.release()
 
     def take(self) -> np.ndarray:
@@ -380,38 +386,35 @@ class _Formatter(threading.Thread):
 
 def _write_blocks(matrix: np.ndarray, fh):
     """Write the rows of a matrix of at least one column in blocks of
-    floats in reading order, formatted on up to two threads, the last
-    block padded with zeros."""
+    floats in reading order, the last block padded with zeros, in rounds
+    of one block for each usable CPU, up to ``_THREADS``: the calling
+    thread formats a round's first block, a helper thread each other one,
+    and the calling thread then writes their texts in order."""
     size, cols = matrix.size, matrix.shape[1]
     # the floats in reading order: a view, or an iterator that copies each slice taken
     values = matrix.reshape(-1) if matrix.flags.c_contiguous else matrix.flat
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    # a second thread pays off in a long write only: the threads' numpy
-    # calls are too short to hand the GIL over at every one, so they run
-    # in turn more often than at once
-    k = max(1, min(_THREADS, cpus or 1, size // (_SHARE * _BLOCK)))
-    # as many blocks for each thread, of equal length and at most _BLOCK floats
-    per_thread = -(-size // (k * _BLOCK))
-    n = -(-size // (k * per_thread))
-    starts = range(0, size, n)
+    k = min(_THREADS, cpus or 1)
+    # rounds of k blocks of equal length, at most _BLOCK floats
+    rounds = -(-size // (k * _BLOCK))
+    n = -(-size // (k * rounds))
     # the separator after the float in column j: a newline after the last column
     seps = np.full(n + cols, ord(","), dtype=np.uint8)
     seps[cols - 1 :: cols] = ord("\n")
-    # block b goes to thread b % k, once the text of block b - k is taken:
-    # the threads' blocks and the text being written are in flight
-    threads = [_Formatter(n) for _ in range(k)]
+
+    state, helpers = _State(n), [_Formatter(n) for _ in range(k - 1)]
     try:
-        for thread in threads:
-            thread.start()
-        for b, start in enumerate(starts):
-            thread = threads[b % k]
-            text = thread.take() if b >= k else None
-            thread.hand(values[start : start + n], seps[start % cols : start % cols + n])
-            if text is not None:
-                fh.write(text)
-        for b in range(len(starts) - k, len(starts)):
-            fh.write(threads[b % k].take())
+        for helper in helpers:
+            helper.start()
+        for start in range(0, size, k * n):
+            handed = list(zip(helpers, range(start + n, min(start + k * n, size), n)))
+            for helper, at in handed:
+                helper.hand(values[at : at + n], seps[at % cols : at % cols + n])
+            got = state.load(values[start : start + n])
+            fh.write(_format(state, got, seps[start % cols : start % cols + n]))
+            for helper, _ in handed:
+                fh.write(helper.take())
     finally:
-        for thread in threads:
-            if thread.ident is not None:
-                thread.stop()
+        for helper in helpers:
+            if helper.ident is not None:
+                helper.stop()

@@ -669,31 +669,46 @@ class TestCsvText:
         assert finished[0] != matrix[0, 0] and finished[1] == matrix[0, 0]
 
     def test_a_formatting_error_reaches_the_caller(self, tmp_path, monkeypatch):
-        # 100 blocks of ten floats on two threads; block 3 starts at 30.0
+        # 100 blocks of ten floats in rounds of two; block b starts at 10.0 * b.
+        # The helper thread formats block 3, the calling thread block 2
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(csvtext, "_BLOCK", 10)
         matrix = np.arange(1000.0).reshape(100, 10)
         classify = csvtext._classify
+        for failing in (3, 2):
 
-        def fail_on_block_3(x, state):
-            if x[0] == 30.0:
-                raise RuntimeError("block 3")
-            return classify(x, state)
+            def fail_on_one_block(x, state, failing=failing):
+                if x[0] == 10.0 * failing:
+                    raise RuntimeError(f"block {failing}")
+                return classify(x, state)
 
-        monkeypatch.setattr(csvtext, "_classify", fail_on_block_3)
+            monkeypatch.setattr(csvtext, "_classify", fail_on_one_block)
+            threads = threading.active_count()
+            path = tmp_path / f"m{failing}.csv"
+            with pytest.raises(RuntimeError, match=f"block {failing}"):
+                save_csv_matrix(matrix, path)
+            assert threading.active_count() == threads
+            # the blocks before it were written, in order
+            assert path.read_bytes() == csv_bytes(matrix[:failing])
+
+    def test_one_cpu_starts_no_thread(self, tmp_path, monkeypatch):
+        # 1,000 floats in blocks of ten, all formatted by the calling thread
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(csvtext, "_BLOCK", 10)
+
+        def no_thread(self):
+            raise AssertionError("a formatting thread was started")
+
+        monkeypatch.setattr(csvtext._Formatter, "start", no_thread)
+        matrix = np.arange(1000.0).reshape(100, 10) / 7.0
         threads = threading.active_count()
-        path = tmp_path / "m.csv"
-        with pytest.raises(RuntimeError, match="block 3"):
-            save_csv_matrix(matrix, path)
+        assert self.saved(matrix, tmp_path / "m.csv") == csv_bytes(matrix)
         assert threading.active_count() == threads
-        # the blocks before it were written, in order
-        assert path.read_bytes() == csv_bytes(matrix[:3])
 
-    @pytest.mark.parametrize("cpus, block, threads", [(1, 256, 1), (2, 256, 2), (2, 8192, 1)])
+    @pytest.mark.parametrize("cpus, block, threads", [(1, 256, 1), (2, 256, 2), (2, 8192, 2)])
     def test_one_state_per_thread_and_the_same_bytes(self, tmp_path, monkeypatch, cpus, block,
                                                      threads):
-        # 30,300 floats: 119 or 120 blocks of at most 256, or 4 of at most 8,192,
-        # too few to share
+        # 30,300 floats: 119 or 120 blocks of at most 256, or 4 of at most 8,192
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(csvtext, "_BLOCK", block)
         built = []
@@ -707,7 +722,7 @@ class TestCsvText:
         rng = np.random.default_rng(34)
         matrix = rng.normal(size=(300, 101)) * np.exp(rng.normal(size=(300, 101)) * 4)
         assert self.saved(matrix, tmp_path / "m.csv") == csv_bytes(matrix)
-        # as many blocks for each thread, none over _BLOCK
+        # a whole number of rounds of one block for each thread, none over _BLOCK
         assert len(built) == threads and built[0] <= block
         assert -(-matrix.size // built[0]) % threads == 0
 

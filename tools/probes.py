@@ -23,14 +23,16 @@ removed. With ``--smoke`` it loads N = 300 once.
 ``csv-save`` writes, with ``harness.save_csv_matrix`` in a fresh
 interpreter, three times each: a 784 x 1200 matrix shaped like ``gfred
 decode``'s output (a ``synth_digits`` pool of 10 x 120 images plus
-Gaussian noise of standard deviation 0.05), and the labelled 785 x 300
-``synth_digits`` pool. It checks that each file's bytes equal a per-row
-join of ``repr`` that the probe builds itself, and prints the median
-seconds, the median peak RSS (``VmHWM``) above the interpreter after
-``import gfred`` and the loaded matrix, in MB and as a multiple of the
-matrix, and the tracemalloc peak of a second write as such a multiple,
-under the same line as ``csv-load``. With ``--smoke`` it writes the pool
-once.
+Gaussian noise of standard deviation 0.05), a 20 x 1200 matrix shaped
+like ``gfred encode``'s (that noisy pool's scores on its first 20
+principal axes), and the labelled 785 x 300 ``synth_digits`` pool. It
+checks that each file's bytes equal a per-row join of ``repr`` that the
+probe builds itself, and prints the median milliseconds, the median peak
+RSS (``VmHWM``) above the interpreter after ``import gfred`` and the
+loaded matrix, in MB and as a multiple of the matrix, the median RSS
+(``VmRSS``) the write leaves once it returns, in MB, and the tracemalloc
+peak of a second write as a multiple of the matrix, under the same line
+as ``csv-load``. With ``--smoke`` it writes the pool once.
 
 ``cli-peaks`` writes a ``synth_digits`` pool of the bench's fit-large
 shape (10 x 120 images at 28 x 28, seed 1, so n = 1200 and D = 784) as
@@ -65,7 +67,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from gfred import cli, harness
+from gfred import cli, harness, pca, spectral
 
 # run in a fresh interpreter: the load's wall time and its peak RSS above
 # the process after `import gfred`, then a second load's tracemalloc peak.
@@ -94,26 +96,26 @@ print(json.dumps({"seconds": seconds, "above_import": above_import, "traced": tr
 """
 
 
-# run in a fresh interpreter: one write's wall time and its peak RSS above
-# the process after `import gfred` and the loaded matrix, then a second
-# write's tracemalloc peak
+# run in a fresh interpreter: one write's wall time, its peak RSS above the
+# process after `import gfred` and the loaded matrix, and the RSS it leaves
+# once it returns, then a second write's tracemalloc peak
 SAVE_CHILD = """
 import json, sys, time, tracemalloc
 import numpy as np
 from gfred import harness
-def peak_rss():
+def status(key):
     with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key))
 matrix = np.load(sys.argv[1])
-before = peak_rss()
+before, resident = status("VmHWM:"), status("VmRSS:")
 start = time.perf_counter()
 harness.save_csv_matrix(matrix, sys.argv[2])
 seconds = time.perf_counter() - start
-above = peak_rss() - before
+above, left = status("VmHWM:") - before, status("VmRSS:") - resident
 tracemalloc.start()
 harness.save_csv_matrix(matrix, sys.argv[2])
 traced = tracemalloc.get_traced_memory()[1]
-print(json.dumps({"seconds": seconds, "above": above, "traced": traced, "bytes": matrix.nbytes}))
+print(json.dumps({"seconds": seconds, "above": above, "left": left, "traced": traced}))
 """
 
 
@@ -217,16 +219,18 @@ def csv_save(smoke: bool = False) -> str:
     cases = {"785 x 300 pool": np.vstack([labels, images])}
     if not smoke:
         pool, _ = harness.synth_digits(10, 120, seed=1)
-        noise = np.random.default_rng(1).normal(0.0, 0.05, pool.shape)
-        cases = {"784 x 1200 decode": pool + noise, **cases}
+        noisy = pool + np.random.default_rng(1).normal(0.0, 0.05, pool.shape)
+        data = spectral.center(noisy)
+        scores = pca.pca_fit(data, 20).basis.T @ data.centered
+        cases = {"784 x 1200 decode": noisy, "20 x 1200 encode": scores, **cases}
     repeats = 1 if smoke else 3
     lines = [
         f"`save_csv_matrix`, {'one fresh process' if smoke else f'median of {repeats} fresh processes'} "
         f"({provenance()})",
         "",
-        "| matrix | file MB | matrix MB | seconds | peak RSS above import and matrix, MB "
-        "| × matrix | traced peak × matrix |",
-        "|---|---|---|---|---|---|---|",
+        "| matrix | file MB | matrix MB | ms | peak RSS above import and matrix, MB "
+        "| × matrix | RSS left, MB | traced peak × matrix |",
+        "|---|---|---|---|---|---|---|---|",
     ]
     with tempfile.TemporaryDirectory() as work:
         source, path = os.path.join(work, "matrix.npy"), os.path.join(work, "matrix.csv")
@@ -244,11 +248,12 @@ def csv_save(smoke: bool = False) -> str:
             expected = "".join(",".join(map(repr, row.tolist())) + "\n" for row in matrix)
             if written != expected.encode("ascii"):
                 raise SystemExit(f"csv-save: the {name} file differs from the repr join")
-            seconds = statistics.median(run["seconds"] for run in runs)
+            ms = statistics.median(run["seconds"] for run in runs) * 1e3
             above = statistics.median(run["above"] for run in runs)
+            left = statistics.median(run["left"] for run in runs)
             lines.append(
-                f"| {name} | {len(written) / 1e6:.1f} | {matrix.nbytes / 1e6:.1f} | {seconds:.2f} | "
-                f"{above / 1e6:.1f} | {above / matrix.nbytes:.2f} | "
+                f"| {name} | {len(written) / 1e6:.1f} | {matrix.nbytes / 1e6:.1f} | {ms:.1f} | "
+                f"{above / 1e6:.1f} | {above / matrix.nbytes:.2f} | {left / 1e6:.1f} | "
                 f"{runs[0]['traced'] / matrix.nbytes:.2f} |"
             )
     return "\n".join(lines)
