@@ -21,29 +21,21 @@ above), and a float whose decision lies within 0.01 units of a boundary,
 about 1% of random doubles. With a shorter long double every row is joined
 from ``repr``.
 
-Threads and memory: a call formats blocks of up to 8,192 floats in
-rounds of one block for each usable CPU, at most two. The calling thread
-formats a round's first block and a helper thread each other one, each in
-a state of its own, and the calling thread then writes the round's texts
-in reading order, so the bytes do not depend on the number of threads, and
-one usable CPU starts no thread. numpy's loops release the GIL, so the
-threads' loops overlap, but the Python between them does not. A state
-(:class:`_State`) holds the block and every array its steps write, 160
-bytes a float, in one anonymous memory map, and every step writes into it
-in place except the last, which copies the block's text out for the file;
-so a write leaves no freed heap that later allocations pin: block
-temporaries on the heap raised the serve benchmark's peak RSS by 3.4 MB.
-A round's blocks and texts are all that is in flight. What a write still
-adds to RSS once it returns is about 0.7 MB of numpy's shared library, the
-pages of code that these steps run, and the malloc arena of each helper
-thread, which keeps the pages of the texts it copied out.
+Memory: a call formats blocks of up to 8,192 floats, one at a time and in
+reading order, on the calling thread. A state (:class:`_State`) holds
+the block and every array its steps write, 160 bytes a float, in one
+anonymous memory map, and every step writes into it in place except the
+last, which copies the block's text out for the file; so a write leaves
+no freed heap that later allocations pin: block temporaries on the heap
+raised the serve benchmark's peak RSS by 3.4 MB. One block and its text
+are all that is in flight. What a write still adds to RSS once it
+returns is about 0.7 MB of numpy's shared library, the pages of code
+that these steps run.
 """
 from __future__ import annotations
 
 import math
 import mmap
-import os
-import threading
 
 import numpy as np
 
@@ -52,7 +44,6 @@ _EXTENDED = np.finfo(np.longdouble).nmant >= 63
 _FAST = (1e-10, 1e16)  # the |x| that the block formatter writes itself
 _MARGIN = 0.01  # a decision this near a boundary, in units of S, goes to repr
 _BLOCK = 8192  # floats per block, at most
-_THREADS = 2  # formatting threads, the calling one included, at most
 
 _POW = np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))  # 10**q, q = 0..27
 _HALF_POW = _POW.astype(np.float64) / 2
@@ -167,8 +158,8 @@ def write_rows(matrix: np.ndarray, fh):
 class _State:
     """A block of floats and every array that formats it, as views of one
     anonymous memory map of 160 bytes a float, unmapped when the last view
-    is freed; the calling thread and each helper thread of a write hold
-    one. Arrays whose uses do not overlap share bytes:
+    is freed; a write builds one. Arrays whose uses do not overlap share
+    bytes:
 
     ======  =====================================================
     bytes   arrays, in the order a block uses them
@@ -334,87 +325,19 @@ def _format(st: _State, got: int, seps: np.ndarray) -> np.ndarray:
     return slots[:got].reshape(-1)[mask[:got].reshape(-1)]
 
 
-class _Formatter(threading.Thread):
-    """A helper thread that formats each block handed to it in a state of
-    its own.
-
-    The calling thread copies a block into the state (:meth:`hand`) and
-    takes its text back (:meth:`take`) before it hands the next one, so it
-    alone reads the matrix and writes the file. What formatting a block
-    raises is raised by :meth:`take`.
-    """
-
-    def __init__(self, n: int):
-        super().__init__(daemon=True)
-        self.state = _State(n)
-        self.job = None   # the handed block's length and separators; None stops the thread
-        self.text = None  # its text, or what formatting it raised
-        self.todo, self.done = threading.Semaphore(0), threading.Semaphore(0)
-
-    def run(self):
-        while True:
-            self.todo.acquire()
-            job = self.job
-            if job is None:
-                return
-            try:
-                self.text = _format(self.state, *job)
-            except BaseException as exc:  # raised again by take, in the calling thread
-                self.text = exc
-            self.done.release()
-
-    def hand(self, values, seps: np.ndarray):
-        """Copy ``values``, a block of floats, into the state and format
-        them, each followed by its separator in ``seps``."""
-        self.job = (self.state.load(values), seps)
-        self.todo.release()
-
-    def take(self) -> np.ndarray:
-        """The text of the block handed last, once it is formatted."""
-        self.done.acquire()
-        text, self.text = self.text, None
-        if isinstance(text, BaseException):
-            raise text
-        return text
-
-    def stop(self):
-        """End the thread once its block, if any, is formatted."""
-        self.job = None
-        self.todo.release()
-        self.join()
-
-
 def _write_blocks(matrix: np.ndarray, fh):
     """Write the rows of a matrix of at least one column in blocks of
-    floats in reading order, the last block padded with zeros, in rounds
-    of one block for each usable CPU, up to ``_THREADS``: the calling
-    thread formats a round's first block, a helper thread each other one,
-    and the calling thread then writes their texts in order."""
+    floats in reading order, of equal length up to ``_BLOCK`` and the last
+    padded with zeros, each formatted in one state and written in turn."""
     size, cols = matrix.size, matrix.shape[1]
     # the floats in reading order: a view, or an iterator that copies each slice taken
     values = matrix.reshape(-1) if matrix.flags.c_contiguous else matrix.flat
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    k = min(_THREADS, cpus or 1)
-    # rounds of k blocks of equal length, at most _BLOCK floats
-    rounds = -(-size // (k * _BLOCK))
-    n = -(-size // (k * rounds))
+    # the fewest blocks of at most _BLOCK floats, all of one length
+    n = -(-size // -(-size // _BLOCK))
     # the separator after the float in column j: a newline after the last column
     seps = np.full(n + cols, ord(","), dtype=np.uint8)
     seps[cols - 1 :: cols] = ord("\n")
-
-    state, helpers = _State(n), [_Formatter(n) for _ in range(k - 1)]
-    try:
-        for helper in helpers:
-            helper.start()
-        for start in range(0, size, k * n):
-            handed = list(zip(helpers, range(start + n, min(start + k * n, size), n)))
-            for helper, at in handed:
-                helper.hand(values[at : at + n], seps[at % cols : at % cols + n])
-            got = state.load(values[start : start + n])
-            fh.write(_format(state, got, seps[start % cols : start % cols + n]))
-            for helper, _ in handed:
-                fh.write(helper.take())
-    finally:
-        for helper in helpers:
-            if helper.ident is not None:
-                helper.stop()
+    state = _State(n)
+    for start in range(0, size, n):
+        got = state.load(values[start : start + n])
+        fh.write(_format(state, got, seps[start % cols : start % cols + n]))

@@ -308,9 +308,8 @@ def save_csv_matrix(matrix, path):
     The bytes are those of ``",".join(map(repr, row.tolist()))`` per row,
     each line ended by a newline; a matrix of no rows is written as one
     newline. :func:`gfred.csvtext.write_rows` formats blocks of up to
-    8,192 floats, one on the calling thread and one on a helper thread at
-    a time where two CPUs are usable, and writes their text in reading
-    order, so the file's text never exists whole in memory.
+    8,192 floats one at a time and writes their text in reading order, so
+    the file's text never exists whole in memory.
     The input is converted before the file is opened, so one that is not a
     2-d float matrix leaves no file behind.
     """

@@ -648,30 +648,8 @@ class TestCsvText:
         matrix = csv_matrices()[name]
         assert self.saved(matrix, tmp_path / "m.csv") == csv_bytes(matrix)
 
-    def test_a_block_formatted_last_is_written_first(self, tmp_path, monkeypatch):
-        # 150 blocks on two threads; the first waits until a later one is formatted
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(csvtext, "_BLOCK", 8)
-        matrix = np.arange(1.0, 1201.0).reshape(40, 30) / 7.0
-        classify, finished, later_done = csvtext._classify, [], threading.Event()
-
-        def first_block_last(x, state):
-            first = x[0]
-            if first == matrix[0, 0]:
-                assert later_done.wait(timeout=30)
-            result = classify(x, state)
-            finished.append(first)
-            later_done.set()
-            return result
-
-        monkeypatch.setattr(csvtext, "_classify", first_block_last)
-        assert self.saved(matrix, tmp_path / "m.csv") == csv_bytes(matrix)
-        assert finished[0] != matrix[0, 0] and finished[1] == matrix[0, 0]
-
     def test_a_formatting_error_reaches_the_caller(self, tmp_path, monkeypatch):
-        # 100 blocks of ten floats in rounds of two; block b starts at 10.0 * b.
-        # The helper thread formats block 3, the calling thread block 2
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        # 100 blocks of ten floats; block b starts at 10.0 * b
         monkeypatch.setattr(csvtext, "_BLOCK", 10)
         matrix = np.arange(1000.0).reshape(100, 10)
         classify = csvtext._classify
@@ -683,32 +661,30 @@ class TestCsvText:
                 return classify(x, state)
 
             monkeypatch.setattr(csvtext, "_classify", fail_on_one_block)
-            threads = threading.active_count()
             path = tmp_path / f"m{failing}.csv"
             with pytest.raises(RuntimeError, match=f"block {failing}"):
                 save_csv_matrix(matrix, path)
-            assert threading.active_count() == threads
             # the blocks before it were written, in order
             assert path.read_bytes() == csv_bytes(matrix[:failing])
 
-    def test_one_cpu_starts_no_thread(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_a_write_starts_no_thread(self, tmp_path, monkeypatch, cpus):
         # 1,000 floats in blocks of ten, all formatted by the calling thread
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(csvtext, "_BLOCK", 10)
 
         def no_thread(self):
-            raise AssertionError("a formatting thread was started")
+            raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(csvtext._Formatter, "start", no_thread)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         matrix = np.arange(1000.0).reshape(100, 10) / 7.0
         threads = threading.active_count()
         assert self.saved(matrix, tmp_path / "m.csv") == csv_bytes(matrix)
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("cpus, block, threads", [(1, 256, 1), (2, 256, 2), (2, 8192, 2)])
-    def test_one_state_per_thread_and_the_same_bytes(self, tmp_path, monkeypatch, cpus, block,
-                                                     threads):
-        # 30,300 floats: 119 or 120 blocks of at most 256, or 4 of at most 8,192
+    @pytest.mark.parametrize("cpus, block", [(1, 256), (2, 256), (2, 8192), (4, 256)])
+    def test_one_state_per_write_and_the_same_bytes(self, tmp_path, monkeypatch, cpus, block):
+        # 30,300 floats: 119 blocks of at most 256, or 4 of at most 8,192
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(csvtext, "_BLOCK", block)
         built = []
@@ -722,24 +698,10 @@ class TestCsvText:
         rng = np.random.default_rng(34)
         matrix = rng.normal(size=(300, 101)) * np.exp(rng.normal(size=(300, 101)) * 4)
         assert self.saved(matrix, tmp_path / "m.csv") == csv_bytes(matrix)
-        # a whole number of rounds of one block for each thread, none over _BLOCK
-        assert len(built) == threads and built[0] <= block
-        assert -(-matrix.size // built[0]) % threads == 0
-
-    def test_more_threads_than_cores_keep_the_order(self, tmp_path, monkeypatch):
-        # four threads on 188 blocks, the interpreter switching threads as
-        # often as it can: a block handed or taken out of turn changes the bytes
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        monkeypatch.setattr(csvtext, "_THREADS", 4)
-        monkeypatch.setattr(csvtext, "_BLOCK", 16)
-        matrix = np.random.default_rng(35).normal(size=(60, 50))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            written = self.saved(matrix, tmp_path / "m.csv")
-        finally:
-            sys.setswitchinterval(interval)
-        assert written == csv_bytes(matrix)
+        # one state for the write, of one block length, none over _BLOCK,
+        # in as few blocks as _BLOCK allows
+        assert len(built) == 1 and built[0] <= block
+        assert -(-matrix.size // built[0]) == -(-matrix.size // block)
 
     def test_import_loads_no_executor_and_builds_no_state(self):
         code = (

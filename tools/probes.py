@@ -27,12 +27,16 @@ Gaussian noise of standard deviation 0.05), a 20 x 1200 matrix shaped
 like ``gfred encode``'s (that noisy pool's scores on its first 20
 principal axes), and the labelled 785 x 300 ``synth_digits`` pool. It
 checks that each file's bytes equal a per-row join of ``repr`` that the
-probe builds itself, and prints the median milliseconds, the median peak
-RSS (``VmHWM``) above the interpreter after ``import gfred`` and the
-loaded matrix, in MB and as a multiple of the matrix, the median RSS
-(``VmRSS``) the write leaves once it returns, in MB, and the tracemalloc
-peak of a second write as a multiple of the matrix, under the same line
-as ``csv-load``. With ``--smoke`` it writes the pool once.
+probe builds itself. Each process's first write gives the memory
+columns: the median peak RSS (``VmHWM``) above the interpreter after
+``import gfred`` and the loaded matrix, in MB and as a multiple of the
+matrix, and the median RSS (``VmRSS``) the write leaves once it returns,
+in MB. Five more writes follow in each process, and the milliseconds are
+the median of the three processes' fifteen, which leave out the code and
+memory a first write pages in. A last write gives the tracemalloc peak
+as a multiple of the matrix. The table sits under the same line as
+``csv-load``. With ``--smoke`` it writes the pool once, and its
+milliseconds are that first write's.
 
 ``cli-peaks`` writes a ``synth_digits`` pool of the bench's fit-large
 shape (10 x 120 images at 28 x 28, seed 1, so n = 1200 and D = 784) as
@@ -96,9 +100,10 @@ print(json.dumps({"seconds": seconds, "above_import": above_import, "traced": tr
 """
 
 
-# run in a fresh interpreter: one write's wall time, its peak RSS above the
-# process after `import gfred` and the loaded matrix, and the RSS it leaves
-# once it returns, then a second write's tracemalloc peak
+# run in a fresh interpreter: the first write's wall time, its peak RSS
+# above the process after `import gfred` and the loaded matrix, and the RSS
+# it leaves once it returns; then the wall time of each of argv[3] more
+# writes, and a last write's tracemalloc peak
 SAVE_CHILD = """
 import json, sys, time, tracemalloc
 import numpy as np
@@ -106,16 +111,20 @@ from gfred import harness
 def status(key):
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) * 1024 for line in fh if line.startswith(key))
+def timed_write():
+    start = time.perf_counter()
+    harness.save_csv_matrix(matrix, sys.argv[2])
+    return time.perf_counter() - start
 matrix = np.load(sys.argv[1])
 before, resident = status("VmHWM:"), status("VmRSS:")
-start = time.perf_counter()
-harness.save_csv_matrix(matrix, sys.argv[2])
-seconds = time.perf_counter() - start
+first = timed_write()
 above, left = status("VmHWM:") - before, status("VmRSS:") - resident
+later = [timed_write() for _ in range(int(sys.argv[3]))]
 tracemalloc.start()
 harness.save_csv_matrix(matrix, sys.argv[2])
 traced = tracemalloc.get_traced_memory()[1]
-print(json.dumps({"seconds": seconds, "above": above, "left": left, "traced": traced}))
+print(json.dumps({"first": first, "later": later, "above": above, "left": left,
+                  "traced": traced}))
 """
 
 
@@ -223,9 +232,10 @@ def csv_save(smoke: bool = False) -> str:
         data = spectral.center(noisy)
         scores = pca.pca_fit(data, 20).basis.T @ data.centered
         cases = {"784 x 1200 decode": noisy, "20 x 1200 encode": scores, **cases}
-    repeats = 1 if smoke else 3
+    repeats, later = (1, 0) if smoke else (3, 5)
     lines = [
-        f"`save_csv_matrix`, {'one fresh process' if smoke else f'median of {repeats} fresh processes'} "
+        f"`save_csv_matrix`, {'one fresh process' if smoke else f'median of {repeats} fresh processes'}"
+        f"{'' if smoke else f', ms the median of their {repeats * later} writes after the first'} "
         f"({provenance()})",
         "",
         "| matrix | file MB | matrix MB | ms | peak RSS above import and matrix, MB "
@@ -238,7 +248,8 @@ def csv_save(smoke: bool = False) -> str:
             np.save(source, matrix)
             runs = [
                 json.loads(subprocess.run(
-                    [sys.executable, "-c", SAVE_CHILD, source, path], env=_child_env(),
+                    [sys.executable, "-c", SAVE_CHILD, source, path, str(later)],
+                    env=_child_env(),
                     capture_output=True, text=True, check=True,
                 ).stdout)
                 for _ in range(repeats)
@@ -248,7 +259,7 @@ def csv_save(smoke: bool = False) -> str:
             expected = "".join(",".join(map(repr, row.tolist())) + "\n" for row in matrix)
             if written != expected.encode("ascii"):
                 raise SystemExit(f"csv-save: the {name} file differs from the repr join")
-            ms = statistics.median(run["seconds"] for run in runs) * 1e3
+            ms = statistics.median([t for run in runs for t in run["later"] or [run["first"]]]) * 1e3
             above = statistics.median(run["above"] for run in runs)
             left = statistics.median(run["left"] for run in runs)
             lines.append(
